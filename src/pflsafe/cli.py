@@ -29,15 +29,13 @@ from .body import ContactMode, REGION_IDS, REGION_LABELS, load_body_table
 from .collision import CollisionScenario, simulate, total_energy
 from .dynamics import load_robot_model, iso_effective_mass
 from .errors import (ConstrainedDirectionError, ConvergenceError, DomainError,
-                     PflError, ReportError, SchemaError, StepSizeError,
-                     SweepError, ValidationError)
+                     ReportError, SchemaError, StepSizeError, SweepError,
+                     ValidationError)
 from .limits import LimitQuery, compute_limit
-from .safety_filter import (FilterConfig, PlantState, filter_velocity,
-                            simulate_loop, tank_init)
+from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
 from .svgplot import line_chart
-from .sweep import (ALL_COMBOS, MassSource, SweepConfig, render_sweep_svg,
-                    run_sweep, scaling_report, write_boxstats_json,
-                    write_scaling_csv, write_sweep_csv)
+from .sweep import (SweepConfig, render_sweep_svg, run_sweep, scaling_report,
+                    write_boxstats_json, write_scaling_csv, write_sweep_csv)
 
 _USAGE_EXIT = 2
 _INPUT_EXIT = 3
@@ -222,10 +220,6 @@ def _sweep_config_from_file(path: Path | None, workers: int | None) -> SweepConf
     if unknown:
         raise SchemaError(f"sweep config: unknown keys {sorted(unknown)}")
     kwargs = {k: raw[k] for k in known & set(raw)}
-    if "box_min" in kwargs:
-        kwargs["box_min"] = tuple(float(v) for v in kwargs["box_min"])
-    if "box_max" in kwargs:
-        kwargs["box_max"] = tuple(float(v) for v in kwargs["box_max"])
     if workers is not None:
         kwargs["n_workers"] = workers
     return SweepConfig(**kwargs)
@@ -272,6 +266,16 @@ def _cmd_sweep(args) -> int:
 
 # --------------------------------------------------------------- filter
 
+def _scenario_float(raw: dict, key: str, default=None) -> float:
+    """Scenario value ``raw[key]`` (or ``default``) as a float."""
+    value = raw.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"filter scenario: {key} must be a number, "
+                          f"got {value!r}") from None
+
+
 def _cmd_filter(args) -> int:
     scenario_path = Path(args.scenario)
     raw = yaml.safe_load(scenario_path.read_text(encoding="utf-8"))
@@ -290,18 +294,19 @@ def _cmd_filter(args) -> int:
 
     mode = _parse_mode(str(raw.get("mode", "transient")))
     region = str(raw.get("region", "face"))
-    payload = float(raw.get("payload", 0.0))
+    payload = _scenario_float(raw, "payload", 0.0)
     mass_spec = raw.get("robot_mass", "constant")
     if mass_spec == "constant":
         robot_path = Path(args.robot)
         robot_mass = iso_effective_mass(load_robot_model(robot_path), payload)
         inputs["robot"] = robot_path
     else:
-        robot_mass = float(mass_spec)
+        robot_mass = _scenario_float(raw, "robot_mass")
 
     limit = compute_limit(
         LimitQuery(region=region, mode=mode, robot_mass=robot_mass,
-                   contact_area=float(raw.get("contact_area", 1.0))), table)
+                   contact_area=_scenario_float(raw, "contact_area", 1.0)),
+        table)
 
     budget_spec = raw.get("budget", "k0_max")
     if budget_spec == "k0_max":
@@ -309,16 +314,21 @@ def _cmd_filter(args) -> int:
     elif budget_spec == "u_s_max":
         budget = limit.u_s_max
     else:
-        budget = float(budget_spec)
+        budget = _scenario_float(raw, "budget")
 
-    duration = float(raw.get("duration", 2.0))
-    cfg = FilterConfig(speed_limit=limit, period=float(raw.get("period", 1e-3)),
-                       power_cap=(float(raw["power_cap"])
+    duration = _scenario_float(raw, "duration", 2.0)
+    cfg = FilterConfig(speed_limit=limit,
+                       period=_scenario_float(raw, "period", 1e-3),
+                       power_cap=(_scenario_float(raw, "power_cap")
                                   if raw.get("power_cap") is not None else None))
-    plant = PlantState(mass=float(raw.get("plant_mass") or robot_mass))
+    # an absent plant mass defaults to the robot mass; any given value,
+    # zero included, is validated by PlantState
+    plant = PlantState(mass=(_scenario_float(raw, "plant_mass")
+                             if raw.get("plant_mass") is not None
+                             else robot_mass))
     tank = tank_init(budget, recycling_enabled=bool(raw.get("recycling", False)))
-    nominal_speed = float(raw.get("nominal_speed", 2.0 * limit.v0_max))
-    gain = float(raw["gain"]) if raw.get("gain") is not None else None
+    nominal_speed = _scenario_float(raw, "nominal_speed", 2.0 * limit.v0_max)
+    gain = _scenario_float(raw, "gain") if raw.get("gain") is not None else None
 
     log = simulate_loop(plant, lambda t: nominal_speed, cfg, tank, duration,
                         velocity_filter=bool(raw.get("velocity_filter", True)),

@@ -20,7 +20,7 @@ matrix computation are ordered (angular, linear).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence, Union
 
@@ -222,22 +222,42 @@ def forward_kinematics(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     return link_frames(model, q)[-1] @ model.ee_offset
 
 
-def _contact_point(model: ManipulatorModel, frames: list[np.ndarray],
-                   link_index: int | None,
-                   local_point: np.ndarray | None) -> tuple[int, np.ndarray]:
+def _contact_kinematics(model: ManipulatorModel, q: np.ndarray,
+                        link_index: int | None = None,
+                        local_point: np.ndarray | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """World pose (4x4) and 6 x n Jacobian, rows (linear; angular), of a
+    contact frame, from one pass over the link frames.
+
+    The contact frame defaults to the tool frame on the last link; with
+    ``link_index`` it is that link's frame, moved to ``local_point`` (link
+    coordinates) when given.  Columns of joints distal to the contact link
+    are zero.
+    """
+    frames = link_frames(model, q)
     idx = model.n - 1 if link_index is None else link_index
     if not 0 <= idx < model.n:
         raise DomainError(f"link_index out of range: {link_index!r}")
-    frame = frames[idx]
+    pose = frames[idx]
     if local_point is None:
         if idx == model.n - 1:
-            p = (frame @ model.ee_offset)[:3, 3]
-        else:
-            p = frame[:3, 3]
+            pose = pose @ model.ee_offset
     else:
         local = np.asarray(local_point, dtype=float)
-        p = frame[:3, :3] @ local + frame[:3, 3]
-    return idx, p
+        pose = pose.copy()
+        pose[:3, 3] = pose[:3, :3] @ local + pose[:3, 3]
+    links = model.links[: idx + 1]
+    axes = np.array([frame[:3, :3] @ link.joint.axis
+                     for frame, link in zip(frames, links)])
+    origins = np.array([frame[:3, 3] for frame in frames[: idx + 1]])
+    prismatic = [i for i, link in enumerate(links)
+                 if link.joint.kind == "prismatic"]
+    jac = np.zeros((6, model.n))
+    jac[:3, : idx + 1] = np.cross(axes, pose[:3, 3] - origins).T
+    jac[3:, : idx + 1] = axes.T
+    jac[:3, prismatic] = axes[prismatic].T
+    jac[3:, prismatic] = 0.0
+    return pose, jac
 
 
 def point_jacobian(model: ManipulatorModel, q: np.ndarray,
@@ -248,33 +268,12 @@ def point_jacobian(model: ManipulatorModel, q: np.ndarray,
     Defaults to the tool frame origin on the last link.  Columns of joints
     distal to the contact link are zero.
     """
-    frames = link_frames(model, q)
-    idx, p = _contact_point(model, frames, link_index, local_point)
-    jac = np.zeros((3, model.n))
-    for i, link in enumerate(model.links[: idx + 1]):
-        frame = frames[i]
-        axis_w = frame[:3, :3] @ link.joint.axis
-        if link.joint.kind == "revolute":
-            jac[:, i] = np.cross(axis_w, p - frame[:3, 3])
-        else:
-            jac[:, i] = axis_w
-    return jac
+    return _contact_kinematics(model, q, link_index, local_point)[1][:3]
 
 
 def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     """Full 6 x n Jacobian of the tool frame, rows (linear; angular)."""
-    frames = link_frames(model, q)
-    p = (frames[-1] @ model.ee_offset)[:3, 3]
-    jac = np.zeros((6, model.n))
-    for i, link in enumerate(model.links):
-        frame = frames[i]
-        axis_w = frame[:3, :3] @ link.joint.axis
-        if link.joint.kind == "revolute":
-            jac[:3, i] = np.cross(axis_w, p - frame[:3, 3])
-            jac[3:, i] = axis_w
-        else:
-            jac[:3, i] = axis_w
-    return jac
+    return _contact_kinematics(model, q)[1]
 
 
 def manipulability(model: ManipulatorModel, q: np.ndarray) -> float:
@@ -344,31 +343,45 @@ class ReflectedMassQuery:
     """Directional effective-mass request at a contact point."""
 
     q: np.ndarray
-    u: np.ndarray                        # unit direction, world frame
+    u: np.ndarray                        # unit (3,) or (d, 3) stack, world frame
     link_index: int | None = None        # default: last link
     local_point: np.ndarray | None = None  # default: tool frame origin
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float)
-        if u.shape != (3,):
-            raise ValidationError(f"u must be a 3-vector, got shape {u.shape}")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-9:
+        if u.shape[-1:] != (3,) or u.ndim > 2 or u.size == 0:
             raise ValidationError(
-                f"u must be a unit vector (|u| = {np.linalg.norm(u):.12g})")
+                f"u must be a 3-vector or a non-empty (d, 3) stack, "
+                f"got shape {u.shape}")
+        norms = np.atleast_1d(np.linalg.norm(u, axis=-1))
+        bad = norms[np.abs(norms - 1.0) > 1e-9]
+        if bad.size:
+            raise ValidationError(
+                f"u must be a unit vector (|u| = {bad[0]:.12g})")
 
 
-def reflected_mass(model: ManipulatorModel, query: ReflectedMassQuery) -> float:
+def reflected_mass(model: ManipulatorModel,
+                   query: ReflectedMassQuery) -> float | np.ndarray:
     """Effective mass [kg] felt by a collision along query.u.
 
     m_u = (u^T Lambda^-1 u)^-1 with Lambda^-1 = J M^-1 J^T the inverse
-    operational-space inertia at the contact point.  Directions with no
-    feasible motion raise ConstrainedDirectionError.
+    operational-space inertia at the contact point.  For one direction the
+    result is a float, and a direction with no feasible motion raises
+    ConstrainedDirectionError.  For a (d, 3) stack the Jacobian, M and
+    Lambda^-1 are built once and the result is a (d,) array holding inf for
+    each constrained direction.
     """
     q = _check_q(model, query.q)
     jac = point_jacobian(model, q, query.link_index, query.local_point)
     m = mass_matrix(model, q)
     lam_inv = jac @ np.linalg.solve(m, jac.T)
     u = np.asarray(query.u, dtype=float)
+    if u.ndim == 2:
+        masses = np.empty(len(u))
+        for k, row in enumerate(u):
+            s = float(row @ lam_inv @ row)
+            masses[k] = math.inf if s < SINGULAR_GUARD else 1.0 / s
+        return masses
     s = float(u @ lam_inv @ u)
     if s < SINGULAR_GUARD:
         raise ConstrainedDirectionError(
@@ -442,7 +455,7 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
 
     pos_err = ori_err = math.inf
     for iteration in range(max_iter + 1):
-        t_ee = forward_kinematics(model, q)
+        t_ee, jac = _contact_kinematics(model, q)
         err_p = target - t_ee[:3, 3]
         pos_err = float(np.linalg.norm(err_p))
         if orientation is None:
@@ -450,14 +463,13 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
             if pos_err < pos_tol:
                 return IKResult(q, True, iteration, pos_err, ori_err)
             err = err_p
-            jac = point_jacobian(model, q)
+            jac = jac[:3]
         else:
             err_o = _rotation_error(orientation, t_ee[:3, :3])
             ori_err = float(np.linalg.norm(err_o))
             if pos_err < pos_tol and ori_err < ori_tol:
                 return IKResult(q, True, iteration, pos_err, ori_err)
             err = np.concatenate([err_p, err_o])
-            jac = frame_jacobian(model, q)
         if iteration == max_iter:
             break
         jjt = jac @ jac.T

@@ -179,7 +179,8 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
     proportional control force, ask the tank for the work that force would
     do over the step, then apply the force scaled so its work equals the
     granted energy exactly.  Dissipative steps bypass the tank grant and
-    may refill it.
+    may refill it.  ``plant`` is the initial state and is left unchanged;
+    the trajectory is in the returned log.
     """
     if not (math.isfinite(duration) and duration > 0):
         raise DomainError(f"duration must be > 0, got {duration!r}")
@@ -221,6 +222,4 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
         log.ke[i] = 0.5 * m * v * v
         log.tank_energy[i] = tank.energy
         log.injected_cum[i] = tank.cumulative_injected
-        plant.position += v * dt
-    plant.velocity = v
     return log

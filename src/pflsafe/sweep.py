@@ -19,10 +19,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,8 +32,7 @@ from .body import BodyRegionParams, BodyRegionTable, ContactMode, REGION_IDS, \
 from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        inverse_kinematics, iso_effective_mass, manipulability,
                        reflected_mass)
-from .errors import (ConstrainedDirectionError, DomainError, ReportError,
-                     SweepError)
+from .errors import DomainError, ReportError, SchemaError, SweepError
 
 #: manipulability below which a configuration is flagged near-singular
 SINGULAR_FLAG_THRESHOLD = 1e-6
@@ -69,22 +69,56 @@ class SweepConfig:
     n_workers: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.grid_spacing) and self.grid_spacing > 0):
-            raise DomainError(f"grid_spacing must be > 0, got {self.grid_spacing!r}")
+        # every check runs here, before any inverse kinematics is spent
+        for name in ("box_min", "box_max"):
+            try:
+                corner = tuple(getattr(self, name))
+            except TypeError:
+                corner = ()
+            if len(corner) != 3:
+                raise SchemaError(f"{name} must be three numbers, got "
+                                  f"{getattr(self, name)!r}")
+            for value in corner:
+                _check_number(name, value)
+            object.__setattr__(self, name, tuple(float(v) for v in corner))
         for lo, hi in zip(self.box_min, self.box_max):
             if not lo <= hi:
                 raise DomainError(f"box_min must be <= box_max, got "
                                   f"{self.box_min} / {self.box_max}")
+        _check_number("grid_spacing", self.grid_spacing)
+        if not self.grid_spacing > 0:
+            raise DomainError(f"grid_spacing must be > 0, got {self.grid_spacing!r}")
+        _check_number("n_directions", self.n_directions, integral=True)
         if self.n_directions < 1:
             raise DomainError("n_directions must be >= 1")
-        if self.direction_style not in _DIRECTION_STYLES:
+        if not isinstance(self.direction_style, str) \
+                or self.direction_style not in _DIRECTION_STYLES:
             raise DomainError(
                 f"unknown direction style {self.direction_style!r}; valid: "
                 + ", ".join(sorted(_DIRECTION_STYLES)))
+        _check_number("contact_area", self.contact_area)
+        if not self.contact_area > 0:
+            raise DomainError(
+                f"contact_area must be > 0, got {self.contact_area!r}")
+        _check_number("payload", self.payload)
+        if not self.payload >= 0:
+            raise DomainError(f"payload must be >= 0, got {self.payload!r}")
+        _check_number("n_workers", self.n_workers, integral=True)
         if self.n_workers < 1:
             raise DomainError("n_workers must be >= 1")
         if not self.modes:
             raise DomainError("modes must not be empty")
+
+
+def _check_number(name: str, value, integral: bool = False) -> None:
+    """Reject a value that is not a finite real (or integral) number."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaError(f"{name} must be "
+                          f"{'an integer' if integral else 'a number'}, "
+                          f"got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def sphere_directions(n: int) -> np.ndarray:
@@ -201,15 +235,8 @@ def _sweep_scanline(payload: tuple) -> list[tuple[bool, bool, int, np.ndarray | 
             continue
         q_seed = ik.q  # warm start for the next point on this line
         singular = manipulability(model, ik.q) < SINGULAR_FLAG_THRESHOLD
-        masses = np.empty(len(directions))
-        constrained = 0
-        for d_idx, u in enumerate(directions):
-            try:
-                masses[d_idx] = reflected_mass(
-                    model, ReflectedMassQuery(q=ik.q, u=u))
-            except ConstrainedDirectionError:
-                masses[d_idx] = math.inf
-                constrained += 1
+        masses = reflected_mass(model, ReflectedMassQuery(q=ik.q, u=directions))
+        constrained = int(np.count_nonzero(np.isinf(masses)))
         out.append((True, singular, constrained, masses))
     return out
 
@@ -246,7 +273,10 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
 
     if config.n_workers > 1:
         with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-            scanlines = list(pool.map(_sweep_scanline, payloads, chunksize=4))
+            # a share of every sweep for each worker, a few tasks each
+            chunksize = max(1, len(payloads) // (4 * config.n_workers))
+            scanlines = list(pool.map(_sweep_scanline, payloads,
+                                      chunksize=chunksize))
     else:
         scanlines = [_sweep_scanline(p) for p in payloads]
 

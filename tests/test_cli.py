@@ -211,6 +211,40 @@ def test_filter_exit_codes(tmp_path, capsys):
                "--out", tmp_path / "o") == 3
 
 
+SWEEP_BOX = {"box_min": [0.35, -0.05, 0.40], "box_max": [0.45, 0.05, 0.50],
+             "grid_spacing": 0.05, "n_directions": 2}
+FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
+                   "duration": 0.01}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("filter", "budget", "lots"),
+    ("filter", "duration", [1.0]),
+    ("filter", "plant_mass", 0),
+    ("filter", "plant_mass", -1.0),
+    ("sweep", "box_min", [0, 0]),
+    ("sweep", "box_max", "abc"),
+    ("sweep", "grid_spacing", "abc"),
+    ("sweep", "n_directions", 2.5),
+    ("sweep", "n_workers", 1.5),
+    ("sweep", "payload", -1),
+    ("sweep", "contact_area", 0),
+])
+def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
+                                 key, value):
+    def no_ik(*args, **kwargs):
+        raise AssertionError("inverse kinematics ran before input checks")
+
+    monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", no_ik)
+    base = SWEEP_BOX if command == "sweep" else FILTER_SCENARIO
+    path = tmp_path / "input.yaml"
+    path.write_text(yaml.safe_dump(dict(base, **{key: value})))
+    flag = "--config" if command == "sweep" else "--scenario"
+    assert run(command, flag, path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as info:
         main([])

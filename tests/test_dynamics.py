@@ -22,6 +22,7 @@ from pflsafe.dynamics import (FLANGE_DOWN, ReflectedMassQuery,
                               reflected_mass, rpy_matrix)
 from pflsafe.errors import (ConstrainedDirectionError, DomainError,
                             SchemaError, ValidationError)
+from pflsafe.sweep import horizontal_directions, sphere_directions
 from conftest import random_joint_configs
 
 # planar 2R arm: both joints about +z, links along +x; point masses at the
@@ -214,15 +215,28 @@ def test_panda_fk_matches_chain_oracle(panda, rng):
 
 def test_point_jacobian_matches_finite_differences(panda, rng):
     h = 1e-6
+
+    def tool(q):
+        return forward_kinematics(panda, q)[:3, 3]
+
+    def on_link(index, local):
+        # contact point fixed in link ``index``'s frame
+        return lambda q: (link_frames(panda, q)[index] @ np.append(local, 1.0))[:3]
+
+    contacts = [((), tool),
+                ((6, np.zeros(3)), on_link(6, np.zeros(3))),
+                ((3,), on_link(3, np.zeros(3))),
+                ((4, np.array([0.05, -0.02, 0.1])),
+                 on_link(4, np.array([0.05, -0.02, 0.1])))]
     for q in random_joint_configs(panda, rng, 10):
-        jac = point_jacobian(panda, q)
-        fd = np.empty_like(jac)
-        for j in range(panda.n):
-            dq = np.zeros(panda.n)
-            dq[j] = h
-            fd[:, j] = (forward_kinematics(panda, q + dq)[:3, 3]
-                        - forward_kinematics(panda, q - dq)[:3, 3]) / (2 * h)
-        assert np.max(np.abs(jac - fd)) < 1e-6
+        for args, position in contacts:
+            jac = point_jacobian(panda, q, *args)
+            fd = np.empty_like(jac)
+            for j in range(panda.n):
+                dq = np.zeros(panda.n)
+                dq[j] = h
+                fd[:, j] = (position(q + dq) - position(q - dq)) / (2 * h)
+            assert np.max(np.abs(jac - fd)) < 1e-6
 
 
 def test_frame_jacobian_angular_rows(panda, rng):
@@ -295,12 +309,55 @@ def test_reflected_mass_kinetic_energy_oracle(panda, rng):
         assert m_u == pytest.approx(qd @ m @ qd, rel=1e-8)
 
 
+def test_stacked_reflected_mass_equals_single_calls(panda, rng):
+    # one Lambda^-1 for the whole stack, same arithmetic per direction
+    directions = sphere_directions(40)
+    for q in random_joint_configs(panda, rng, 200):
+        stacked = reflected_mass(panda, ReflectedMassQuery(q=q, u=directions))
+        single = [reflected_mass(panda, ReflectedMassQuery(q=q, u=u))
+                  for u in directions]
+        assert stacked.shape == (40,)
+        assert np.array_equal(stacked, single)
+
+
+def test_reflected_mass_within_belted_ellipsoid(panda, rng):
+    # m_u = 1 / (u' Lambda^-1 u) lies between the inverse extreme
+    # eigenvalues of Lambda^-1 (Khatib's belted ellipsoid)
+    directions = np.vstack([sphere_directions(40), horizontal_directions(20)])
+    for q in random_joint_configs(panda, rng, 50):
+        jac = point_jacobian(panda, q)
+        lam_inv = jac @ np.linalg.solve(mass_matrix(panda, q), jac.T)
+        eig = np.linalg.eigvalsh(lam_inv)
+        m_u = reflected_mass(panda, ReflectedMassQuery(q=q, u=directions))
+        assert np.all(m_u >= (1.0 / eig[-1]) * (1 - 1e-9))
+        assert np.all(m_u <= (1.0 / eig[0]) * (1 + 1e-9))
+
+
+def test_two_r_stack_marks_constrained_direction_inf(two_r):
+    q = np.array([0.3, -0.7])
+    diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    stack = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      diagonal])
+    masses = reflected_mass(two_r, ReflectedMassQuery(q=q, u=stack))
+    assert masses[2] == math.inf
+    assert np.all(np.isfinite(masses[[0, 1, 3]]))
+    assert masses[1] == reflected_mass(
+        two_r, ReflectedMassQuery(q=q, u=stack[1]))
+    with pytest.raises(ConstrainedDirectionError):
+        reflected_mass(two_r, ReflectedMassQuery(q=q, u=stack[2]))
+
+
 def test_reflected_mass_unit_vector_enforced(panda):
     q = np.zeros(panda.n)
     with pytest.raises(ValidationError, match="unit"):
         ReflectedMassQuery(q=q, u=np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValidationError):
         ReflectedMassQuery(q=q, u=np.array([1.0, 0.0]))
+    # every row of a stack is checked
+    with pytest.raises(ValidationError, match="unit"):
+        ReflectedMassQuery(q=q, u=np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        ReflectedMassQuery(q=q, u=np.zeros((0, 3)))
 
 
 def test_iso_effective_mass_reference_value(panda):

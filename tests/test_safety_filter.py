@@ -179,8 +179,23 @@ def test_loop_settles_at_the_speed_limit(face_limit):
     assert np.all(log.v_commanded == face_limit.v0_max)
     assert np.max(np.abs(log.velocity)) <= face_limit.v0_max + 1e-12
     assert log.velocity[-1] == pytest.approx(face_limit.v0_max, rel=1e-6)
-    assert plant.velocity == log.velocity[-1]
-    assert plant.position > 0.0
+    assert plant == PlantState(mass=MASS)
+
+
+def test_loop_leaves_the_plant_state_unchanged(face_limit):
+    # the caller's state is the initial condition only: a second run from
+    # the same object repeats the first, and both equal a run from a copy
+    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
+    plant = PlantState(mass=MASS, velocity=0.05, position=0.2)
+    runs = [simulate_loop(state, lambda t: 10.0, cfg, tank_init(1.0),
+                          duration=0.5)
+            for state in (plant, plant, PlantState(MASS, 0.05, 0.2))]
+    assert plant == PlantState(mass=MASS, velocity=0.05, position=0.2)
+    assert runs[0].velocity[-1] > 0.05
+    for log in runs[1:]:
+        for name in ("t", "v_nominal", "v_commanded", "velocity", "ke",
+                     "tank_energy", "injected_cum"):
+            assert np.array_equal(getattr(log, name), getattr(runs[0], name))
 
 
 def test_loop_kinetic_energy_never_exceeds_injection(face_limit, rng):
