@@ -15,6 +15,7 @@ input/configuration, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,9 +29,8 @@ from . import __version__, assets
 from .body import ContactMode, REGION_IDS, REGION_LABELS, load_body_table
 from .collision import CollisionScenario, simulate, total_energy
 from .dynamics import load_robot_model, iso_effective_mass
-from .errors import (ConstrainedDirectionError, ConvergenceError, DomainError,
-                     ReportError, SchemaError, StepSizeError, SweepError,
-                     ValidationError)
+from .errors import (ConstrainedDirectionError, DomainError, ReportError,
+                     SchemaError, StepSizeError, SweepError, ValidationError)
 from .limits import LimitQuery, compute_limit
 from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
 from .svgplot import line_chart
@@ -59,11 +59,23 @@ def _parse_mode(text: str) -> ContactMode:
             f"qs-clamped") from None
 
 
-def _parse_mass(text: str) -> float:
-    value = float(text)
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return value
+def _read_mapping(path: Path, what: str, known) -> dict:
+    """Top-level mapping of a YAML file with keys from ``known``.
+
+    An empty file reads as an empty mapping.
+    """
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"{what}: invalid YAML: {exc}") from None
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{what}: top level must be a mapping")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise SchemaError(f"{what}: unknown keys {sorted(unknown, key=str)}")
+    return raw
 
 
 def _sha256(path: Path) -> str:
@@ -205,24 +217,9 @@ def _cmd_limits(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_config_from_file(path: Path | None, workers: int | None) -> SweepConfig:
-    raw = {}
-    if path is not None:
-        loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise SchemaError("sweep config: top level must be a mapping")
-        raw = loaded
-    known = {"box_min", "box_max", "grid_spacing", "n_directions",
-             "direction_style", "contact_area", "payload", "n_workers"}
-    unknown = set(raw) - known
-    if unknown:
-        raise SchemaError(f"sweep config: unknown keys {sorted(unknown)}")
-    kwargs = {k: raw[k] for k in known & set(raw)}
-    if workers is not None:
-        kwargs["n_workers"] = workers
-    return SweepConfig(**kwargs)
+#: sweep config keys: every SweepConfig field but the mode list
+_SWEEP_KEYS = tuple(f.name for f in dataclasses.fields(SweepConfig)
+                    if f.name != "modes")
 
 
 def _cmd_sweep(args) -> int:
@@ -231,7 +228,11 @@ def _cmd_sweep(args) -> int:
     table = load_body_table(table_path)
     model = load_robot_model(robot_path)
     config_path = Path(args.config) if args.config else None
-    config = _sweep_config_from_file(config_path, args.workers)
+    raw = (_read_mapping(config_path, "sweep config", _SWEEP_KEYS)
+           if config_path is not None else {})
+    if args.workers is not None:
+        raw["n_workers"] = args.workers
+    config = SweepConfig(**raw)
 
     result = run_sweep(model, table, config)
     report = scaling_report(result)
@@ -247,14 +248,7 @@ def _cmd_sweep(args) -> int:
     if config_path is not None:
         inputs["config"] = config_path
     _write_manifest(out, "sweep",
-                    {"box_min": list(config.box_min),
-                     "box_max": list(config.box_max),
-                     "grid_spacing": config.grid_spacing,
-                     "n_directions": config.n_directions,
-                     "direction_style": config.direction_style,
-                     "contact_area": config.contact_area,
-                     "payload": config.payload,
-                     "n_workers": config.n_workers},
+                    {key: getattr(config, key) for key in _SWEEP_KEYS},
                     inputs,
                     ["sweep_result.csv", "scaling_report.csv",
                      "fig_boxstats.json", "sweep_boxplot.svg"])
@@ -266,27 +260,37 @@ def _cmd_sweep(args) -> int:
 
 # --------------------------------------------------------------- filter
 
+_FILTER_KEYS = ("budget", "contact_area", "duration", "gain", "mode",
+                "nominal_speed", "payload", "period", "plant_mass",
+                "power_cap", "recycling", "region", "robot_mass",
+                "velocity_filter")
+
+
 def _scenario_float(raw: dict, key: str, default=None) -> float:
-    """Scenario value ``raw[key]`` (or ``default``) as a float."""
+    """Scenario value ``raw[key]`` (or ``default``) as a finite float."""
     value = raw.get(key, default)
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"filter scenario: {key} must be a number, "
-                          f"got {value!r}") from None
+        number = float(value)  # also parses YAML strings such as "1e-3"
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise SchemaError(f"filter scenario: {key} must be a finite number, "
+                          f"got {value!r}")
+    return number
+
+
+def _scenario_bool(raw: dict, key: str, default: bool) -> bool:
+    """Scenario flag ``raw[key]`` (or ``default``); only YAML booleans."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"filter scenario: {key} must be true or false, "
+                          f"got {value!r}")
+    return value
 
 
 def _cmd_filter(args) -> int:
     scenario_path = Path(args.scenario)
-    raw = yaml.safe_load(scenario_path.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise SchemaError("filter scenario: top level must be a mapping")
-    known = {"region", "mode", "contact_area", "robot_mass", "payload",
-             "plant_mass", "budget", "duration", "period", "gain",
-             "power_cap", "recycling", "velocity_filter", "nominal_speed"}
-    unknown = set(raw) - known
-    if unknown:
-        raise SchemaError(f"filter scenario: unknown keys {sorted(unknown)}")
+    raw = _read_mapping(scenario_path, "filter scenario", _FILTER_KEYS)
 
     table_path = Path(args.body_table)
     table = load_body_table(table_path)
@@ -326,12 +330,14 @@ def _cmd_filter(args) -> int:
     plant = PlantState(mass=(_scenario_float(raw, "plant_mass")
                              if raw.get("plant_mass") is not None
                              else robot_mass))
-    tank = tank_init(budget, recycling_enabled=bool(raw.get("recycling", False)))
+    tank = tank_init(budget,
+                     recycling_enabled=_scenario_bool(raw, "recycling", False))
     nominal_speed = _scenario_float(raw, "nominal_speed", 2.0 * limit.v0_max)
     gain = _scenario_float(raw, "gain") if raw.get("gain") is not None else None
 
     log = simulate_loop(plant, lambda t: nominal_speed, cfg, tank, duration,
-                        velocity_filter=bool(raw.get("velocity_filter", True)),
+                        velocity_filter=_scenario_bool(raw, "velocity_filter",
+                                                       True),
                         gain=gain)
     out = _out_dir(args)
     log.write_csv(out / "filter_log.csv")
@@ -359,7 +365,7 @@ def _cmd_filter(args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    _write_manifest(out, "filter", {k: raw.get(k) for k in sorted(known)},
+    _write_manifest(out, "filter", {k: raw.get(k) for k in _FILTER_KEYS},
                     inputs,
                     ["filter_log.csv", "filter_log.svg", "filter_summary.json"])
     print(f"peak speed {peak:.6g} m/s vs limit {limit.v0_max:.6g} m/s; "
@@ -382,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate one collision scenario")
     p_sim.add_argument("--mr", type=float, required=True,
                        help="robot effective mass [kg]")
-    p_sim.add_argument("--mh", type=_parse_mass, required=True,
+    p_sim.add_argument("--mh", type=float, required=True,
                        help="body-part effective mass [kg], 'inf' = clamped")
     p_sim.add_argument("--k", type=float, required=True,
                        help="contact stiffness [N/m]")
@@ -450,8 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_EXIT
-    except (StepSizeError, ConvergenceError, SweepError,
-            ConstrainedDirectionError) as exc:
+    except (StepSizeError, SweepError, ConstrainedDirectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
 

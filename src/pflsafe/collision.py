@@ -179,16 +179,16 @@ def simulate(scenario: CollisionScenario, dt: float | None = None,
     period = natural_period(scenario)
     if dt is None:
         dt = period / 1000.0
-    elif dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+    elif not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     if dt >= period / 10.0:
         raise StepSizeError(
             f"dt = {dt:g} s too coarse for contact period {period:g} s; "
             f"need dt < period/10")
     if horizon is None:
         horizon = 0.75 * period
-    elif horizon <= 0:
-        raise DomainError(f"horizon must be > 0, got {horizon!r}")
+    elif not (math.isfinite(horizon) and horizon > 0):
+        raise DomainError(f"horizon must be finite and > 0, got {horizon!r}")
 
     n = int(math.floor(horizon / dt + 1e-9)) + 1
     t = np.arange(n) * dt

@@ -117,11 +117,14 @@ ModelSource = Union[str, Path, IO[str]]
 
 def load_robot_model(source: ModelSource) -> ManipulatorModel:
     """Load and validate a manipulator description from YAML."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    else:
-        raw = yaml.safe_load(source)
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh)
+        else:
+            raw = yaml.safe_load(source)
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"robot model: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("robot model: top level must be a mapping")
     try:
@@ -133,12 +136,15 @@ def load_robot_model(source: ModelSource) -> ManipulatorModel:
         raise SchemaError("robot model: 'links' must be a non-empty list")
 
     links = []
-    for idx, spec in enumerate(link_specs):
-        links.append(_parse_link(idx, spec))
-
-    ee_spec = raw.get("end_effector", {"xyz": [0, 0, 0], "rpy": [0, 0, 0]})
-    ee_offset = make_transform(ee_spec.get("xyz", [0, 0, 0]),
-                               ee_spec.get("rpy", [0, 0, 0]))
+    try:
+        for idx, spec in enumerate(link_specs):
+            links.append(_parse_link(idx, spec))
+        ee_spec = raw.get("end_effector", {"xyz": [0, 0, 0], "rpy": [0, 0, 0]})
+        ee_offset = make_transform(ee_spec.get("xyz", [0, 0, 0]),
+                                   ee_spec.get("rpy", [0, 0, 0]))
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a field of the wrong type: a string mass, a scalar end effector
+        raise SchemaError(f"robot model: malformed value: {exc}") from None
     return ManipulatorModel(name=name, links=tuple(links), ee_offset=ee_offset)
 
 
@@ -180,11 +186,15 @@ def _parse_link(idx: int, spec: dict) -> Link:
             f"{where}: inertia tensor not positive semi-definite "
             f"(min eigenvalue {eigmin:g})")
 
+    moving = spec.get("moving", True)
+    if not isinstance(moving, bool):
+        raise SchemaError(f"{where}: moving must be true or false, "
+                          f"got {moving!r}")
+
     origin = make_transform(jspec.get("xyz", [0, 0, 0]), jspec.get("rpy", [0, 0, 0]))
     joint = Joint(kind=kind, origin=origin, axis=axis, lower=lower, upper=upper)
     return Link(name=str(spec.get("name", f"link{idx + 1}")), joint=joint,
-                mass=mass, com=com, inertia=inertia,
-                moving=bool(spec.get("moving", True)))
+                mass=mass, com=com, inertia=inertia, moving=moving)
 
 
 # ------------------------------------------------------------- kinematics

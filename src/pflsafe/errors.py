@@ -31,10 +31,6 @@ class ConstrainedDirectionError(PflError):
     """Contact direction is structurally inaccessible to the mechanism."""
 
 
-class ConvergenceError(PflError):
-    """An iterative procedure failed to converge."""
-
-
 class SweepError(PflError):
     """Workspace sweep could not produce a usable result."""
 

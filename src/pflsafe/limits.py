@@ -1,18 +1,18 @@
 """Admissible pre-collision speed and energy limits.
 
 The contact spring may store at most u_s_max = F_eff^2 / (2k) before the
-region's force threshold is exceeded.  Bounding the energy that reaches the
-spring bounds the impact speed:
+region's force threshold is exceeded.  An impact loads it with the energy
+1/2*mu*v0^2 of the relative motion, 1/mu = 1/m_r + 1/m_h, so every limit
+is the one energy balance
 
-  free impact     all of the transferred energy 1/2*mu*v0^2 loads the
-                  spring at peak compression, so
-                  v0_max = sqrt(2 * u_s_max * (m_r + m_h) / (m_r * m_h))
+    v0_max = sqrt(2 * u_s_max * (1/m_r + 1/m_h))
 
-  clamped impact  the body part cannot recoil; the robot's entire kinetic
-                  energy loads the spring, so
-                  v0_max = sqrt(2 * u_s_max / m_r), equivalently the energy
-                  budget k0_max = u_s_max on the robot's kinetic energy.
+  free impact     both masses finite: the body part recoils.
+  clamped impact  m_h = inf: the body part cannot recoil, the robot's
+                  entire kinetic energy loads the spring and the energy
+                  budget on it is k0_max = u_s_max.
 
+A constrained direction has m_r = inf, which gives a clamped limit of 0.
 Free limits with the transient thresholds model the short-duration case;
 clamped limits are always evaluated against quasi-static thresholds.
 
@@ -28,7 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .body import BodyRegionTable, ContactMode, binding_criterion, max_elastic_energy
+import numpy as np
+
+from .body import (BodyRegionParams, BodyRegionTable, ContactMode,
+                   binding_criterion, max_elastic_energy)
 from .errors import DomainError
 
 #: slack used by admissibility checks so a speed exactly at the limit passes
@@ -64,23 +67,40 @@ class SpeedLimit:
     mode: ContactMode
 
 
-def v0_max_free(u_s_max: float, m_r: float, m_h: float) -> float:
-    """Speed limit for a free impact between two finite masses."""
+def v0_max(u_s_max: float, m_r, m_h: float):
+    """Speed limit sqrt(2 * u_s_max * (1/m_r + 1/m_h)).
+
+    ``m_r`` is a float or an array of robot masses, and an infinite entry
+    (a constrained direction) is allowed.  ``m_h = inf`` is the clamped
+    contact.  A float ``m_r`` gives a float, an array gives an array.
+    """
     _check_energy(u_s_max)
-    _check_mass("m_r", m_r)
+    masses = np.asarray(m_r, dtype=float)
+    if not np.all(masses > 0):
+        raise DomainError(f"m_r must be > 0, got {m_r!r}")
+    if not m_h > 0:
+        raise DomainError(f"m_h must be > 0, got {m_h!r}")
+    v = np.sqrt(2.0 * u_s_max * (1.0 / masses + 1.0 / m_h))
+    return float(v) if v.ndim == 0 else v
+
+
+def body_part_mass(params: BodyRegionParams, mode: ContactMode) -> float:
+    """The body part's effective mass m_h in a contact mode: inf if clamped."""
+    return math.inf if mode is ContactMode.QUASI_STATIC_CLAMPED else params.m_h
+
+
+def v0_max_free(u_s_max: float, m_r: float, m_h: float) -> float:
+    """Speed limit for a free impact on a body part of finite mass m_h."""
     if math.isinf(m_h):
         raise DomainError(
             "m_h is infinite: a non-recoiling body part is a clamped "
             "contact; use v0_max_clamped")
-    _check_mass("m_h", m_h)
-    return math.sqrt(2.0 * u_s_max * (m_r + m_h) / (m_r * m_h))
+    return v0_max(u_s_max, m_r, m_h)
 
 
 def v0_max_clamped(u_s_max: float, m_r: float) -> float:
     """Speed limit for a clamped contact: all robot kinetic energy stores."""
-    _check_energy(u_s_max)
-    _check_mass("m_r", m_r)
-    return math.sqrt(2.0 * u_s_max / m_r)
+    return v0_max(u_s_max, m_r, math.inf)
 
 
 def velocity_bounds(u_s_max: float, m_r: float,
@@ -105,20 +125,15 @@ def compute_limit(query: LimitQuery, table: BodyRegionTable) -> SpeedLimit:
     params = table[query.region]
     mode = query.mode
     u_s_max = max_elastic_energy(params, mode, query.contact_area)
-    if mode is ContactMode.QUASI_STATIC_CLAMPED:
-        v0_max = v0_max_clamped(u_s_max, query.robot_mass)
-    elif mode in (ContactMode.TRANSIENT, ContactMode.QUASI_STATIC_FREE):
-        if params.clamped_only:
-            raise DomainError(
-                f"{params.label}: effective mass is infinite (cannot "
-                f"recoil); evaluate this region in "
-                f"{ContactMode.QUASI_STATIC_CLAMPED.value} mode")
-        v0_max = v0_max_free(u_s_max, query.robot_mass, params.m_h)
-    else:  # pragma: no cover - enum is exhaustive
-        raise DomainError(f"unknown contact mode {mode!r}")
+    if params.clamped_only and mode is not ContactMode.QUASI_STATIC_CLAMPED:
+        raise DomainError(
+            f"{params.label}: effective mass is infinite (cannot recoil); "
+            f"evaluate this region in "
+            f"{ContactMode.QUASI_STATIC_CLAMPED.value} mode")
+    limit = v0_max(u_s_max, query.robot_mass, body_part_mass(params, mode))
     return SpeedLimit(
-        v0_max=v0_max,
-        k0_max=0.5 * query.robot_mass * v0_max ** 2,
+        v0_max=limit,
+        k0_max=0.5 * query.robot_mass * limit ** 2,
         u_s_max=u_s_max,
         binding_criterion=binding_criterion(params, query.contact_area),
         mode=mode,

@@ -27,12 +27,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .body import BodyRegionParams, BodyRegionTable, ContactMode, REGION_IDS, \
-    REGION_LABELS, effective_force_limit
+from .body import BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS, \
+    max_elastic_energy
 from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        inverse_kinematics, iso_effective_mass, manipulability,
                        reflected_mass)
 from .errors import DomainError, ReportError, SchemaError, SweepError
+from .limits import body_part_mass, v0_max
+from .svgplot import BoxStats
 
 #: manipulability below which a configuration is flagged near-singular
 SINGULAR_FLAG_THRESHOLD = 1e-6
@@ -169,21 +171,6 @@ def _grid_axis(lo: float, hi: float, spacing: float) -> np.ndarray:
     return lo + spacing * np.arange(count)
 
 
-@dataclass(frozen=True)
-class BoxStats:
-    """Five-number summary with 1.5*IQR whiskers capped to the data."""
-
-    mean: float
-    q1: float
-    median: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-    minimum: float
-    maximum: float
-    n: int
-
-
 def summary_stats(samples: np.ndarray) -> BoxStats:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
@@ -303,8 +290,9 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         for mode, source in config.modes:
             masses = flat_masses if source is MassSource.REFLECTED \
                 else np.array([iso_mass])
-            samples[(params.region_id, mode, source)] = _speed_limits(
-                params, mode, masses, config.contact_area)
+            samples[(params.region_id, mode, source)] = v0_max(
+                max_elastic_energy(params, mode, config.contact_area),
+                masses, body_part_mass(params, mode))
 
     stars_out = []
     for params in table:
@@ -330,18 +318,6 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         star_out_of_range=tuple(sorted(stars_out,
                                        key=lambda t: (t[0], t[1].value))),
     )
-
-
-def _speed_limits(params: BodyRegionParams, mode: ContactMode,
-                  masses: np.ndarray, contact_area: float) -> np.ndarray:
-    """Vectorised speed limit for one region/mode over robot masses."""
-    f_eff = effective_force_limit(params, mode, contact_area)
-    u_s_max = f_eff * f_eff / (2.0 * params.stiffness)
-    with np.errstate(divide="ignore"):
-        inv_m = 1.0 / masses
-    if mode is ContactMode.QUASI_STATIC_CLAMPED:
-        return np.sqrt(2.0 * u_s_max * inv_m)
-    return np.sqrt(2.0 * u_s_max * (inv_m + 1.0 / params.m_h))
 
 
 # ---------------------------------------------------------------- reports
@@ -372,38 +348,31 @@ def scaling_report(result: SweepResult,
     """
     mode_b, source_b = baseline
     rows = []
-    face_means = _combo_means(result, "face")
+    means = {key: float(np.mean(v)) for key, v in result.samples.items()}
     for rid in REGION_IDS:
         key = (rid, mode_b, source_b)
         if key not in result.samples:
             raise ReportError(
                 f"missing baseline combination {mode_b.value}/{source_b.value} "
                 f"for region {REGION_LABELS[rid]}")
-        base_mean = float(np.mean(result.samples[key]))
+        base_mean = means[key]
         scaling: dict[tuple[ContactMode, MassSource], float] = {}
         worst: dict[tuple[ContactMode, MassSource], float] = {}
         for mode, source in result.config.modes:
             if (mode, source) == baseline:
                 continue
-            combo_mean = float(np.mean(result.samples[(rid, mode, source)]))
-            pct = 100.0 * combo_mean / base_mean
+            pct = 100.0 * means[(rid, mode, source)] / base_mean
             if not 0.0 < pct <= 100.0 + 1e-9:
                 raise ReportError(
                     f"{REGION_LABELS[rid]} {mode.value}/{source.value}: "
                     f"scaling {pct:.2f}% outside (0, 100]; variant is not "
                     f"conservative w.r.t. the baseline")
             scaling[(mode, source)] = pct
-            worst[(mode, source)] = 100.0 * face_means[(mode, source)] / base_mean
+            worst[(mode, source)] = (100.0 * means[("face", mode, source)]
+                                     / base_mean)
         rows.append(ScalingRow(region_id=rid, baseline_mean=base_mean,
                                scaling_pct=scaling, worst_case_pct=worst))
     return ScalingReport(baseline=baseline, rows=tuple(rows))
-
-
-def _combo_means(result: SweepResult, rid: str) -> dict:
-    out = {}
-    for mode, source in result.config.modes:
-        out[(mode, source)] = float(np.mean(result.samples[(rid, mode, source)]))
-    return out
 
 
 # ---------------------------------------------------------------- writers
@@ -479,7 +448,7 @@ def write_boxstats_json(result: SweepResult, path: str | Path) -> None:
 
 def render_sweep_svg(result: SweepResult) -> str:
     """Grouped box plot of speed-limit distributions (stars = constant mass)."""
-    from .svgplot import BoxStats as SvgBoxStats, grouped_boxplot
+    from .svgplot import grouped_boxplot
 
     mode_labels = {
         ContactMode.TRANSIENT: "transient",
@@ -496,14 +465,8 @@ def render_sweep_svg(result: SweepResult) -> str:
         star_row: list = []
         for rid in REGION_IDS:
             key = (rid, mode, MassSource.REFLECTED)
-            if key in result.samples:
-                st = result.stats(rid, mode, MassSource.REFLECTED)
-                box_row.append(SvgBoxStats(
-                    mean=st.mean, q1=st.q1, median=st.median, q3=st.q3,
-                    whisker_lo=st.whisker_lo, whisker_hi=st.whisker_hi,
-                    minimum=st.minimum, maximum=st.maximum, n=st.n))
-            else:
-                box_row.append(None)
+            box_row.append(result.stats(*key) if key in result.samples
+                           else None)
             key_c = (rid, mode, MassSource.CONSTANT)
             star_row.append(float(result.samples[key_c][0])
                             if key_c in result.samples else None)

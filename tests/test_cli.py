@@ -229,6 +229,10 @@ FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
     ("sweep", "n_workers", 1.5),
     ("sweep", "payload", -1),
     ("sweep", "contact_area", 0),
+    ("filter", "nominal_speed", float("nan")),
+    ("filter", "duration", True),
+    ("filter", "velocity_filter", "false"),
+    ("filter", "recycling", "no"),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -243,6 +247,50 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
     assert run(command, flag, path, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "nan"),
+                                         ("--horizon", "nan"),
+                                         ("--horizon", "inf")])
+def test_simulate_non_finite_step_or_horizon_exits_3(tmp_path, capsys, flag,
+                                                     value):
+    assert run("simulate", "--mr", 3, "--mh", 1, "--k", 5, "--v0", 1,
+               flag, value, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+with open(assets.robot_model_path(), encoding="utf-8") as _fh:
+    PANDA = yaml.safe_load(_fh)
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("sweep", "--config", "a: [\n"),
+    ("filter", "--scenario", "a: [\n"),
+    ("limits", "--robot", "a: [\n"),
+    pytest.param("limits", "--robot", yaml.safe_dump(dict(
+        PANDA, links=[dict(PANDA["links"][0], mass="x")] + PANDA["links"][1:])),
+        id="limits-robot-mass-x"),
+    pytest.param("limits", "--robot",
+                 yaml.safe_dump(dict(PANDA, end_effector=3)),
+                 id="limits-robot-end_effector-3"),
+])
+def test_unparsable_input_exits_3(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.yaml"
+    path.write_text(text)
+    assert run(command, flag, path, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_empty_filter_scenario_runs_on_defaults(tmp_path):
+    scenario = tmp_path / "empty.yaml"
+    scenario.write_text("")
+    out = tmp_path / "o"
+    assert run("filter", "--scenario", scenario, "--out", out) == 0
+    summary = json.loads((out / "filter_summary.json").read_text())
+    assert (summary["region"], summary["mode"]) == ("face", "transient")
+    assert summary["peak_speed_mps"] <= summary["v0_max_mps"] * (1 + 1e-9)
 
 
 def test_usage_errors():

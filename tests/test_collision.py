@@ -118,7 +118,10 @@ def test_coarse_step_rejected():
 
 
 @pytest.mark.parametrize("kwargs", [dict(dt=-1e-4), dict(dt=0.0),
-                                    dict(horizon=0.0), dict(horizon=-1.0)])
+                                    dict(horizon=0.0), dict(horizon=-1.0),
+                                    dict(dt=math.nan), dict(dt=math.inf),
+                                    dict(horizon=math.nan),
+                                    dict(horizon=math.inf)])
 def test_bad_step_or_horizon_rejected(kwargs):
     with pytest.raises(DomainError):
         simulate(FREE, **kwargs)

@@ -458,6 +458,24 @@ def test_model_rejects_missing_key():
         load_robot_model(yaml_stream(bad))
 
 
+@pytest.mark.parametrize("old, new", [
+    (f"    mass: {M1}\n", "    mass: x\n"),
+    (f"    mass: {M1}\n", f"    mass: {M1}\n    moving: \"false\"\n"),
+    (f"com: [{A1}", "com: [zero"),
+    ("lower: -3.14", "lower: [1]"),
+    ("  - name: upper\n", "  - 3\n  - name: upper\n"),
+    (f"end_effector:\n  xyz: [{A2}, 0.0, 0.0]\n  rpy: [0.0, 0.0, 0.0]\n",
+     "end_effector: 3\n"),
+    ("rpy: [0.0, 0.0, 0.0]", "rpy: [0.0]"),
+    ("name: planar-2r", "name: [planar-2r"),
+])
+def test_model_rejects_malformed_values(old, new):
+    bad = TWO_R_YAML.replace(old, new, 1)
+    assert bad != TWO_R_YAML
+    with pytest.raises(SchemaError):
+        load_robot_model(yaml_stream(bad))
+
+
 def test_model_rejects_unknown_joint_type():
     bad = TWO_R_YAML.replace("axis: [0.0, 0.0, 1.0]",
                              "axis: [0.0, 0.0, 1.0]\n      type: helical", 1)

@@ -1,11 +1,12 @@
 """Admissible speed limits: closed forms, mode dispatch, bracketing bounds."""
 import math
 
+import numpy as np
 import pytest
 
 from pflsafe.body import ContactMode, load_body_table
 from pflsafe.errors import DomainError
-from pflsafe.limits import (LimitQuery, compute_limit, is_admissible,
+from pflsafe.limits import (LimitQuery, compute_limit, is_admissible, v0_max,
                             v0_max_clamped, v0_max_free, velocity_bounds)
 from test_body import table_text
 
@@ -32,6 +33,44 @@ def test_clamped_below_free_for_finite_masses(rng):
         m_r = float(rng.uniform(0.5, 100.0))
         m_h = float(rng.uniform(0.5, 100.0))
         assert v0_max_clamped(u, m_r) <= v0_max_free(u, m_r, m_h)
+        masses = rng.uniform(0.5, 100.0, 50)
+        assert np.all(v0_max(u, masses, math.inf) <= v0_max(u, masses, m_h))
+
+
+def test_array_call_equals_scalar_calls(rng):
+    for _ in range(50):
+        u = float(10.0 ** rng.uniform(-3.0, 1.0))
+        m_h = float(rng.uniform(0.5, 100.0))
+        masses = np.append(rng.uniform(0.5, 100.0, 40), math.inf)
+        for human in (m_h, math.inf):
+            batch = v0_max(u, masses, human)
+            single = [v0_max(u, float(m), human) for m in masses]
+            assert all(type(v) is float for v in single)
+            assert np.array_equal(batch, single)
+
+
+def test_scalar_forms_share_the_kernel():
+    # the clamped contact is the free balance with 1/m_h = 0
+    assert v0_max_clamped(0.5, 3.0) == v0_max(0.5, 3.0, math.inf)
+    assert v0_max_free(0.5, 3.0, 1.0) == v0_max(0.5, 3.0, 1.0)
+
+
+def test_constrained_direction_limits():
+    # m_r = inf: nothing of the robot moves, so a clamped contact admits
+    # no speed and a free one only the body part's own mass
+    assert v0_max(0.5, math.inf, math.inf) == 0.0
+    assert v0_max_clamped(0.5, math.inf) == 0.0
+    assert v0_max(0.5, math.inf, 2.0) == math.sqrt(2.0 * 0.5 / 2.0)
+    batch = v0_max(0.5, np.array([math.inf, 4.0]), 2.0)
+    assert batch[0] == math.sqrt(0.5) and batch[1] > batch[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_array_with_bad_mass_rejected(bad):
+    with pytest.raises(DomainError, match="m_r"):
+        v0_max(0.5, np.array([3.0, bad, 4.0]), math.inf)
+    with pytest.raises(DomainError, match="m_h"):
+        v0_max(0.5, np.array([3.0, 4.0]), bad)
 
 
 def test_velocity_bounds_bracket_free_limit(rng):
