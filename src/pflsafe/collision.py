@@ -101,8 +101,6 @@ class CollisionTrajectory:
 
 def common_velocity(scenario: CollisionScenario) -> float:
     """Shared velocity at maximum compression (momentum conservation)."""
-    if scenario.clamped:
-        return 0.0
     return scenario.m_r * scenario.v0 / (scenario.m_r + scenario.m_h)
 
 
@@ -130,14 +128,12 @@ def peak_contact_state(scenario: CollisionScenario) -> PeakState:
 
 
 def _rk4_step(state: tuple[float, float, float], h: float,
-              m_r: float, m_h: float, k: float, clamped: bool,
-              ) -> tuple[float, float, float]:
-    """One classic Runge-Kutta step of the in-contact dynamics."""
+              m_r: float, m_h: float, k: float) -> tuple[float, float, float]:
+    """One classic Runge-Kutta step of the in-contact dynamics.  A clamped
+    contact (m_h = inf) needs no branch: f / m_h is exactly 0.0."""
 
     def deriv(v_r: float, v_h: float, dx: float) -> tuple[float, float, float]:
         f = k * dx
-        if clamped:
-            return (-f / m_r, 0.0, v_r)
         return (-f / m_r, f / m_h, v_r - v_h)
 
     v_r, v_h, dx = state
@@ -153,12 +149,12 @@ def _rk4_step(state: tuple[float, float, float], h: float,
 
 
 def _release_time(state: tuple[float, float, float], h: float,
-                  m_r: float, m_h: float, k: float, clamped: bool) -> float:
+                  m_r: float, m_h: float, k: float) -> float:
     """Bisect the sub-step time at which compression returns to zero."""
     lo, hi = 0.0, h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _rk4_step(state, mid, m_r, m_h, k, clamped)[2] > 0.0:
+        if _rk4_step(state, mid, m_r, m_h, k)[2] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -206,28 +202,19 @@ def simulate(scenario: CollisionScenario, dt: float | None = None,
                                       degenerate=True)
 
     m_r, m_h, k = scenario.m_r, scenario.m_h, scenario.k
-    clamped = scenario.clamped
     state = (scenario.v0, 0.0, 0.0)
     released = False
     for i in range(1, n):
-        if released:
-            v_r[i], v_h[i] = state[0], state[1]
-            dx[i] = 0.0
-            continue
-        new = _rk4_step(state, dt, m_r, m_h, k, clamped)
-        if detach_on_unload and new[2] < 0.0 and state[2] > 0.0:
-            # surfaces separate inside this step: advance to the exact
-            # crossing, then coast (free flight is integrated exactly)
-            tau = _release_time(state, dt, m_r, m_h, k, clamped)
-            at_release = _rk4_step(state, tau, m_r, m_h, k, clamped)
-            state = (at_release[0], at_release[1], 0.0)
-            released = True
-            v_r[i], v_h[i] = state[0], state[1]
-            dx[i] = 0.0
-            continue
-        state = new
-        v_r[i], v_h[i] = state[0], state[1]
-        dx[i] = state[2]
+        if not released:
+            new = _rk4_step(state, dt, m_r, m_h, k)
+            if detach_on_unload and new[2] < 0.0 and state[2] > 0.0:
+                # surfaces separate inside this step: advance to the exact
+                # crossing, then coast (free flight is integrated exactly)
+                tau = _release_time(state, dt, m_r, m_h, k)
+                new = _rk4_step(state, tau, m_r, m_h, k)[:2] + (0.0,)
+                released = True
+            state = new
+        v_r[i], v_h[i], dx[i] = state
 
     traj = CollisionTrajectory(t=t, v_r=v_r, v_h=v_h, dx=dx, dt=dt)
     return traj, _extract_outcome(scenario, traj)

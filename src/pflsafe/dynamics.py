@@ -5,8 +5,9 @@ per link a 1-DoF joint (revolute or prismatic, arbitrary fixed origin and
 axis), the link mass, centre of mass and rotational inertia about the COM,
 all in the link frame.  On top of the chain this module provides
 
-  * forward kinematics and the translational point Jacobian,
-  * the joint-space mass matrix via the composite-rigid-body algorithm,
+  * forward kinematics and the point Jacobian,
+  * the joint-space mass matrix, summed link by link from the Jacobians at
+    the link centres of mass (one Jacobian kernel serves both),
   * the directional reflected (effective) mass at a contact point,
         m_u = 1 / (u^T (J M^-1 J^T) u)
     i.e. the apparent mass a collision along unit direction u runs into,
@@ -14,8 +15,8 @@ all in the link frame.  On top of the chain this module provides
     practice: half the total moving link mass plus payload,
   * damped-least-squares inverse kinematics.
 
-Angular quantities use the world frame; spatial vectors inside the mass
-matrix computation are ordered (angular, linear).
+Angular quantities use the world frame, and Jacobian rows are ordered
+(linear; angular).
 """
 from __future__ import annotations
 
@@ -232,19 +233,46 @@ def forward_kinematics(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     return link_frames(model, q)[-1] @ model.ee_offset
 
 
-def _contact_kinematics(model: ManipulatorModel, q: np.ndarray,
+def _jacobians(model: ManipulatorModel, frames: list[np.ndarray],
+               points: np.ndarray, links: Sequence[int]) -> np.ndarray:
+    """(k, 6, n) Jacobians, rows (linear; angular), of k world points.
+
+    Point i, row i of the (k, 3) ``points``, moves with link ``links[i]``;
+    the columns of joints distal to that link are zero.  The cross product
+    is written out in ``np.cross``'s own order, so it rounds the same.
+    """
+    axes = np.array([frame[:3, :3] @ link.joint.axis
+                     for frame, link in zip(frames, model.links)])
+    lever = points[:, None, :] - np.array([frame[:3, 3] for frame in frames])
+    a0, a1, a2 = axes.T
+    b0, b1, b2 = lever[..., 0], lever[..., 1], lever[..., 2]
+    jac = np.empty((len(points), 6, model.n))
+    jac[:, 0] = a1 * b2 - a2 * b1
+    jac[:, 1] = a2 * b0 - a0 * b2
+    jac[:, 2] = a0 * b1 - a1 * b0
+    jac[:, 3:] = axes.T
+    prismatic = [i for i, link in enumerate(model.links)
+                 if link.joint.kind == "prismatic"]
+    if prismatic:
+        jac[:, :3, prismatic] = axes[prismatic].T
+        jac[:, 3:, prismatic] = 0.0
+    for point_jac, link in zip(jac, links):
+        point_jac[:, link + 1:] = 0.0
+    return jac
+
+
+def _contact_kinematics(model: ManipulatorModel, frames: list[np.ndarray],
                         link_index: int | None = None,
                         local_point: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """World pose (4x4) and 6 x n Jacobian, rows (linear; angular), of a
-    contact frame, from one pass over the link frames.
+    contact frame, from the link frames of one ``link_frames`` pass.
 
     The contact frame defaults to the tool frame on the last link; with
     ``link_index`` it is that link's frame, moved to ``local_point`` (link
     coordinates) when given.  Columns of joints distal to the contact link
     are zero.
     """
-    frames = link_frames(model, q)
     idx = model.n - 1 if link_index is None else link_index
     if not 0 <= idx < model.n:
         raise DomainError(f"link_index out of range: {link_index!r}")
@@ -256,18 +284,7 @@ def _contact_kinematics(model: ManipulatorModel, q: np.ndarray,
         local = np.asarray(local_point, dtype=float)
         pose = pose.copy()
         pose[:3, 3] = pose[:3, :3] @ local + pose[:3, 3]
-    links = model.links[: idx + 1]
-    axes = np.array([frame[:3, :3] @ link.joint.axis
-                     for frame, link in zip(frames, links)])
-    origins = np.array([frame[:3, 3] for frame in frames[: idx + 1]])
-    prismatic = [i for i, link in enumerate(links)
-                 if link.joint.kind == "prismatic"]
-    jac = np.zeros((6, model.n))
-    jac[:3, : idx + 1] = np.cross(axes, pose[:3, 3] - origins).T
-    jac[3:, : idx + 1] = axes.T
-    jac[:3, prismatic] = axes[prismatic].T
-    jac[3:, prismatic] = 0.0
-    return pose, jac
+    return pose, _jacobians(model, frames, pose[None, :3, 3], [idx])[0]
 
 
 def point_jacobian(model: ManipulatorModel, q: np.ndarray,
@@ -278,12 +295,13 @@ def point_jacobian(model: ManipulatorModel, q: np.ndarray,
     Defaults to the tool frame origin on the last link.  Columns of joints
     distal to the contact link are zero.
     """
-    return _contact_kinematics(model, q, link_index, local_point)[1][:3]
+    frames = link_frames(model, q)
+    return _contact_kinematics(model, frames, link_index, local_point)[1][:3]
 
 
 def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     """Full 6 x n Jacobian of the tool frame, rows (linear; angular)."""
-    return _contact_kinematics(model, q)[1]
+    return _contact_kinematics(model, link_frames(model, q))[1]
 
 
 def manipulability(model: ManipulatorModel, q: np.ndarray) -> float:
@@ -294,56 +312,24 @@ def manipulability(model: ManipulatorModel, q: np.ndarray) -> float:
 
 # ------------------------------------------------------------ mass matrix
 
-def _spatial_inertia(link: Link) -> np.ndarray:
-    """6x6 spatial inertia of a link in its own frame, (angular, linear)."""
-    cx = _skew(link.com)
-    out = np.zeros((6, 6))
-    out[:3, :3] = link.inertia + link.mass * (cx @ cx.T)
-    out[:3, 3:] = link.mass * cx
-    out[3:, :3] = link.mass * cx.T
-    out[3:, 3:] = link.mass * np.eye(3)
-    return out
-
-
-def _spatial_transform(t_pc: np.ndarray) -> np.ndarray:
-    """Motion-vector transform child <- parent from child pose t_pc."""
-    r = t_pc[:3, :3]
-    p = t_pc[:3, 3]
-    x = np.zeros((6, 6))
-    x[:3, :3] = r.T
-    x[3:, 3:] = r.T
-    x[3:, :3] = -r.T @ _skew(p)
-    return x
+def _mass_matrix(model: ManipulatorModel,
+                 frames: list[np.ndarray]) -> np.ndarray:
+    """M = sum over links of m J_v^T J_v + J_w^T (R I R^T) J_w, with every
+    link's Jacobian taken at its centre of mass in one kernel call."""
+    rots = [frame[:3, :3] for frame in frames]
+    coms = np.array([rot @ link.com + frame[:3, 3]
+                     for rot, frame, link in zip(rots, frames, model.links)])
+    jac = _jacobians(model, frames, coms, range(model.n))
+    inertia = np.zeros((model.n, 6, 6))
+    for block, rot, link in zip(inertia, rots, model.links):
+        block[:3, :3] = link.mass * np.eye(3)
+        block[3:, 3:] = rot @ link.inertia @ rot.T
+    return np.sum(jac.transpose(0, 2, 1) @ inertia @ jac, axis=0)
 
 
 def mass_matrix(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space mass matrix M(q) by the composite-rigid-body algorithm."""
-    q = _check_q(model, q)
-    n = model.n
-    xs = []      # motion transform parent frame -> link frame
-    subspaces = []
-    for link, qi in zip(model.links, q):
-        xs.append(_spatial_transform(joint_transform(link, qi)))
-        s = np.zeros(6)
-        if link.joint.kind == "revolute":
-            s[:3] = link.joint.axis
-        else:
-            s[3:] = link.joint.axis
-        subspaces.append(s)
-
-    composite = [_spatial_inertia(link) for link in model.links]
-    m = np.zeros((n, n))
-    for i in range(n - 1, -1, -1):
-        if i > 0:
-            composite[i - 1] = composite[i - 1] + xs[i].T @ composite[i] @ xs[i]
-        f = composite[i] @ subspaces[i]
-        m[i, i] = subspaces[i] @ f
-        j = i
-        while j > 0:
-            f = xs[j].T @ f
-            j -= 1
-            m[i, j] = m[j, i] = f @ subspaces[j]
-    return m
+    """Joint-space mass matrix M(q), from the Jacobians at the link COMs."""
+    return _mass_matrix(model, link_frames(model, q))
 
 
 # -------------------------------------------------------- reflected mass
@@ -381,9 +367,10 @@ def reflected_mass(model: ManipulatorModel,
     Lambda^-1 are built once and the result is a (d,) array holding inf for
     each constrained direction.
     """
-    q = _check_q(model, query.q)
-    jac = point_jacobian(model, q, query.link_index, query.local_point)
-    m = mass_matrix(model, q)
+    frames = link_frames(model, query.q)
+    jac = _contact_kinematics(model, frames, query.link_index,
+                              query.local_point)[1][:3]
+    m = _mass_matrix(model, frames)
     lam_inv = jac @ np.linalg.solve(m, jac.T)
     u = np.asarray(query.u, dtype=float)
     if u.ndim == 2:
@@ -465,7 +452,7 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
 
     pos_err = ori_err = math.inf
     for iteration in range(max_iter + 1):
-        t_ee, jac = _contact_kinematics(model, q)
+        t_ee, jac = _contact_kinematics(model, link_frames(model, q))
         err_p = target - t_ee[:3, 3]
         pos_err = float(np.linalg.norm(err_p))
         if orientation is None:

@@ -258,10 +258,12 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             targets = np.column_stack([xs, np.full_like(xs, y), np.full_like(xs, z)])
             payloads.append((model, targets, seed, directions))
 
-    if config.n_workers > 1:
-        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
+    # the pool forks every worker up front: no more than there are scanlines
+    workers = min(config.n_workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # a share of every sweep for each worker, a few tasks each
-            chunksize = max(1, len(payloads) // (4 * config.n_workers))
+            chunksize = max(1, len(payloads) // (4 * workers))
             scanlines = list(pool.map(_sweep_scanline, payloads,
                                       chunksize=chunksize))
     else:

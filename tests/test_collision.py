@@ -168,3 +168,29 @@ def test_total_energy_clamped_counts_robot_and_spring_only():
     e = total_energy(CLAMPED, traj)
     assert e[0] == pytest.approx(0.5 * 3.0 * 1.0, rel=1e-12)
     assert np.max(np.abs(e - e[0])) / e[0] < 1e-9
+
+
+def test_trajectory_matches_linear_oscillator_until_release(rng):
+    # exact solution of the two-mass oscillator while in contact, at every
+    # sample, with omega = sqrt(k / mu):
+    #   dx = (v0 / omega) sin(omega t)
+    #   v_r = v0 - (mu / m_r) v0 (1 - cos(omega t))
+    #   v_h = (mu / m_h) v0 (1 - cos(omega t))     (0 when clamped)
+    for i in range(52):
+        scenario = CollisionScenario(
+            m_r=float(rng.uniform(0.5, 100.0)),
+            m_h=float(rng.uniform(0.5, 100.0)) if i % 2 else math.inf,
+            k=float(10.0 ** rng.uniform(2.0, 6.0)),
+            v0=float(rng.uniform(0.05, 3.0)))
+        traj, _ = simulate(scenario)
+        mu, v0 = scenario.reduced_mass, scenario.v0
+        omega = math.sqrt(scenario.k / mu)
+        contact = traj.t < math.pi / omega
+        t = traj.t[contact]
+        ramp = v0 * (1.0 - np.cos(omega * t))
+        dx = (v0 / omega) * np.sin(omega * t)
+        v_r = v0 - mu / scenario.m_r * ramp
+        v_h = mu / scenario.m_h * ramp
+        assert np.max(np.abs(traj.dx[contact] - dx)) < 1e-9 * v0 / omega
+        assert np.max(np.abs(traj.v_r[contact] - v_r)) < 1e-9 * v0
+        assert np.max(np.abs(traj.v_h[contact] - v_h)) < 1e-9 * v0

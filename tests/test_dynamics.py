@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pflsafe import robot_model_path
+from pflsafe import dynamics, robot_model_path
 from pflsafe.dynamics import (FLANGE_DOWN, ReflectedMassQuery,
                               forward_kinematics, frame_jacobian,
                               inverse_kinematics, iso_effective_mass,
@@ -25,12 +25,19 @@ from pflsafe.errors import (ConstrainedDirectionError, DomainError,
 from pflsafe.sweep import horizontal_directions, sphere_directions
 from conftest import random_joint_configs
 
-# planar 2R arm: both joints about +z, links along +x; point masses at the
-# link tips (com at the next joint / tool point, zero rotational inertia)
+# planar 2R arm: both joints about +z, links along +x; COMs at distance
+# l1, l2 along the links, rotational inertia i1, i2 about z.  The default
+# arm has point masses at the link tips (com at the next joint / tool
+# point, zero rotational inertia); the second has uniform rods.
 A1, A2 = 0.7, 0.5
 M1, M2 = 2.0, 1.5
+TIP_MASSES = dict(l1=A1, l2=A2, i1=0.0, i2=0.0)
+MID_LINK_RODS = dict(l1=A1 / 2, l2=A2 / 2, i1=M1 * A1 ** 2 / 12,
+                     i2=M2 * A2 ** 2 / 12)
 
-TWO_R_YAML = f"""
+
+def two_r_yaml(l1, l2, i1, i2):
+    return f"""
 name: planar-2r
 end_effector:
   xyz: [{A2}, 0.0, 0.0]
@@ -44,8 +51,8 @@ links:
       lower: -3.14
       upper: 3.14
     mass: {M1}
-    com: [{A1}, 0.0, 0.0]
-    inertia: {{ixx: 0.0, iyy: 0.0, izz: 0.0}}
+    com: [{l1}, 0.0, 0.0]
+    inertia: {{ixx: 0.0, iyy: 0.0, izz: {i1}}}
   - name: lower
     joint:
       xyz: [{A1}, 0.0, 0.0]
@@ -54,9 +61,12 @@ links:
       lower: -3.14
       upper: 3.14
     mass: {M2}
-    com: [{A2}, 0.0, 0.0]
-    inertia: {{ixx: 0.0, iyy: 0.0, izz: 0.0}}
+    com: [{l2}, 0.0, 0.0]
+    inertia: {{ixx: 0.0, iyy: 0.0, izz: {i2}}}
 """
+
+
+TWO_R_YAML = two_r_yaml(**TIP_MASSES)
 
 PENDULUM_YAML = """
 name: pendulum
@@ -102,12 +112,12 @@ def yaml_stream(text):
     return io.StringIO(text)
 
 
-def two_r_mass_matrix(q):
-    """Textbook closed form for the point-mass 2R arm."""
+def two_r_mass_matrix(q, l1=A1, l2=A2, i1=0.0, i2=0.0):
+    """Textbook closed form for the planar 2R arm."""
     c2 = math.cos(q[1])
-    m11 = M1 * A1 ** 2 + M2 * (A1 ** 2 + A2 ** 2 + 2 * A1 * A2 * c2)
-    m12 = M2 * (A2 ** 2 + A1 * A2 * c2)
-    m22 = M2 * A2 ** 2
+    m11 = i1 + i2 + M1 * l1 ** 2 + M2 * (A1 ** 2 + l2 ** 2 + 2 * A1 * l2 * c2)
+    m12 = i2 + M2 * (l2 ** 2 + A1 * l2 * c2)
+    m22 = i2 + M2 * l2 ** 2
     return np.array([[m11, m12], [m12, m22]])
 
 
@@ -167,11 +177,15 @@ def test_two_r_forward_kinematics(two_r):
     assert t[:3, 3] == pytest.approx([x, y, 0.0], abs=1e-12)
 
 
-def test_two_r_mass_matrix_closed_form(two_r, rng):
-    for _ in range(25):
-        q = rng.uniform(-3.0, 3.0, 2)
-        assert mass_matrix(two_r, q) == pytest.approx(
-            two_r_mass_matrix(q), rel=1e-9, abs=1e-12)
+def test_two_r_mass_matrix_closed_form(rng):
+    # the rods' rotational inertia checks the J_w^T (R I R^T) J_w term
+    # against a formula that does not share the code's
+    for arm in (TIP_MASSES, MID_LINK_RODS):
+        model = load_robot_model(yaml_stream(two_r_yaml(**arm)))
+        for _ in range(25):
+            q = rng.uniform(-3.0, 3.0, 2)
+            assert mass_matrix(model, q) == pytest.approx(
+                two_r_mass_matrix(q, **arm), rel=1e-9, abs=1e-12)
 
 
 def test_two_r_reflected_mass_stretched(two_r):
@@ -239,6 +253,40 @@ def test_point_jacobian_matches_finite_differences(panda, rng):
             assert np.max(np.abs(jac - fd)) < 1e-6
 
 
+def test_jacobian_rounds_like_np_cross(panda, rng):
+    # the kernel writes the cross product out by component; every column
+    # must still equal the np.cross form bit for bit
+    local = np.array([0.05, -0.02, 0.1])
+    for q in random_joint_configs(panda, rng, 50):
+        frames = link_frames(panda, q)
+        rot, origin = frames[4][:3, :3], frames[4][:3, 3]
+        contacts = [((), 6, forward_kinematics(panda, q)[:3, 3]),
+                    ((3,), 3, frames[3][:3, 3]),
+                    ((4, local), 4, rot @ local + origin)]
+        for args, index, point in contacts:
+            want = link_frame_jacobian_oracle(panda, frames, index, point)
+            assert np.array_equal(point_jacobian(panda, q, *args), want[:3])
+
+
+def test_reflected_mass_walks_the_chain_once(panda, monkeypatch):
+    # J and M come from the same link frames: one link_frames pass, n joint
+    # transforms, per call, whatever the number of directions
+    calls = {"link_frames": 0, "joint_transform": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        original = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, counting(name, original))
+    q = np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8])
+    reflected_mass(panda, ReflectedMassQuery(q=q, u=sphere_directions(20)))
+    assert calls == {"link_frames": 1, "joint_transform": panda.n}
+
+
 def test_frame_jacobian_angular_rows(panda, rng):
     # d/dt R = [omega]x R: recover omega by finite differences per joint
     h = 1e-6
@@ -262,9 +310,10 @@ def test_mass_matrix_symmetric_positive_definite(panda, rng):
         assert np.min(np.linalg.eigvalsh(m)) > 0.0
 
 
-def link_frame_jacobian_oracle(model, frames, index):
-    """6xN Jacobian (linear; angular) of link ``index``'s frame origin."""
-    origin = frames[index][:3, 3]
+def link_frame_jacobian_oracle(model, frames, index, point=None):
+    """6xN Jacobian (linear; angular) of a world point moving with link
+    ``index``, by default that link's frame origin."""
+    origin = frames[index][:3, 3] if point is None else point
     jac = np.zeros((6, model.n))
     for j in range(index + 1):
         rot = frames[j][:3, :3]

@@ -1,11 +1,14 @@
 """Workspace sweep: direction sets, determinism, statistics, reports."""
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from pflsafe import sweep
 from pflsafe.body import ContactMode, REGION_IDS, load_body_table
+from pflsafe.dynamics import IKResult, load_robot_model
 from pflsafe.errors import DomainError, ReportError, SweepError
 from pflsafe.sweep import (ALL_COMBOS, BASELINE_COMBO, MassSource, SweepConfig,
                            SweepResult, boxstats_payload, direction_set,
@@ -14,6 +17,7 @@ from pflsafe.sweep import (ALL_COMBOS, BASELINE_COMBO, MassSource, SweepConfig,
                            write_boxstats_json, write_scaling_csv,
                            write_sweep_csv)
 from test_body import table_text
+from test_dynamics import PENDULUM_YAML
 
 # small box well inside the reachable envelope: keeps unit tests fast
 TINY = dict(box_min=(0.35, -0.05, 0.40), box_max=(0.45, 0.05, 0.50),
@@ -122,6 +126,63 @@ def test_sweep_worker_count_does_not_change_results(panda, body_table,
                           parallel.reflected_masses)
     for key, samples in tiny_result.samples.items():
         assert np.array_equal(samples, parallel.samples[key])
+
+
+def test_sweep_pool_is_capped_at_the_scanline_count(panda, body_table,
+                                                    monkeypatch):
+    calls = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records, maps in-process."""
+
+        def __init__(self, max_workers):
+            calls.append(("max_workers", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize):
+            calls.append(("chunksize", chunksize))
+            return map(fn, payloads)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    one_line = dict(TINY, box_max=(0.45, -0.05, 0.40))
+    serial = run_sweep(panda, body_table, SweepConfig(**one_line))
+    pooled = run_sweep(panda, body_table,
+                       SweepConfig(n_workers=500, **one_line))
+    assert calls == []  # one scanline: runs in-process
+    assert np.array_equal(serial.reflected_masses, pooled.reflected_masses)
+    two_lines = dict(TINY, box_max=(0.45, 0.0, 0.40))
+    run_sweep(panda, body_table, SweepConfig(n_workers=8, **two_lines))
+    assert calls == [("max_workers", 2), ("chunksize", 1)]
+
+
+def test_sweep_counts_singular_points_and_constrained_directions(
+        body_table, monkeypatch):
+    # a one-link pendulum along +x at q = 0: its tool point moves only
+    # along y, so the +-x directions are constrained, and a 3 x 1 Jacobian
+    # has zero manipulability
+    model = load_robot_model(io.StringIO(PENDULUM_YAML))
+    monkeypatch.setattr(
+        sweep, "inverse_kinematics",
+        lambda model, target, seed, orientation: IKResult(
+            np.zeros(1), True, 0, 0.0, 0.0))
+    result = run_sweep(model, body_table, SweepConfig(
+        box_min=(0.8, 0.0, 0.0), box_max=(0.8, 0.0, 0.0), n_directions=4))
+    assert result.n_reachable == 1
+    assert result.n_singular == 1
+    assert result.n_constrained_directions == 2
+    masses = result.reflected_masses[0]
+    np.testing.assert_allclose(masses, [math.inf, 2.5, math.inf, 2.5],
+                               rtol=1e-12)
+    for rid in REGION_IDS:
+        clamped = result.samples[
+            (rid, ContactMode.QUASI_STATIC_CLAMPED, MassSource.REFLECTED)]
+        assert np.all(clamped[np.isinf(masses)] == 0.0)
+        assert np.all(clamped[np.isfinite(masses)] > 0.0)
 
 
 def test_sweep_unreachable_box_raises(panda, body_table):
