@@ -140,13 +140,28 @@ def load_robot_model(source: ModelSource) -> ManipulatorModel:
     try:
         for idx, spec in enumerate(link_specs):
             links.append(_parse_link(idx, spec))
-        ee_spec = raw.get("end_effector", {"xyz": [0, 0, 0], "rpy": [0, 0, 0]})
-        ee_offset = make_transform(ee_spec.get("xyz", [0, 0, 0]),
-                                   ee_spec.get("rpy", [0, 0, 0]))
+        ee_spec = raw.get("end_effector", {})
+        ee_offset = make_transform(
+            _vector3("end_effector", "xyz", ee_spec.get("xyz", [0, 0, 0])),
+            _vector3("end_effector", "rpy", ee_spec.get("rpy", [0, 0, 0])))
     except (AttributeError, TypeError, ValueError) as exc:
         # a field of the wrong type: a string mass, a scalar end effector
         raise SchemaError(f"robot model: malformed value: {exc}") from None
     return ManipulatorModel(name=name, links=tuple(links), ee_offset=ee_offset)
+
+
+def _vector3(where: str, key: str, value) -> np.ndarray:
+    """Three finite numbers, or SchemaError / ValidationError naming the key."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: {key} must be three numbers, "
+                          f"got {value!r}") from None
+    if vec.shape != (3,):
+        raise SchemaError(f"{where}: {key} must be a 3-vector, got {value!r}")
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{where}: {key} must be finite, got {value!r}")
+    return vec
 
 
 def _parse_link(idx: int, spec: dict) -> Link:
@@ -154,7 +169,7 @@ def _parse_link(idx: int, spec: dict) -> Link:
     try:
         jspec = spec["joint"]
         mass = float(spec["mass"])
-        com = np.asarray(spec["com"], dtype=float)
+        com = _vector3(where, "com", spec["com"])
         ispec = spec["inertia"]
     except KeyError as exc:
         raise SchemaError(f"{where}: missing key {exc}") from None
@@ -162,7 +177,7 @@ def _parse_link(idx: int, spec: dict) -> Link:
     kind = jspec.get("type", "revolute")
     if kind not in ("revolute", "prismatic"):
         raise SchemaError(f"{where}: unsupported joint type {kind!r}")
-    axis = np.asarray(jspec.get("axis", [0, 0, 1]), dtype=float)
+    axis = _vector3(where, "axis", jspec.get("axis", [0, 0, 1]))
     norm = np.linalg.norm(axis)
     if norm < 1e-12:
         raise ValidationError(f"{where}: joint axis must be non-zero")
@@ -174,8 +189,6 @@ def _parse_link(idx: int, spec: dict) -> Link:
 
     if mass < 0 or not math.isfinite(mass):
         raise ValidationError(f"{where}: mass must be finite and >= 0")
-    if com.shape != (3,):
-        raise SchemaError(f"{where}: com must be a 3-vector")
     inertia = np.array([
         [float(ispec["ixx"]), float(ispec.get("ixy", 0.0)), float(ispec.get("ixz", 0.0))],
         [float(ispec.get("ixy", 0.0)), float(ispec["iyy"]), float(ispec.get("iyz", 0.0))],
@@ -192,7 +205,8 @@ def _parse_link(idx: int, spec: dict) -> Link:
         raise SchemaError(f"{where}: moving must be true or false, "
                           f"got {moving!r}")
 
-    origin = make_transform(jspec.get("xyz", [0, 0, 0]), jspec.get("rpy", [0, 0, 0]))
+    origin = make_transform(_vector3(where, "xyz", jspec.get("xyz", [0, 0, 0])),
+                            _vector3(where, "rpy", jspec.get("rpy", [0, 0, 0])))
     joint = Joint(kind=kind, origin=origin, axis=axis, lower=lower, upper=upper)
     return Link(name=str(spec.get("name", f"link{idx + 1}")), joint=joint,
                 mass=mass, com=com, inertia=inertia, moving=moving)
@@ -432,6 +446,46 @@ def _rotation_error(r_target: np.ndarray, r_current: np.ndarray) -> np.ndarray:
     return angle * axis / norm
 
 
+def _chain_reach(model: ManipulatorModel) -> tuple[np.ndarray, float]:
+    """Centre and radius of a ball holding the last link's origin for every
+    in-limit q.
+
+    Link k's origin sits ``xyz_k`` from link k-1's origin, rotated by
+    whatever q does upstream, so a revolute joint adds ||xyz_k|| and a
+    prismatic joint ||xyz_k|| plus its largest |travel| (infinite travel
+    gives an infinite radius).  A revolute joint 1 does not move its own
+    origin, so the ball is centred there; a prismatic joint 1 does, so the
+    ball is centred on the base and joint 1 counts too.
+    """
+    first = model.links[0].joint
+    revolute_base = first.kind == "revolute"
+    centre = first.origin[:3, 3] if revolute_base else np.zeros(3)
+    radius = 0.0
+    for link in model.links[1 if revolute_base else 0:]:
+        joint = link.joint
+        radius += math.hypot(*joint.origin[:3, 3])
+        if joint.kind == "prismatic":
+            radius += max(abs(joint.lower), abs(joint.upper))
+    return centre, radius
+
+
+def _outside_reach(model: ManipulatorModel, target: np.ndarray,
+                   orientation: np.ndarray | None, pos_tol: float,
+                   ori_tol: float) -> bool:
+    """True when no in-limit q brings the tool within IK's tolerances of
+    the target pose (see ``inverse_kinematics``)."""
+    centre, radius = _chain_reach(model)
+    ee_xyz = model.ee_offset[:3, 3]
+    ee_reach = math.hypot(*ee_xyz)
+    if orientation is None:
+        point = target
+        radius += ee_reach + pos_tol
+    else:
+        point = target - orientation @ (model.ee_offset[:3, :3].T @ ee_xyz)
+        radius += pos_tol + ee_reach * ori_tol
+    return math.dist(point, centre) > radius
+
+
 def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
                        seed: np.ndarray, orientation: np.ndarray | None = None,
                        pos_tol: float = 1e-4, ori_tol: float = 1e-3,
@@ -442,13 +496,26 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     Iterates q += J^T (J J^T + damping^2 I)^-1 e with each update clamped to
     ``step_clamp`` (largest joint move per iteration) and the result clipped
     to joint limits.  Success requires position error < pos_tol, and
-    orientation error < ori_tol when a target orientation is given.
+    orientation error < ori_tol when a target orientation (a rotation
+    matrix) is given.
+
+    A target no in-limit q can reach is rejected before the first
+    iteration.  Whatever q is, the last link's origin p_n lies within
+    R = sum over k >= 2 of ||xyz_k|| of link 1's origin (``_chain_reach``:
+    prismatic joints add their travel).  With an orientation R_t, a
+    converged pose puts p_n within pos_tol + ||ee_xyz|| * ori_tol of
+    target - R_t R_ee^T ee_xyz, so that point must lie within R plus this
+    margin.  Without one, the tool point itself must lie within
+    R + ||ee_xyz|| + pos_tol.  A rejected target returns the clipped seed
+    with ``success=False``, ``iterations == 0`` and the seed's errors.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise DomainError(f"target must be a 3-vector, got {target.shape}")
     lower, upper = model.lower_limits, model.upper_limits
     q = np.clip(np.asarray(seed, dtype=float).copy(), lower, upper)
+    if _outside_reach(model, target, orientation, pos_tol, ori_tol):
+        max_iter = 0  # out of reach: report the seed's errors and stop
 
     pos_err = ori_err = math.inf
     for iteration in range(max_iter + 1):

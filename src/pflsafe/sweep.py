@@ -3,11 +3,14 @@
 A regular grid of tool positions is swept over a box.  Each grid point is
 solved by inverse kinematics with the tool pointing straight down (one fixed
 orientation, so distributions are comparable across points); unreachable
-points are skipped and counted.  At every reachable point the directional
-reflected mass is evaluated along a deterministic set of unit directions
-(a Fibonacci sphere), and per body region the admissible speed limit is
-computed twice per contact mode: once with the directional reflected mass
-and once with the constant half-moving-mass convention.
+points are skipped and counted.  A point whose flange-down pose lies outside
+the arm's reach ball is rejected by ``inverse_kinematics`` before its first
+iteration; it would have failed anyway, and a failed point never moves the
+warm start, so the check changes run time only.  At every reachable point
+the directional reflected mass is evaluated along a deterministic set of
+unit directions (a Fibonacci sphere), and per body region the admissible
+speed limit is computed twice per contact mode: once with the directional
+reflected mass and once with the constant half-moving-mass convention.
 
 Everything here is deterministic: the grid order, the direction set and the
 warm-start chain are fixed, so reruns reproduce results bit for bit.  Grid

@@ -283,6 +283,32 @@ def test_unparsable_input_exits_3(tmp_path, capsys, command, flag, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("link, key, value", [
+    (3, "xyz", [0.0825, float("nan"), 0.0]),
+    (6, "axis", [0.0, float("inf"), 1.0]),
+    (1, "com", [float("nan")] * 3),
+])
+def test_non_finite_robot_model_exits_3_before_ik(tmp_path, capsys,
+                                                  monkeypatch, link, key,
+                                                  value):
+    def no_ik(*args, **kwargs):
+        raise AssertionError("inverse kinematics ran on a non-finite model")
+
+    monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", no_ik)
+    links = [dict(spec, joint=dict(spec["joint"])) for spec in PANDA["links"]]
+    spec = links[link] if key == "com" else links[link]["joint"]
+    spec[key] = value
+    robot = tmp_path / "robot.yaml"
+    robot.write_text(yaml.safe_dump(dict(PANDA, links=links)))
+    config = tmp_path / "box.yaml"
+    config.write_text(yaml.safe_dump(SWEEP_BOX))
+    assert run("sweep", "--config", config, "--robot", robot,
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"({links[link]['name']}): {key} must be finite" in err
+
+
 def test_empty_filter_scenario_runs_on_defaults(tmp_path):
     scenario = tmp_path / "empty.yaml"
     scenario.write_text("")

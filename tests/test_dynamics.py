@@ -141,30 +141,29 @@ def _pose_oracle(xyz, rpy):
 
 
 def fk_from_yaml(path, q):
-    """FK built directly from the raw YAML numbers, no library code."""
+    """World poses of the last link frame and of the tool frame for a
+    (B, n) stack of joint vectors, from the raw YAML numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    t = np.eye(4)
-    for spec, qi in zip(raw["links"], q):
+    t = np.broadcast_to(np.eye(4), (len(q), 4, 4))
+    for spec, qi in zip(raw["links"], q.T):
         joint = spec["joint"]
-        t = t @ _pose_oracle(joint.get("xyz", [0, 0, 0]),
-                             joint.get("rpy", [0, 0, 0]))
         axis = np.asarray(joint.get("axis", [0, 0, 1]), dtype=float)
         axis /= np.linalg.norm(axis)
+        move = np.broadcast_to(np.eye(4), (len(q), 4, 4)).copy()
         if joint.get("type", "revolute") == "revolute":
             kx = np.array([[0, -axis[2], axis[1]],
                            [axis[2], 0, -axis[0]],
                            [-axis[1], axis[0], 0]])
-            rot = np.eye(4)
-            rot[:3, :3] = (np.eye(3) + math.sin(qi) * kx
-                           + (1 - math.cos(qi)) * kx @ kx)
-            t = t @ rot
+            move[:, :3, :3] += (np.sin(qi)[:, None, None] * kx
+                                + (1 - np.cos(qi))[:, None, None] * kx @ kx)
         else:
-            slide = np.eye(4)
-            slide[:3, 3] = axis * qi
-            t = t @ slide
+            move[:, :3, 3] = qi[:, None] * axis
+        t = t @ _pose_oracle(joint.get("xyz", [0, 0, 0]),
+                             joint.get("rpy", [0, 0, 0])) @ move
     ee = raw.get("end_effector", {})
-    return t @ _pose_oracle(ee.get("xyz", [0, 0, 0]), ee.get("rpy", [0, 0, 0]))
+    return t, t @ _pose_oracle(ee.get("xyz", [0, 0, 0]),
+                               ee.get("rpy", [0, 0, 0]))
 
 
 # ------------------------------------------------------------------ tests
@@ -222,9 +221,9 @@ def test_slider_reflected_mass_is_carried_mass():
 
 
 def test_panda_fk_matches_chain_oracle(panda, rng):
-    for q in random_joint_configs(panda, rng, 20):
-        assert forward_kinematics(panda, q) == pytest.approx(
-            fk_from_yaml(robot_model_path(), q), abs=1e-10)
+    qs = random_joint_configs(panda, rng, 20)
+    for q, tool in zip(qs, fk_from_yaml(robot_model_path(), qs)[1]):
+        assert forward_kinematics(panda, q) == pytest.approx(tool, abs=1e-10)
 
 
 def test_point_jacobian_matches_finite_differences(panda, rng):
@@ -452,9 +451,121 @@ def test_ik_with_orientation(panda):
 
 def test_ik_unreachable_fails_cleanly(panda):
     seed = 0.5 * (panda.lower_limits + panda.upper_limits)
-    result = inverse_kinematics(panda, np.array([1.5, 0.0, 0.5]), seed)
+    for orientation in (None, FLANGE_DOWN):
+        result = inverse_kinematics(panda, np.array([1.5, 0.0, 0.5]), seed,
+                                    orientation=orientation)
+        assert not result.success
+        assert result.iterations == 0  # outside the reach ball: no iteration
+        assert np.array_equal(result.q, seed)
+        assert result.position_error > 0.1
+
+
+def test_ik_inside_the_reach_ball_still_spends_its_budget(panda):
+    # straight below the shoulder: inside the ball, yet no flange-down pose
+    seed = 0.5 * (panda.lower_limits + panda.upper_limits)
+    result = inverse_kinematics(panda, np.array([0.0, 0.0, 0.15]), seed,
+                                orientation=FLANGE_DOWN)
     assert not result.success
-    assert result.position_error > 0.1
+    assert result.iterations == 200
+    assert result.position_error == pytest.approx(0.25, abs=0.01)
+
+
+def test_reach_balls_hold_every_fk_pose(panda, rng):
+    with open(robot_model_path(), "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    offsets = [np.asarray(spec["joint"]["xyz"]) for spec in raw["links"]]
+    ee_xyz = np.asarray(raw["end_effector"]["xyz"])
+    centre, radius = dynamics._chain_reach(panda)
+    assert np.array_equal(centre, offsets[0])
+    assert radius == pytest.approx(sum(np.linalg.norm(v) for v in offsets[1:]),
+                                   rel=1e-12)
+
+    q = random_joint_configs(panda, rng, 100_000)
+    last, tool = fk_from_yaml(robot_model_path(), q)
+    # the last link's origin recovered from the tool pose, as IK does
+    p_n = tool[:, :3, 3] - tool[:, :3, :3] @ ee_xyz
+    np.testing.assert_allclose(p_n, last[:, :3, 3], atol=1e-12)
+    flange = np.linalg.norm(p_n - centre, axis=1)
+    reach = np.linalg.norm(tool[:, :3, 3] - centre, axis=1)
+    assert flange.max() <= radius
+    assert reach.max() <= radius + np.linalg.norm(ee_xyz)
+    assert flange.max() > 0.9 * radius  # the ball is not loose
+    # the helper itself, with zero tolerances, on a slice of the poses
+    for pose in tool[:2000]:
+        assert not dynamics._outside_reach(panda, pose[:3, 3], None, 0.0, 0.0)
+        assert not dynamics._outside_reach(panda, pose[:3, 3], pose[:3, :3],
+                                           0.0, 0.0)
+
+
+# a turntable carrying a boom that slides out 0 .. 0.3 m: the tool reaches
+# 0.5 + 0.3 + 0.1 m from the turntable's origin and no farther
+ARM_SLIDE_YAML = """
+name: arm-slide
+end_effector: {xyz: [0.1, 0.0, 0.0], rpy: [0.0, 0.0, 0.0]}
+links:
+  - name: turntable
+    joint: {xyz: [0.0, 0.0, 0.2], axis: [0.0, 0.0, 1.0],
+            lower: -3.14, upper: 3.14}
+    mass: 1.0
+    com: [0.0, 0.0, 0.0]
+    inertia: {ixx: 0.0, iyy: 0.0, izz: 0.0}
+  - name: boom
+    joint: {type: prismatic, xyz: [0.5, 0.0, 0.0], axis: [1.0, 0.0, 0.0],
+            lower: 0.0, upper: 0.3}
+    mass: 1.0
+    com: [0.0, 0.0, 0.0]
+    inertia: {ixx: 0.0, iyy: 0.0, izz: 0.0}
+"""
+
+
+def test_prismatic_travel_widens_the_reach_ball():
+    model = load_robot_model(yaml_stream(ARM_SLIDE_YAML))
+    centre, radius = dynamics._chain_reach(model)
+    assert np.array_equal(centre, [0.0, 0.0, 0.2])
+    assert radius == pytest.approx(0.8, abs=1e-15)
+    seed = np.zeros(2)
+    # the boom at full travel stops 5e-5 m short: within pos_tol
+    edge = inverse_kinematics(model, np.array([0.0, 0.9 + 5e-5, 0.2]), seed)
+    assert edge.success and edge.q[1] == 0.3
+    beyond = inverse_kinematics(model, np.array([0.0, 0.9 + 2e-4, 0.2]), seed)
+    assert not beyond.success and beyond.iterations == 0
+
+
+def test_infinite_travel_turns_the_reach_ball_off():
+    model = load_robot_model(yaml_stream(
+        ARM_SLIDE_YAML.replace("upper: 0.3", "upper: .inf")))
+    assert dynamics._chain_reach(model)[1] == math.inf
+    far = inverse_kinematics(model, np.array([0.0, 5.0, 0.2]), np.zeros(2))
+    assert far.success and far.q[1] == pytest.approx(4.4, abs=1e-4)
+
+
+def test_prismatic_first_joint_centres_the_ball_on_the_base():
+    model = load_robot_model(yaml_stream(
+        SLIDER_YAML.replace("xyz: [0.0, 0.0, 0.0]\n      rpy",
+                            "xyz: [0.0, 0.0, 0.2]\n      rpy")))
+    centre, radius = dynamics._chain_reach(model)
+    assert np.array_equal(centre, np.zeros(3))
+    assert radius == pytest.approx(1.2, abs=1e-15)  # 0.2 offset + 1.0 travel
+    assert inverse_kinematics(model, np.array([1.0, 0.0, 0.2]),
+                              np.zeros(1)).success
+    assert inverse_kinematics(model, np.array([1.2, 0.0, 0.1]),
+                              np.zeros(1)).iterations == 0
+
+
+def test_ik_without_orientation_uses_the_tool_point_ball(two_r):
+    # the 2R last link's origin stays within 0.7 m of the base, the tool
+    # point within 0.7 + 0.5 m
+    target = np.array([1.2, 0.0, 0.0])
+    backwards = rpy_matrix(0.0, 0.0, math.pi)  # last link origin at 1.7 m
+    assert dynamics._outside_reach(two_r, target, backwards, 1e-4, 1e-3)
+    result = inverse_kinematics(two_r, target, np.array([0.3, -0.3]),
+                                orientation=backwards)
+    assert not result.success and result.iterations == 0
+    assert not dynamics._outside_reach(two_r, target, None, 1e-4, 1e-3)
+    assert inverse_kinematics(two_r, target, np.array([0.3, -0.3])).success
+    too_far = np.array([1.2 + 2e-4, 0.0, 0.0])
+    assert inverse_kinematics(two_r, too_far,
+                              np.array([0.3, -0.3])).iterations == 0
 
 
 def test_ik_respects_joint_limits(panda, rng):
@@ -522,6 +633,27 @@ def test_model_rejects_malformed_values(old, new):
     bad = TWO_R_YAML.replace(old, new, 1)
     assert bad != TWO_R_YAML
     with pytest.raises(SchemaError):
+        load_robot_model(yaml_stream(bad))
+
+
+@pytest.mark.parametrize("old, new, names", [
+    ("xyz: [0.0, 0.0, 0.0]", "xyz: [0.0, .nan, 0.0]", r"link 0 \(upper\): xyz"),
+    (f"xyz: [{A1}, 0.0, 0.0]", f"xyz: [{A1}, -.inf, 0.0]",
+     r"link 1 \(lower\): xyz"),
+    ("      rpy: [0.0, 0.0, 0.0]", "      rpy: [.inf, 0.0, 0.0]",
+     r"link 0 \(upper\): rpy"),
+    ("axis: [0.0, 0.0, 1.0]", "axis: [0.0, .nan, 1.0]",
+     r"link 0 \(upper\): axis"),
+    (f"com: [{A1}", "com: [.nan", r"link 0 \(upper\): com"),
+    (f"xyz: [{A2}, 0.0, 0.0]", f"xyz: [{A2}, .inf, 0.0]", "end_effector: xyz"),
+    ("  rpy: [0.0, 0.0, 0.0]\nlinks", "  rpy: [0.0, 0.0, .nan]\nlinks",
+     "end_effector: rpy"),
+])
+def test_model_rejects_non_finite_values(old, new, names):
+    # rejected at load, naming the link and the key, before any kinematics
+    bad = TWO_R_YAML.replace(old, new, 1)
+    assert bad != TWO_R_YAML
+    with pytest.raises(ValidationError, match=names + " must be finite"):
         load_robot_model(yaml_stream(bad))
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pflsafe import sweep
+from pflsafe import dynamics, sweep
 from pflsafe.body import ContactMode, REGION_IDS, load_body_table
 from pflsafe.dynamics import IKResult, load_robot_model
 from pflsafe.errors import DomainError, ReportError, SweepError
@@ -183,6 +183,46 @@ def test_sweep_counts_singular_points_and_constrained_directions(
             (rid, ContactMode.QUASI_STATIC_CLAMPED, MassSource.REFLECTED)]
         assert np.all(clamped[np.isinf(masses)] == 0.0)
         assert np.all(clamped[np.isfinite(masses)] > 0.0)
+
+
+# one a07 box on the reach boundary: 2 reachable points and 14 failing,
+# 10 of which lie outside the flange-down reach ball
+BOUND_BOX = dict(box_min=(0.6, 0.5, 0.15), box_max=(0.7, 0.8, 0.25),
+                 grid_spacing=0.10, n_directions=20)
+
+
+def test_reach_ball_only_skips_points_that_fail(panda, body_table,
+                                                monkeypatch):
+    outside_reach = dynamics._outside_reach
+    real_ik = sweep.inverse_kinematics
+    calls = []
+
+    def recording_ik(model, target, seed, orientation):
+        result = real_ik(model, target, seed, orientation=orientation)
+        outside = outside_reach(model, target, orientation, 1e-4, 1e-3)
+        calls.append((outside, result))
+        return result
+
+    monkeypatch.setattr(sweep, "inverse_kinematics", recording_ik)
+    with_ball = run_sweep(panda, body_table, SweepConfig(**BOUND_BOX))
+    skipped = [result for outside, result in calls if outside]
+    assert len(calls) == 16 and len(skipped) == 10
+    assert all(not r.success and r.iterations == 0 for r in skipped)
+
+    calls.clear()
+    monkeypatch.setattr(dynamics, "_outside_reach", lambda *args: False)
+    without = run_sweep(panda, body_table, SweepConfig(**BOUND_BOX))
+    # with the check off, no point outside the ball converges
+    unskipped = [result for outside, result in calls if outside]
+    assert len(calls) == 16 and len(unskipped) == 10
+    assert all(not r.success and r.iterations == 200 for r in unskipped)
+    assert np.array_equal(with_ball.reflected_masses, without.reflected_masses)
+    for name in ("n_grid", "n_reachable", "n_unreachable", "n_singular",
+                 "n_constrained_directions"):
+        assert getattr(with_ball, name) == getattr(without, name), name
+    assert (with_ball.n_reachable, with_ball.n_unreachable) == (2, 14)
+    for key, samples in with_ball.samples.items():
+        assert np.array_equal(samples, without.samples[key])
 
 
 def test_sweep_unreachable_box_raises(panda, body_table):
