@@ -26,10 +26,10 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import DomainError, SchemaError, ValidationError
+from .schema import Source, number, read_text
 
 # Table rows in report order.  Keys are normalised region ids; values the
 # human-readable labels used in CSV files and error messages.
@@ -159,41 +159,19 @@ class BodyRegionTable:
         return REGION_IDS
 
 
-TableSource = Union[str, Path, bytes, IO[str], IO[bytes]]
-
-
-def _as_text(source: TableSource) -> tuple[str, str]:
-    """Return (text, label) for a path, byte string or open stream."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.read_text(encoding="utf-8"), path.name
-    if isinstance(source, bytes):
-        return source.decode("utf-8"), "<bytes>"
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    label = getattr(source, "name", "<stream>")
-    return data, str(label)
-
-
 def _parse_float(raw: str, row: int, column: str, region: str,
                  allow_inf: bool = False) -> float:
-    text = raw.strip().lower()
-    if allow_inf and text in ("inf", "infinity"):
-        return math.inf
     try:
-        value = float(text)
+        value = float(raw)
     except ValueError:
         raise SchemaError(
             f"row {row} ({region}): column {column!r} is not a number: {raw!r}"
         ) from None
-    if not math.isfinite(value):
-        raise SchemaError(
-            f"row {row} ({region}): column {column!r} must be finite: {raw!r}")
-    return value
+    return number(f"row {row} ({region})", f"column {column!r}", value,
+                  allow_inf=allow_inf)
 
 
-def load_body_table(source: TableSource) -> BodyRegionTable:
+def load_body_table(source: Source) -> BodyRegionTable:
     """Parse and validate a body-region limit table.
 
     The format is CSV with the exact header
@@ -202,7 +180,7 @@ def load_body_table(source: TableSource) -> BodyRegionTable:
     ``# source: <text>`` becomes the table's provenance label.  Stiffness is
     converted from N/mm to N/m here; ``m_h_kg`` accepts ``inf``.
     """
-    text, default_label = _as_text(source)
+    text, default_label = read_text(source)
     source_label = default_label
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -17,13 +17,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import yaml
 
 from . import __version__, assets
 from .body import ContactMode, REGION_IDS, REGION_LABELS, load_body_table
@@ -33,6 +29,7 @@ from .errors import (ConstrainedDirectionError, DomainError, ReportError,
                      SchemaError, StepSizeError, SweepError, ValidationError)
 from .limits import LimitQuery, compute_limit
 from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
+from .schema import flag, number, read_mapping, write_json
 from .svgplot import line_chart
 from .sweep import (SweepConfig, render_sweep_svg, run_sweep, scaling_report,
                     write_boxstats_json, write_scaling_csv, write_sweep_csv)
@@ -59,25 +56,6 @@ def _parse_mode(text: str) -> ContactMode:
             f"qs-clamped") from None
 
 
-def _read_mapping(path: Path, what: str, known) -> dict:
-    """Top-level mapping of a YAML file with keys from ``known``.
-
-    An empty file reads as an empty mapping.
-    """
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{what}: invalid YAML: {exc}") from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{what}: top level must be a mapping")
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise SchemaError(f"{what}: unknown keys {sorted(unknown, key=str)}")
-    return raw
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -94,9 +72,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict,
                    for name, path in inputs.items()},
         "outputs": outputs,
     }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out_dir / "run_manifest.json")
 
 
 def _out_dir(args) -> Path:
@@ -119,16 +95,14 @@ def _cmd_simulate(args) -> int:
                      f"{float(traj.v_h[i])!r},{float(traj.dx[i])!r}\n")
 
     energy = total_energy(scenario, traj)
-    with open(out / "outcome.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "v_star": outcome.v_star, "t_star": outcome.t_star,
-            "dx_max": outcome.dx_max, "f_peak": outcome.f_peak,
-            "delta_k": outcome.delta_k, "k0": outcome.k0,
-            "k_star": outcome.k_star, "degenerate": outcome.degenerate,
-            "energy_drift_rel": float(abs(energy - energy[0]).max()
-                                      / max(energy[0], 1e-300)),
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({
+        "v_star": outcome.v_star, "t_star": outcome.t_star,
+        "dx_max": outcome.dx_max, "f_peak": outcome.f_peak,
+        "delta_k": outcome.delta_k, "k0": outcome.k0,
+        "k_star": outcome.k_star, "degenerate": outcome.degenerate,
+        "energy_drift_rel": float(abs(energy - energy[0]).max()
+                                  / max(energy[0], 1e-300)),
+    }, out / "outcome.json")
 
     svg = line_chart(
         {"robot speed [m/s]": (traj.t, traj.v_r),
@@ -191,9 +165,7 @@ def _cmd_limits(args) -> int:
     out = _out_dir(args)
     if args.format == "json":
         out_name = "limits.json"
-        with open(out / out_name, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(rows, out / out_name)
     else:
         out_name = "limits.csv"
         header = ["region", "mode", "robot_mass_kg", "contact_area_cm2",
@@ -228,7 +200,7 @@ def _cmd_sweep(args) -> int:
     table = load_body_table(table_path)
     model = load_robot_model(robot_path)
     config_path = Path(args.config) if args.config else None
-    raw = (_read_mapping(config_path, "sweep config", _SWEEP_KEYS)
+    raw = (read_mapping(config_path, "sweep config", _SWEEP_KEYS)
            if config_path is not None else {})
     if args.workers is not None:
         raw["n_workers"] = args.workers
@@ -260,85 +232,89 @@ def _cmd_sweep(args) -> int:
 
 # --------------------------------------------------------------- filter
 
-_FILTER_KEYS = ("budget", "contact_area", "duration", "gain", "mode",
-                "nominal_speed", "payload", "period", "plant_mass",
-                "power_cap", "recycling", "region", "robot_mass",
-                "velocity_filter")
+@dataclasses.dataclass(frozen=True)
+class FilterScenario:
+    """Filter scenario file: one field per YAML key, with its default.
+
+    ``None`` (or YAML ``null``) is derived: the plant mass is the robot's,
+    the gain 20 times the plant mass, no power cap, twice the limit speed.
+    """
+
+    region: str = "face"
+    mode: str = "transient"
+    contact_area: float = 1.0           # cm^2
+    robot_mass: float | str = "constant"  # kg, or the model's constant mass
+    payload: float = 0.0                # kg, for the constant mass
+    plant_mass: float | None = None     # kg
+    budget: float | str = "k0_max"      # J, "k0_max" or "u_s_max"
+    duration: float = 2.0               # s
+    period: float = 1e-3                # s
+    gain: float | None = None           # N s/m
+    power_cap: float | None = None      # W
+    recycling: bool = False
+    velocity_filter: bool = True
+    nominal_speed: float | None = None  # m/s
+
+    def __post_init__(self) -> None:
+        what = "filter scenario"
+        for field in dataclasses.fields(self):
+            key, value = field.name, getattr(self, field.name)
+            if isinstance(field.default, bool):
+                flag(what, key, value)
+            elif key in ("region", "mode"):
+                if not isinstance(value, str):
+                    raise SchemaError(f"{what}: {key} must be a string, "
+                                      f"got {value!r}")
+            elif not ((value is None and field.default is None)
+                      or value in _FILTER_WORDS.get(key, ())):
+                object.__setattr__(self, key, number(what, key, value))
 
 
-def _scenario_float(raw: dict, key: str, default=None) -> float:
-    """Scenario value ``raw[key]`` (or ``default``) as a finite float."""
-    value = raw.get(key, default)
-    try:
-        number = float(value)  # also parses YAML strings such as "1e-3"
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
-        raise SchemaError(f"filter scenario: {key} must be a finite number, "
-                          f"got {value!r}")
-    return number
-
-
-def _scenario_bool(raw: dict, key: str, default: bool) -> bool:
-    """Scenario flag ``raw[key]`` (or ``default``); only YAML booleans."""
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise SchemaError(f"filter scenario: {key} must be true or false, "
-                          f"got {value!r}")
-    return value
+#: the words a filter scenario number key accepts in place of a number
+_FILTER_WORDS = {"robot_mass": ("constant",), "budget": ("k0_max", "u_s_max")}
 
 
 def _cmd_filter(args) -> int:
     scenario_path = Path(args.scenario)
-    raw = _read_mapping(scenario_path, "filter scenario", _FILTER_KEYS)
+    scenario = FilterScenario(**read_mapping(
+        scenario_path, "filter scenario",
+        [field.name for field in dataclasses.fields(FilterScenario)]))
 
     table_path = Path(args.body_table)
     table = load_body_table(table_path)
     inputs = {"scenario": scenario_path, "body_table": table_path}
 
-    mode = _parse_mode(str(raw.get("mode", "transient")))
-    region = str(raw.get("region", "face"))
-    payload = _scenario_float(raw, "payload", 0.0)
-    mass_spec = raw.get("robot_mass", "constant")
-    if mass_spec == "constant":
+    mode = _parse_mode(scenario.mode)
+    if scenario.robot_mass == "constant":
         robot_path = Path(args.robot)
-        robot_mass = iso_effective_mass(load_robot_model(robot_path), payload)
+        robot_mass = iso_effective_mass(load_robot_model(robot_path),
+                                        scenario.payload)
         inputs["robot"] = robot_path
     else:
-        robot_mass = _scenario_float(raw, "robot_mass")
+        robot_mass = scenario.robot_mass
 
     limit = compute_limit(
-        LimitQuery(region=region, mode=mode, robot_mass=robot_mass,
-                   contact_area=_scenario_float(raw, "contact_area", 1.0)),
+        LimitQuery(region=scenario.region, mode=mode, robot_mass=robot_mass,
+                   contact_area=scenario.contact_area),
         table)
+    region_id = table[scenario.region].region_id
 
-    budget_spec = raw.get("budget", "k0_max")
-    if budget_spec == "k0_max":
-        budget = limit.k0_max
-    elif budget_spec == "u_s_max":
-        budget = limit.u_s_max
-    else:
-        budget = _scenario_float(raw, "budget")
+    # a budget word names the limit's energy of that name
+    budget = (getattr(limit, scenario.budget)
+              if isinstance(scenario.budget, str) else scenario.budget)
 
-    duration = _scenario_float(raw, "duration", 2.0)
-    cfg = FilterConfig(speed_limit=limit,
-                       period=_scenario_float(raw, "period", 1e-3),
-                       power_cap=(_scenario_float(raw, "power_cap")
-                                  if raw.get("power_cap") is not None else None))
-    # an absent plant mass defaults to the robot mass; any given value,
-    # zero included, is validated by PlantState
-    plant = PlantState(mass=(_scenario_float(raw, "plant_mass")
-                             if raw.get("plant_mass") is not None
-                             else robot_mass))
-    tank = tank_init(budget,
-                     recycling_enabled=_scenario_bool(raw, "recycling", False))
-    nominal_speed = _scenario_float(raw, "nominal_speed", 2.0 * limit.v0_max)
-    gain = _scenario_float(raw, "gain") if raw.get("gain") is not None else None
+    cfg = FilterConfig(speed_limit=limit, period=scenario.period,
+                       power_cap=scenario.power_cap)
+    plant = PlantState(mass=(robot_mass if scenario.plant_mass is None
+                             else scenario.plant_mass))
+    tank = tank_init(budget, recycling_enabled=scenario.recycling)
+    nominal_speed = (2.0 * limit.v0_max if scenario.nominal_speed is None
+                     else scenario.nominal_speed)
 
-    log = simulate_loop(plant, lambda t: nominal_speed, cfg, tank, duration,
-                        velocity_filter=_scenario_bool(raw, "velocity_filter",
-                                                       True),
-                        gain=gain)
+    log = simulate_loop(plant, lambda t: nominal_speed, cfg, tank,
+                        scenario.duration,
+                        velocity_filter=scenario.velocity_filter,
+                        gain=scenario.gain)
     out = _out_dir(args)
     log.write_csv(out / "filter_log.csv")
     svg = line_chart(
@@ -346,27 +322,23 @@ def _cmd_filter(args) -> int:
          "commanded [m/s]": (log.t, log.v_commanded),
          "plant speed [m/s]": (log.t, log.velocity),
          "tank energy [J]": (log.t, log.tank_energy)},
-        title=f"filtered loop: {REGION_LABELS[table[region].region_id]}, "
-              f"{mode.value}",
+        title=f"filtered loop: {REGION_LABELS[region_id]}, {mode.value}",
         xlabel="time [s]",
         hlines={"v0_max": limit.v0_max})
     (out / "filter_log.svg").write_text(svg, encoding="utf-8")
 
     peak = float(abs(log.velocity).max())
     summary = {
-        "region": table[region].region_id, "mode": mode.value,
+        "region": region_id, "mode": mode.value,
         "robot_mass_kg": robot_mass, "v0_max_mps": limit.v0_max,
         "budget_J": budget, "peak_speed_mps": peak,
         "peak_ke_J": float(log.ke.max()),
         "tank_final_J": float(log.tank_energy[-1]),
         "injected_total_J": float(log.injected_cum[-1]),
     }
-    with open(out / "filter_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, out / "filter_summary.json")
 
-    _write_manifest(out, "filter", {k: raw.get(k) for k in _FILTER_KEYS},
-                    inputs,
+    _write_manifest(out, "filter", dataclasses.asdict(scenario), inputs,
                     ["filter_log.csv", "filter_log.svg", "filter_summary.json"])
     print(f"peak speed {peak:.6g} m/s vs limit {limit.v0_max:.6g} m/s; "
           f"injected {summary['injected_total_J']:.6g} J of "
@@ -446,15 +418,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ValidationError, DomainError, ReportError) as exc:
+    except (SchemaError, ValidationError, DomainError, ReportError,
+            OSError) as exc:
+        # OSError: an input that cannot be read, an --out that is a file
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_EXIT
     except KeyError as exc:
         # unknown region names surface here with the valid list attached
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return _INPUT_EXIT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return _INPUT_EXIT
     except (StepSizeError, SweepError, ConstrainedDirectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

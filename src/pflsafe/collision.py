@@ -33,6 +33,9 @@ import numpy as np
 
 from .errors import DomainError, StepSizeError, ValidationError
 
+#: most samples one trajectory may hold (the default horizon gives 751)
+MAX_SIMULATE_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class CollisionScenario:
@@ -186,7 +189,11 @@ def simulate(scenario: CollisionScenario, dt: float | None = None,
     elif not (math.isfinite(horizon) and horizon > 0):
         raise DomainError(f"horizon must be finite and > 0, got {horizon!r}")
 
-    n = int(math.floor(horizon / dt + 1e-9)) + 1
+    steps = horizon / dt + 1e-9
+    if not steps < MAX_SIMULATE_SAMPLES:
+        raise DomainError(f"horizon / dt = {steps:.4g} steps: over the cap of "
+                          f"{MAX_SIMULATE_SAMPLES:,} samples")
+    n = int(math.floor(steps)) + 1
     t = np.arange(n) * dt
     v_r = np.empty(n)
     v_h = np.empty(n)

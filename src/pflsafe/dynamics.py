@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import Sequence
 
 import numpy as np
-import yaml
 
 from .errors import (ConstrainedDirectionError, DomainError, SchemaError,
                      ValidationError)
+from .schema import Source, flag, mapping, number, read_mapping, vector3
 
 #: below this value of u^T (J M^-1 J^T) u [1/kg] a direction is treated as
 #: structurally constrained (no feasible motion, reflected mass unbounded)
@@ -113,103 +112,72 @@ def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
 
 # ---------------------------------------------------------------- loading
 
-ModelSource = Union[str, Path, IO[str]]
+#: accepted keys at each level of the model file; any other key is an error
+MODEL_KEYS = {
+    "model": ("name", "end_effector", "links"),
+    "end_effector": ("xyz", "rpy"),
+    "link": ("name", "joint", "mass", "com", "inertia", "moving"),
+    "joint": ("type", "xyz", "rpy", "axis", "lower", "upper"),
+    "inertia": ("ixx", "ixy", "ixz", "iyy", "iyz", "izz"),
+}
 
 
-def load_robot_model(source: ModelSource) -> ManipulatorModel:
+def load_robot_model(source: Source) -> ManipulatorModel:
     """Load and validate a manipulator description from YAML."""
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        else:
-            raw = yaml.safe_load(source)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"robot model: invalid YAML: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("robot model: top level must be a mapping")
-    try:
-        name = str(raw.get("name", "robot"))
-        link_specs = raw["links"]
-    except KeyError as exc:
-        raise SchemaError(f"robot model: missing key {exc}") from None
+    raw = read_mapping(source, "robot model", MODEL_KEYS["model"])
+    link_specs = raw.get("links")
     if not isinstance(link_specs, list) or not link_specs:
         raise SchemaError("robot model: 'links' must be a non-empty list")
-
-    links = []
-    try:
-        for idx, spec in enumerate(link_specs):
-            links.append(_parse_link(idx, spec))
-        ee_spec = raw.get("end_effector", {})
-        ee_offset = make_transform(
-            _vector3("end_effector", "xyz", ee_spec.get("xyz", [0, 0, 0])),
-            _vector3("end_effector", "rpy", ee_spec.get("rpy", [0, 0, 0])))
-    except (AttributeError, TypeError, ValueError) as exc:
-        # a field of the wrong type: a string mass, a scalar end effector
-        raise SchemaError(f"robot model: malformed value: {exc}") from None
-    return ManipulatorModel(name=name, links=tuple(links), ee_offset=ee_offset)
+    links = tuple(_parse_link(idx, spec) for idx, spec in enumerate(link_specs))
+    ee_spec = mapping("end_effector", raw.get("end_effector", {}),
+                      MODEL_KEYS["end_effector"])
+    ee_offset = make_transform(
+        vector3("end_effector", "xyz", ee_spec.get("xyz", [0, 0, 0])),
+        vector3("end_effector", "rpy", ee_spec.get("rpy", [0, 0, 0])))
+    return ManipulatorModel(name=str(raw.get("name", "robot")), links=links,
+                            ee_offset=ee_offset)
 
 
-def _vector3(where: str, key: str, value) -> np.ndarray:
-    """Three finite numbers, or SchemaError / ValidationError naming the key."""
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: {key} must be three numbers, "
-                          f"got {value!r}") from None
-    if vec.shape != (3,):
-        raise SchemaError(f"{where}: {key} must be a 3-vector, got {value!r}")
-    if not np.isfinite(vec).all():
-        raise ValidationError(f"{where}: {key} must be finite, got {value!r}")
-    return vec
-
-
-def _parse_link(idx: int, spec: dict) -> Link:
+def _parse_link(idx: int, spec) -> Link:
+    spec = mapping(f"link {idx}", spec, MODEL_KEYS["link"])
     where = f"link {idx} ({spec.get('name', '?')})"
-    try:
-        jspec = spec["joint"]
-        mass = float(spec["mass"])
-        com = _vector3(where, "com", spec["com"])
-        ispec = spec["inertia"]
-    except KeyError as exc:
-        raise SchemaError(f"{where}: missing key {exc}") from None
+    # a missing required key reads as None, which no rule accepts
+    jspec = mapping(f"{where}: joint", spec.get("joint"), MODEL_KEYS["joint"])
+    mass = number(where, "mass", spec.get("mass"), ge=0)
+    com = vector3(where, "com", spec.get("com"))
+    ispec = mapping(f"{where}: inertia", spec.get("inertia"),
+                    MODEL_KEYS["inertia"])
+    ixx, iyy, izz = (number(where, key, ispec.get(key))
+                     for key in ("ixx", "iyy", "izz"))
+    ixy, ixz, iyz = (number(where, key, ispec.get(key, 0.0))
+                     for key in ("ixy", "ixz", "iyz"))
 
     kind = jspec.get("type", "revolute")
     if kind not in ("revolute", "prismatic"):
         raise SchemaError(f"{where}: unsupported joint type {kind!r}")
-    axis = _vector3(where, "axis", jspec.get("axis", [0, 0, 1]))
-    norm = np.linalg.norm(axis)
+    axis = vector3(where, "axis", jspec.get("axis", [0, 0, 1]))
+    norm = math.hypot(*axis)  # no overflow for a huge component
     if norm < 1e-12:
         raise ValidationError(f"{where}: joint axis must be non-zero")
     axis = axis / norm
-    lower = float(jspec.get("lower", -math.inf))
-    upper = float(jspec.get("upper", math.inf))
+    lower = number(where, "lower", jspec.get("lower", -math.inf), allow_inf=True)
+    upper = number(where, "upper", jspec.get("upper", math.inf), allow_inf=True)
     if not lower < upper:
         raise ValidationError(f"{where}: joint limits must satisfy lower < upper")
 
-    if mass < 0 or not math.isfinite(mass):
-        raise ValidationError(f"{where}: mass must be finite and >= 0")
-    inertia = np.array([
-        [float(ispec["ixx"]), float(ispec.get("ixy", 0.0)), float(ispec.get("ixz", 0.0))],
-        [float(ispec.get("ixy", 0.0)), float(ispec["iyy"]), float(ispec.get("iyz", 0.0))],
-        [float(ispec.get("ixz", 0.0)), float(ispec.get("iyz", 0.0)), float(ispec["izz"])],
-    ])
+    inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
     eigmin = float(np.linalg.eigvalsh(inertia)[0])
     if eigmin < -1e-10:
         raise ValidationError(
             f"{where}: inertia tensor not positive semi-definite "
             f"(min eigenvalue {eigmin:g})")
 
-    moving = spec.get("moving", True)
-    if not isinstance(moving, bool):
-        raise SchemaError(f"{where}: moving must be true or false, "
-                          f"got {moving!r}")
-
-    origin = make_transform(_vector3(where, "xyz", jspec.get("xyz", [0, 0, 0])),
-                            _vector3(where, "rpy", jspec.get("rpy", [0, 0, 0])))
+    origin = make_transform(vector3(where, "xyz", jspec.get("xyz", [0, 0, 0])),
+                            vector3(where, "rpy", jspec.get("rpy", [0, 0, 0])))
     joint = Joint(kind=kind, origin=origin, axis=axis, lower=lower, upper=upper)
     return Link(name=str(spec.get("name", f"link{idx + 1}")), joint=joint,
-                mass=mass, com=com, inertia=inertia, moving=moving)
+                mass=mass, com=com, inertia=inertia,
+                moving=flag(where, "moving", spec.get("moving", True)))
 
 
 # ------------------------------------------------------------- kinematics

@@ -32,6 +32,9 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .limits import SpeedLimit
 
+#: most control periods one loop may run (the default scenario runs 2,000)
+MAX_FILTER_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -190,7 +193,11 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
     elif not gain > 0:
         raise DomainError(f"gain must be > 0, got {gain!r}")
 
-    n = int(round(duration / dt)) + 1
+    steps = duration / dt
+    if not steps < MAX_FILTER_STEPS:
+        raise DomainError(f"duration / period = {steps:.4g} steps: over the cap "
+                          f"of {MAX_FILTER_STEPS:,}")
+    n = int(round(steps)) + 1
     log = LoopLog(
         t=np.arange(n) * dt,
         v_nominal=np.empty(n), v_commanded=np.empty(n), velocity=np.empty(n),

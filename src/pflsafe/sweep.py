@@ -20,9 +20,7 @@ time only, not output.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,12 +33,16 @@ from .body import BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS, \
 from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        inverse_kinematics, iso_effective_mass, manipulability,
                        reflected_mass)
-from .errors import DomainError, ReportError, SchemaError, SweepError
+from .errors import DomainError, ReportError, SweepError
 from .limits import body_part_mass, v0_max
+from .schema import number, vector3, write_json
 from .svgplot import BoxStats
 
 #: manipulability below which a configuration is flagged near-singular
 SINGULAR_FLAG_THRESHOLD = 1e-6
+
+#: most grid points x directions one sweep may evaluate (a07: 57,800)
+MAX_SWEEP_EVALUATIONS = 5_000_000
 
 
 class MassSource(enum.Enum):
@@ -75,55 +77,25 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         # every check runs here, before any inverse kinematics is spent
+        what = "sweep config"
         for name in ("box_min", "box_max"):
-            try:
-                corner = tuple(getattr(self, name))
-            except TypeError:
-                corner = ()
-            if len(corner) != 3:
-                raise SchemaError(f"{name} must be three numbers, got "
-                                  f"{getattr(self, name)!r}")
-            for value in corner:
-                _check_number(name, value)
+            corner = vector3(what, name, getattr(self, name))
             object.__setattr__(self, name, tuple(float(v) for v in corner))
-        for lo, hi in zip(self.box_min, self.box_max):
-            if not lo <= hi:
-                raise DomainError(f"box_min must be <= box_max, got "
-                                  f"{self.box_min} / {self.box_max}")
-        _check_number("grid_spacing", self.grid_spacing)
-        if not self.grid_spacing > 0:
-            raise DomainError(f"grid_spacing must be > 0, got {self.grid_spacing!r}")
-        _check_number("n_directions", self.n_directions, integral=True)
-        if self.n_directions < 1:
-            raise DomainError("n_directions must be >= 1")
+        if not all(lo <= hi for lo, hi in zip(self.box_min, self.box_max)):
+            raise DomainError(f"box_min must be <= box_max, got "
+                              f"{self.box_min} / {self.box_max}")
+        number(what, "grid_spacing", self.grid_spacing, gt=0)
+        number(what, "n_directions", self.n_directions, integral=True, ge=1)
         if not isinstance(self.direction_style, str) \
                 or self.direction_style not in _DIRECTION_STYLES:
             raise DomainError(
                 f"unknown direction style {self.direction_style!r}; valid: "
                 + ", ".join(sorted(_DIRECTION_STYLES)))
-        _check_number("contact_area", self.contact_area)
-        if not self.contact_area > 0:
-            raise DomainError(
-                f"contact_area must be > 0, got {self.contact_area!r}")
-        _check_number("payload", self.payload)
-        if not self.payload >= 0:
-            raise DomainError(f"payload must be >= 0, got {self.payload!r}")
-        _check_number("n_workers", self.n_workers, integral=True)
-        if self.n_workers < 1:
-            raise DomainError("n_workers must be >= 1")
+        number(what, "contact_area", self.contact_area, gt=0)
+        number(what, "payload", self.payload, ge=0)
+        number(what, "n_workers", self.n_workers, integral=True, ge=1)
         if not self.modes:
             raise DomainError("modes must not be empty")
-
-
-def _check_number(name: str, value, integral: bool = False) -> None:
-    """Reject a value that is not a finite real (or integral) number."""
-    kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise SchemaError(f"{name} must be "
-                          f"{'an integer' if integral else 'a number'}, "
-                          f"got {value!r}")
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def sphere_directions(n: int) -> np.ndarray:
@@ -167,11 +139,6 @@ def direction_set(n: int, style: str = "horizontal") -> np.ndarray:
             f"unknown direction style {style!r}; valid: "
             + ", ".join(sorted(_DIRECTION_STYLES))) from None
     return generator(n)
-
-
-def _grid_axis(lo: float, hi: float, spacing: float) -> np.ndarray:
-    count = int(math.floor((hi - lo) / spacing + 1e-9)) + 1
-    return lo + spacing * np.arange(count)
 
 
 def summary_stats(samples: np.ndarray) -> BoxStats:
@@ -241,9 +208,17 @@ def _default_seed(model: ManipulatorModel) -> np.ndarray:
 def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
               config: SweepConfig = SweepConfig()) -> SweepResult:
     """Sweep the box and build speed-limit distributions per region/mode."""
-    xs = _grid_axis(config.box_min[0], config.box_max[0], config.grid_spacing)
-    ys = _grid_axis(config.box_min[1], config.box_max[1], config.grid_spacing)
-    zs = _grid_axis(config.box_min[2], config.box_max[2], config.grid_spacing)
+    # in floats, so that neither a span nor n_directions overflows the check
+    counts = np.floor((np.array(config.box_max) - np.array(config.box_min))
+                      / config.grid_spacing + 1e-9) + 1
+    n_points = float(np.prod(counts))
+    if not config.n_directions <= MAX_SWEEP_EVALUATIONS / n_points:
+        raise DomainError(
+            f"sweep of {n_points:.4g} grid points x {config.n_directions} "
+            f"directions exceeds the cap of {MAX_SWEEP_EVALUATIONS:,} "
+            f"evaluations")
+    xs, ys, zs = (lo + config.grid_spacing * np.arange(int(count))
+                  for lo, count in zip(config.box_min, counts))
     directions = direction_set(config.n_directions, config.direction_style)
     seed = _default_seed(model)
 
@@ -446,9 +421,7 @@ def boxstats_payload(result: SweepResult) -> dict:
 
 
 def write_boxstats_json(result: SweepResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(boxstats_payload(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(boxstats_payload(result), path)
 
 
 def render_sweep_svg(result: SweepResult) -> str:

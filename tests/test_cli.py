@@ -1,4 +1,6 @@
 """Command-line interface: artefacts, manifests, exit codes."""
+import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,10 +8,11 @@ import math
 import pytest
 import yaml
 
-from pflsafe import assets
+from pflsafe import assets, sweep
 from pflsafe.body import ContactMode
-from pflsafe.cli import main
+from pflsafe.cli import FilterScenario, main
 from pflsafe.collision import CollisionScenario, peak_contact_state
+from pflsafe.dynamics import MODEL_KEYS
 from pflsafe.limits import LimitQuery, compute_limit
 
 
@@ -317,6 +320,149 @@ def test_empty_filter_scenario_runs_on_defaults(tmp_path):
     summary = json.loads((out / "filter_summary.json").read_text())
     assert (summary["region"], summary["mode"]) == ("face", "transient")
     assert summary["peak_speed_mps"] <= summary["v0_max_mps"] * (1 + 1e-9)
+
+
+def test_exponent_without_a_dot_is_a_number(tmp_path):
+    config = tmp_path / "sweep.yaml"
+    config.write_text("box_min: [0.35, -0.05, 0.40]\n"
+                      "box_max: [0.45, 0.05, 0.50]\n"
+                      "grid_spacing: 5e-2\nn_directions: 2\n")
+    assert run("sweep", "--config", config, "--out", tmp_path / "s") == 0
+    stats = json.loads((tmp_path / "s" / "fig_boxstats.json").read_text())
+    assert stats["counts"]["grid_points"] == 27
+
+
+def test_filter_manifest_records_the_resolved_scenario(tmp_path):
+    scenario = tmp_path / "scn.yaml"
+    scenario.write_text("region: chest\nrobot_mass: 4.0\nduration: 0.01\n"
+                        "period: 1e-3\nnominal_speed: null\n")
+    out = tmp_path / "o"
+    assert run("filter", "--scenario", scenario, "--out", out) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config == dict(dataclasses.asdict(FilterScenario()),
+                          region="chest", robot_mass=4.0, duration=0.01,
+                          period=0.001)
+    assert config["period"] == 0.001 and config["budget"] == "k0_max"
+    assert config["velocity_filter"] is True and config["contact_area"] == 1.0
+    assert config["nominal_speed"] is None  # derived: twice the limit
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("region: Sch\u00e4del\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ("limits", "--mass", 5, "--body-table", "{dir}"),
+    ("limits", "--robot", "{dir}"),
+    ("sweep", "--config", "{dir}"),
+    ("simulate", "--mr", 3, "--mh", 1, "--k", 5, "--v0", 1, "--out", "{file}"),
+    ("filter", "--scenario", "{latin1}"),
+    ("limits", "--robot", "{latin1}"),
+    ("limits", "--mass", 5, "--body-table", "{latin1}"),
+], ids=["body-table-dir", "robot-dir", "config-dir", "out-is-a-file",
+        "scenario-latin1", "robot-latin1", "body-table-latin1"])
+def test_unreadable_input_exits_3(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("x")
+    paths = {"{dir}": tmp_path, "{file}": tmp_path / "file",
+             "{latin1}": _not_utf8(tmp_path)}
+    argv = [paths.get(a, a) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", tmp_path / "o"]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--mr", 3, "--mh", 1, "--k", 5, "--v0", 1,
+     "--horizon", 1e300),
+    ("filter", "--scenario", {"duration": 1.0e+300}),
+    ("sweep", "--config", {"box_max": [1.0e+300, 0.0, 0.3]}),
+    ("sweep", "--config", {"n_directions": 10 ** 400}),
+], ids=["simulate-samples", "filter-steps", "sweep-grid", "sweep-directions"])
+def test_work_over_the_cap_exits_3_before_allocating(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", None)
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(argv[-1]))
+        argv[-1] = path
+    assert run(*argv, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cap of" in err
+
+
+# ------------------------------------------------------ table-driven fuzz
+
+#: each bad value goes into every key of every input schema
+FUZZ_VALUES = (math.nan, math.inf, -math.inf, True, "x", [1], 1e300, -1)
+
+
+def _spoil(value, bad):
+    """``bad`` in place of ``value``; for a 3-vector, in its middle element."""
+    if isinstance(value, list) and len(value) == 3:
+        return [value[0], bad, value[2]]
+    return bad
+
+
+#: the mapping that holds each level's keys, found from the whole model
+ROBOT_LEVELS = {
+    "model": lambda model: model,
+    "end_effector": lambda model: model["end_effector"],
+    "link": lambda model: model["links"][1],
+    "joint": lambda model: model["links"][1]["joint"],
+    "inertia": lambda model: model["links"][1]["inertia"],
+}
+
+
+FUZZ_CASES = (
+    [("sweep", None, f.name) for f in dataclasses.fields(sweep.SweepConfig)
+     if f.name != "modes"]
+    + [("filter", None, f.name) for f in dataclasses.fields(FilterScenario)]
+    + [("robot", level, key) for level, keys in MODEL_KEYS.items()
+       for key in keys])
+
+
+@pytest.mark.parametrize(
+    "target, level, key", FUZZ_CASES,
+    ids=["-".join(filter(None, case)) for case in FUZZ_CASES])
+def test_fuzz_every_key_keeps_the_exit_code_contract(tmp_path, capsys,
+                                                     monkeypatch, target,
+                                                     level, key):
+    ik_calls = []
+    real_ik = sweep.inverse_kinematics
+
+    def counting_ik(*args, **kwargs):
+        ik_calls.append(args)
+        return real_ik(*args, **kwargs)
+
+    monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", counting_ik)
+    path = tmp_path / "input.yaml"
+    for bad in FUZZ_VALUES:
+        ik_calls.clear()
+        if target == "robot":
+            model = copy.deepcopy(PANDA)
+            parent = ROBOT_LEVELS[level](model)
+            parent[key] = _spoil(parent.get(key), bad)
+            path.write_text(yaml.safe_dump(model))
+            argv = ("limits", "--robot", path)
+        else:
+            base = dict(SWEEP_BOX if target == "sweep" else FILTER_SCENARIO)
+            base[key] = _spoil(base.get(key), bad)
+            path.write_text(yaml.safe_dump(base))
+            argv = (target, "--config" if target == "sweep" else "--scenario",
+                    path)
+        code = run(*argv, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), (key, bad, code)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: "), (key, bad, err)
+        if code == 3:
+            assert not ik_calls, (key, bad)
 
 
 def test_usage_errors():

@@ -636,6 +636,26 @@ def test_model_rejects_malformed_values(old, new):
         load_robot_model(yaml_stream(bad))
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("    moving: false\n", "    movin: false\n", "movin"),
+    ("end_effector:", "end_efector:", "end_efector"),
+    ("      lower: -2.8973", "      lowr: -2.8973", "lowr"),
+    ("      axis: [0.0, 0.0, 1.0]", "      axs: [0.0, 0.0, 1.0]", "axs"),
+    ("ixy: -0.000139", "ixyy: -0.000139", "ixyy"),
+    ("mass: 4.970684", "mass: true", "mass"),
+    ("com: [0.003875, 0.002081, -0.04762]", "com: [true, false, true]", "com"),
+    ("mass: 4.970684", "mass: '4.970684'", "mass"),
+], ids=["movin", "end_efector", "lowr", "axs", "ixyy", "mass-true",
+        "com-booleans", "mass-quoted"])
+def test_model_rejects_misspelt_keys_and_mistyped_values(old, new, key):
+    # each of these loaded silently before, with a default in its place
+    text = robot_model_path().read_text(encoding="utf-8")
+    bad = text.replace(old, new, 1)
+    assert bad != text
+    with pytest.raises(SchemaError, match=key):
+        load_robot_model(yaml_stream(bad))
+
+
 @pytest.mark.parametrize("old, new, names", [
     ("xyz: [0.0, 0.0, 0.0]", "xyz: [0.0, .nan, 0.0]", r"link 0 \(upper\): xyz"),
     (f"xyz: [{A1}, 0.0, 0.0]", f"xyz: [{A1}, -.inf, 0.0]",
