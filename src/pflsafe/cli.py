@@ -29,7 +29,7 @@ from .errors import (ConstrainedDirectionError, DomainError, ReportError,
                      SchemaError, StepSizeError, SweepError, ValidationError)
 from .limits import LimitQuery, compute_limit
 from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
-from .schema import flag, number, read_mapping, write_json
+from .schema import flag, number, read_mapping, text, write_json
 from .svgplot import line_chart
 from .sweep import (SweepConfig, render_sweep_svg, run_sweep, scaling_report,
                     write_boxstats_json, write_scaling_csv, write_sweep_csv)
@@ -262,12 +262,12 @@ class FilterScenario:
             if isinstance(field.default, bool):
                 flag(what, key, value)
             elif key in ("region", "mode"):
-                if not isinstance(value, str):
-                    raise SchemaError(f"{what}: {key} must be a string, "
-                                      f"got {value!r}")
+                text(what, key, value)
             elif not ((value is None and field.default is None)
                       or value in _FILTER_WORDS.get(key, ())):
                 object.__setattr__(self, key, number(what, key, value))
+        if self.plant_mass is not None:
+            number(what, "plant_mass", self.plant_mass, gt=0)
 
 
 #: the words a filter scenario number key accepts in place of a number

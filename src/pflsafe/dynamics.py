@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConstrainedDirectionError, DomainError, SchemaError,
                      ValidationError)
-from .schema import Source, flag, mapping, number, read_mapping, vector3
+from .schema import (Source, flag, mapping, number, read_mapping, text,
+                     vector3)
 
 #: below this value of u^T (J M^-1 J^T) u [1/kg] a direction is treated as
 #: structurally constrained (no feasible motion, reflected mass unbounded)
@@ -78,6 +80,36 @@ class ManipulatorModel:
     def upper_limits(self) -> np.ndarray:
         return np.array([ln.joint.upper for ln in self.links])
 
+    @cached_property
+    def chain(self) -> Chain:
+        return Chain(self)
+
+
+class Chain:
+    """A model's per-link constants stacked along the chain, and its reach
+    ball (``_chain_reach``), built once per model for the kernels batched
+    over configurations.  The joint-rotation constants carry a unit axis
+    for the configurations."""
+
+    def __init__(self, model: ManipulatorModel):
+        links = model.links
+        joints = [link.joint for link in links]
+        self.origins = np.array([joint.origin for joint in joints])
+        self.axes = np.array([joint.axis for joint in joints])
+        kinds = np.array([joint.kind for joint in joints])
+        self.prismatic = np.flatnonzero(kinds == "prismatic")
+        # a slice, not an index array, when every joint turns: cheaper
+        self.revolute = (slice(None) if not self.prismatic.size
+                         else np.flatnonzero(kinds == "revolute"))
+        self.turns = self.origins[self.revolute, None, :3, :3]
+        axes = self.axes[self.revolute]
+        self.skews = np.array([_skew(axis) for axis in axes]).reshape(-1, 1, 3, 3)
+        self.outers = (axes[:, :, None] * axes[:, None, :])[:, None]
+        self.coms = np.array([link.com for link in links])
+        self.masses = np.array([link.mass for link in links])
+        self.inertias = np.array([link.inertia for link in links])
+        self.reach = _chain_reach(model)
+
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Rotation matrix from fixed-axis roll/pitch/yaw (x, then y, then z)."""
@@ -97,17 +129,15 @@ def make_transform(xyz: Sequence[float], rpy: Sequence[float]) -> np.ndarray:
     return t
 
 
+_EYE3, _EYE4 = np.eye(3), np.eye(4)
+#: cyclic successors (i+1, i+2 mod 3) of each component of a 3-vector
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]],
                      [v[2], 0.0, -v[0]],
                      [-v[1], v[0], 0.0]])
-
-
-def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    k = _skew(axis)
-    return np.eye(3) * c + s * k + (1.0 - c) * np.outer(axis, axis)
 
 
 # ---------------------------------------------------------------- loading
@@ -134,13 +164,15 @@ def load_robot_model(source: Source) -> ManipulatorModel:
     ee_offset = make_transform(
         vector3("end_effector", "xyz", ee_spec.get("xyz", [0, 0, 0])),
         vector3("end_effector", "rpy", ee_spec.get("rpy", [0, 0, 0])))
-    return ManipulatorModel(name=str(raw.get("name", "robot")), links=links,
-                            ee_offset=ee_offset)
+    return ManipulatorModel(name=text("robot model", "name",
+                                      raw.get("name", "robot")),
+                            links=links, ee_offset=ee_offset)
 
 
 def _parse_link(idx: int, spec) -> Link:
     spec = mapping(f"link {idx}", spec, MODEL_KEYS["link"])
-    where = f"link {idx} ({spec.get('name', '?')})"
+    name = text(f"link {idx}", "name", spec.get("name", f"link{idx + 1}"))
+    where = f"link {idx} ({name})"
     # a missing required key reads as None, which no rule accepts
     jspec = mapping(f"{where}: joint", spec.get("joint"), MODEL_KEYS["joint"])
     mass = number(where, "mass", spec.get("mass"), ge=0)
@@ -175,80 +207,108 @@ def _parse_link(idx: int, spec) -> Link:
     origin = make_transform(vector3(where, "xyz", jspec.get("xyz", [0, 0, 0])),
                             vector3(where, "rpy", jspec.get("rpy", [0, 0, 0])))
     joint = Joint(kind=kind, origin=origin, axis=axis, lower=lower, upper=upper)
-    return Link(name=str(spec.get("name", f"link{idx + 1}")), joint=joint,
+    return Link(name=name, joint=joint,
                 mass=mass, com=com, inertia=inertia,
                 moving=flag(where, "moving", spec.get("moving", True)))
 
 
 # ------------------------------------------------------------- kinematics
+#
+# Every kernel takes one configuration, q of shape (n,), or a stack of B,
+# q of shape (B, n), and puts the B axis in front of its result.  Stacked
+# matmul and solve run the same BLAS and LAPACK call per configuration as
+# an unstacked one, and the elementwise steps are the same IEEE operations,
+# so each configuration of a stack rounds exactly as it does alone.
 
-def _check_q(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
+def _check_q(model: ManipulatorModel, q: np.ndarray,
+             stack: bool = True) -> np.ndarray:
+    """q as floats, one configuration (n,) or, if ``stack``, also (B, n)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (model.n,):
-        raise DomainError(f"q must have shape ({model.n},), got {q.shape}")
+    if q.shape[-1:] != (model.n,) or q.ndim not in ((1, 2) if stack else (1,)):
+        allowed = f" or (B, {model.n})" if stack else ""
+        raise DomainError(f"q must have shape ({model.n},){allowed}, "
+                          f"got {q.shape}")
     return q
 
 
-def joint_transform(link: Link, qi: float) -> np.ndarray:
-    """Parent-link-frame -> link-frame transform at joint value qi."""
-    t = link.joint.origin.copy()
-    if link.joint.kind == "revolute":
-        t[:3, :3] = t[:3, :3] @ _axis_rotation(link.joint.axis, qi)
-    else:
-        t[:3, 3] = t[:3, 3] + t[:3, :3] @ (link.joint.axis * qi)
+def _joint_transforms(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
+    """Parent-link-frame -> link-frame transform of every joint for a (B, n)
+    stack q, chain-major (n, B, 4, 4): a revolute joint turns its fixed
+    origin by the Rodrigues rotation about its axis, a prismatic joint
+    slides it along the axis."""
+    chain = model.chain
+    q_t = q.T
+    t = np.empty(q_t.shape + (4, 4))
+    t[...] = chain.origins[:, None]
+    rev, pri = chain.revolute, chain.prismatic
+    if len(chain.turns):
+        angle = q_t[rev, :, None, None]
+        c, s = np.cos(angle), np.sin(angle)
+        rot = _EYE3 * c + s * chain.skews + (1.0 - c) * chain.outers
+        t[rev, :, :3, :3] = chain.turns @ rot
+    if pri.size:
+        slide = chain.axes[pri, None] * q_t[pri, :, None]
+        t[pri, :, :3, 3] = chain.origins[pri, None, :3, 3] + (
+            chain.origins[pri, None, :3, :3] @ slide[..., None])[..., 0]
     return t
 
 
-def link_frames(model: ManipulatorModel, q: np.ndarray) -> list[np.ndarray]:
-    """World pose of every link frame (list of 4x4, chain order)."""
+def link_frames(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
+    """World pose of every link frame, chain order: (n, 4, 4) for one
+    configuration, (B, n, 4, 4) for a (B, n) stack."""
     q = _check_q(model, q)
-    frames = []
-    t = np.eye(4)
-    for link, qi in zip(model.links, q):
-        t = t @ joint_transform(link, qi)
-        frames.append(t)
-    return frames
+    joints = _joint_transforms(model, q.reshape(-1, model.n))
+    # chain-major, so that each product writes one contiguous block
+    frames = np.empty_like(joints)
+    t = _EYE4
+    for joint, frame in zip(joints, frames):
+        t = np.matmul(t, joint, out=frame)
+    frames = frames.swapaxes(0, 1)
+    return frames if q.ndim == 2 else frames[0]
 
 
 def forward_kinematics(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
-    """World pose (4x4) of the tool/contact frame."""
-    return link_frames(model, q)[-1] @ model.ee_offset
+    """World pose of the tool/contact frame: (4, 4) for one configuration,
+    (B, 4, 4) for a (B, n) stack."""
+    return link_frames(model, q)[..., -1, :, :] @ model.ee_offset
 
 
-def _jacobians(model: ManipulatorModel, frames: list[np.ndarray],
+def _jacobians(model: ManipulatorModel, frames: np.ndarray,
                points: np.ndarray, links: Sequence[int]) -> np.ndarray:
-    """(k, 6, n) Jacobians, rows (linear; angular), of k world points.
+    """(..., k, 6, n) Jacobians, rows (linear; angular), of k world points.
 
-    Point i, row i of the (k, 3) ``points``, moves with link ``links[i]``;
-    the columns of joints distal to that link are zero.  The cross product
-    is written out in ``np.cross``'s own order, so it rounds the same.
+    Point i, row i of the (..., k, 3) ``points``, moves with link
+    ``links[i]``; the columns of joints distal to that link are zero.  The
+    cross product is written out in ``np.cross``'s own order, so it rounds
+    the same.
     """
-    axes = np.array([frame[:3, :3] @ link.joint.axis
-                     for frame, link in zip(frames, model.links)])
-    lever = points[:, None, :] - np.array([frame[:3, 3] for frame in frames])
-    a0, a1, a2 = axes.T
-    b0, b1, b2 = lever[..., 0], lever[..., 1], lever[..., 2]
-    jac = np.empty((len(points), 6, model.n))
-    jac[:, 0] = a1 * b2 - a2 * b1
-    jac[:, 1] = a2 * b0 - a0 * b2
-    jac[:, 2] = a0 * b1 - a1 * b0
-    jac[:, 3:] = axes.T
-    prismatic = [i for i, link in enumerate(model.links)
-                 if link.joint.kind == "prismatic"]
-    if prismatic:
-        jac[:, :3, prismatic] = axes[prismatic].T
-        jac[:, 3:, prismatic] = 0.0
-    for point_jac, link in zip(jac, links):
-        point_jac[:, link + 1:] = 0.0
+    chain = model.chain
+    axes = (frames[..., :3, :3] @ chain.axes[:, :, None])[..., None, :, :, 0]
+    lever = points[..., :, None, :] - frames[..., None, :, :3, 3]
+    # component i is a[i+1] b[i+2] - a[i+2] b[i+1], as np.cross computes it
+    cross = (axes[..., _NEXT] * lever[..., _LAST]
+             - axes[..., _LAST] * lever[..., _NEXT])
+    axes_t = axes.mT
+    jac = np.empty(points.shape[:-1] + (6, model.n))
+    jac[..., :3, :] = cross.mT
+    jac[..., 3:, :] = axes_t
+    pri = chain.prismatic
+    if pri.size:
+        jac[..., :3, pri] = axes_t[..., pri]
+        jac[..., 3:, pri] = 0.0
+    for i, link in enumerate(links):
+        if link + 1 < model.n:
+            jac[..., i, :, link + 1:] = 0.0
     return jac
 
 
-def _contact_kinematics(model: ManipulatorModel, frames: list[np.ndarray],
+def _contact_kinematics(model: ManipulatorModel, frames: np.ndarray,
                         link_index: int | None = None,
                         local_point: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """World pose (4x4) and 6 x n Jacobian, rows (linear; angular), of a
-    contact frame, from the link frames of one ``link_frames`` pass.
+    """World pose (..., 4, 4) and (..., 6, n) Jacobian, rows (linear;
+    angular), of a contact frame, from the link frames of one
+    ``link_frames`` pass.
 
     The contact frame defaults to the tool frame on the last link; with
     ``link_index`` it is that link's frame, moved to ``local_point`` (link
@@ -258,15 +318,16 @@ def _contact_kinematics(model: ManipulatorModel, frames: list[np.ndarray],
     idx = model.n - 1 if link_index is None else link_index
     if not 0 <= idx < model.n:
         raise DomainError(f"link_index out of range: {link_index!r}")
-    pose = frames[idx]
+    pose = frames[..., idx, :, :]
     if local_point is None:
         if idx == model.n - 1:
             pose = pose @ model.ee_offset
     else:
         local = np.asarray(local_point, dtype=float)
         pose = pose.copy()
-        pose[:3, 3] = pose[:3, :3] @ local + pose[:3, 3]
-    return pose, _jacobians(model, frames, pose[None, :3, 3], [idx])[0]
+        pose[..., :3, 3] = pose[..., :3, :3] @ local + pose[..., :3, 3]
+    jac = _jacobians(model, frames, pose[..., None, :3, 3], [idx])
+    return pose, jac[..., 0, :, :]
 
 
 def point_jacobian(model: ManipulatorModel, q: np.ndarray,
@@ -278,7 +339,8 @@ def point_jacobian(model: ManipulatorModel, q: np.ndarray,
     distal to the contact link are zero.
     """
     frames = link_frames(model, q)
-    return _contact_kinematics(model, frames, link_index, local_point)[1][:3]
+    jac = _contact_kinematics(model, frames, link_index, local_point)[1]
+    return jac[..., :3, :]
 
 
 def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
@@ -287,26 +349,25 @@ def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 
 
 def manipulability(model: ManipulatorModel, q: np.ndarray) -> float:
-    """Translational manipulability sqrt(det(J J^T)) at the tool point."""
-    j = point_jacobian(model, q)
+    """Translational manipulability sqrt(det(J J^T)) at the tool point of
+    one configuration, q of shape (n,)."""
+    j = point_jacobian(model, _check_q(model, q, stack=False))
     return math.sqrt(max(float(np.linalg.det(j @ j.T)), 0.0))
 
 
 # ------------------------------------------------------------ mass matrix
 
-def _mass_matrix(model: ManipulatorModel,
-                 frames: list[np.ndarray]) -> np.ndarray:
+def _mass_matrix(model: ManipulatorModel, frames: np.ndarray) -> np.ndarray:
     """M = sum over links of m J_v^T J_v + J_w^T (R I R^T) J_w, with every
     link's Jacobian taken at its centre of mass in one kernel call."""
-    rots = [frame[:3, :3] for frame in frames]
-    coms = np.array([rot @ link.com + frame[:3, 3]
-                     for rot, frame, link in zip(rots, frames, model.links)])
+    chain = model.chain
+    rots = frames[..., :3, :3]
+    coms = (rots @ chain.coms[:, :, None])[..., 0] + frames[..., :3, 3]
     jac = _jacobians(model, frames, coms, range(model.n))
-    inertia = np.zeros((model.n, 6, 6))
-    for block, rot, link in zip(inertia, rots, model.links):
-        block[:3, :3] = link.mass * np.eye(3)
-        block[3:, 3:] = rot @ link.inertia @ rot.T
-    return np.sum(jac.transpose(0, 2, 1) @ inertia @ jac, axis=0)
+    inertia = np.zeros(frames.shape[:-2] + (6, 6))
+    inertia[..., :3, :3] = chain.masses[:, None, None] * np.eye(3)
+    inertia[..., 3:, 3:] = rots @ chain.inertias @ rots.mT
+    return np.sum(jac.mT @ inertia @ jac, axis=-3)
 
 
 def mass_matrix(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
@@ -347,26 +408,25 @@ def reflected_mass(model: ManipulatorModel,
     result is a float, and a direction with no feasible motion raises
     ConstrainedDirectionError.  For a (d, 3) stack the Jacobian, M and
     Lambda^-1 are built once and the result is a (d,) array holding inf for
-    each constrained direction.
+    each constrained direction.  q is one configuration, of shape (n,).
     """
-    frames = link_frames(model, query.q)
+    frames = link_frames(model, _check_q(model, query.q, stack=False))
     jac = _contact_kinematics(model, frames, query.link_index,
                               query.local_point)[1][:3]
     m = _mass_matrix(model, frames)
     lam_inv = jac @ np.linalg.solve(m, jac.T)
     u = np.asarray(query.u, dtype=float)
+    rows = u.reshape(-1, 1, 3)
+    s = (rows @ lam_inv @ rows.transpose(0, 2, 1))[:, 0, 0]
+    masses = np.divide(1.0, s, out=np.full(s.shape, math.inf),
+                       where=s >= SINGULAR_GUARD)
     if u.ndim == 2:
-        masses = np.empty(len(u))
-        for k, row in enumerate(u):
-            s = float(row @ lam_inv @ row)
-            masses[k] = math.inf if s < SINGULAR_GUARD else 1.0 / s
         return masses
-    s = float(u @ lam_inv @ u)
-    if s < SINGULAR_GUARD:
+    if s[0] < SINGULAR_GUARD:
         raise ConstrainedDirectionError(
             f"direction {u.tolist()} is structurally constrained "
-            f"(u^T Lambda^-1 u = {s:.3g} 1/kg)")
-    return 1.0 / s
+            f"(u^T Lambda^-1 u = {s[0]:.3g} 1/kg)")
+    return float(masses[0])
 
 
 def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:
@@ -392,26 +452,42 @@ class IKResult:
     orientation_error: float
 
 
-def _rotation_error(r_target: np.ndarray, r_current: np.ndarray) -> np.ndarray:
-    """Axis-angle error vector (world frame) rotating current onto target."""
-    r_err = r_target @ r_current.T
-    cos_angle = (np.trace(r_err) - 1.0) / 2.0
-    cos_angle = min(1.0, max(-1.0, cos_angle))
-    angle = math.acos(cos_angle)
-    if angle < 1e-12:
-        return np.zeros(3)
-    axis = np.array([r_err[2, 1] - r_err[1, 2],
-                     r_err[0, 2] - r_err[2, 0],
-                     r_err[1, 0] - r_err[0, 1]])
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12:
-        # angle ~ pi: pull the axis from the diagonal
-        idx = int(np.argmax(np.diag(r_err)))
-        axis = np.sqrt(np.maximum((np.diag(r_err) + 1.0) / 2.0, 0.0))
-        axis[(idx + 1) % 3] *= math.copysign(1.0, r_err[idx, (idx + 1) % 3])
-        axis[(idx + 2) % 3] *= math.copysign(1.0, r_err[idx, (idx + 2) % 3])
-        return angle * axis / np.linalg.norm(axis)
-    return angle * axis / norm
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a (B, k) stack, each rounded as
+    ``np.linalg.norm`` rounds one vector (the square root of a BLAS dot)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _rotation_errors(r_target: np.ndarray, r_current: np.ndarray) -> np.ndarray:
+    """Axis-angle error vectors (B, 3), world frame, rotating each of the
+    (B, 3, 3) current orientations onto the target.
+
+    The per-lane scalar steps run on Python floats, which round as NumPy's
+    elementwise operations do; the angle takes math.acos, as np.arccos
+    rounds differently, and the axis norm takes the BLAS dot of ``_norms``.
+    """
+    r_err = r_target @ r_current.mT
+    rows = r_err.reshape(-1, 9).tolist()
+    angles = [math.acos(min(1.0, max(-1.0, (r[0] + r[4] + r[8] - 1.0) / 2.0)))
+              for r in rows]
+    # (r21 - r12, r02 - r20, r10 - r01)
+    axes = [(r[7] - r[5], r[2] - r[6], r[3] - r[1]) for r in rows]
+    errors = []
+    for lane, (angle, axis, norm) in enumerate(
+            zip(angles, axes, _norms(np.array(axes)).tolist())):
+        if angle < 1e-12:
+            errors.append((0.0, 0.0, 0.0))
+        elif norm >= 1e-12:
+            errors.append(tuple(angle * a / norm for a in axis))
+        else:
+            # angle ~ pi: pull the axis from the diagonal
+            r = r_err[lane]
+            idx = int(np.argmax(np.diag(r)))
+            flip = np.sqrt(np.maximum((np.diag(r) + 1.0) / 2.0, 0.0))
+            flip[(idx + 1) % 3] *= math.copysign(1.0, r[idx, (idx + 1) % 3])
+            flip[(idx + 2) % 3] *= math.copysign(1.0, r[idx, (idx + 2) % 3])
+            errors.append(angle * flip / np.linalg.norm(flip))
+    return np.array(errors)
 
 
 def _chain_reach(model: ManipulatorModel) -> tuple[np.ndarray, float]:
@@ -442,7 +518,7 @@ def _outside_reach(model: ManipulatorModel, target: np.ndarray,
                    ori_tol: float) -> bool:
     """True when no in-limit q brings the tool within IK's tolerances of
     the target pose (see ``inverse_kinematics``)."""
-    centre, radius = _chain_reach(model)
+    centre, radius = model.chain.reach
     ee_xyz = model.ee_offset[:3, 3]
     ee_reach = math.hypot(*ee_xyz)
     if orientation is None:
@@ -452,6 +528,88 @@ def _outside_reach(model: ManipulatorModel, target: np.ndarray,
         point = target - orientation @ (model.ee_offset[:3, :3].T @ ee_xyz)
         radius += pos_tol + ee_reach * ori_tol
     return math.dist(point, centre) > radius
+
+
+@dataclass(frozen=True, eq=False)
+class IKLanes:
+    """Outcome of a lockstep IK call, one row per lane."""
+
+    q: np.ndarray                  # (B, n) final iterate
+    success: np.ndarray            # (B,) bool
+    iterations: np.ndarray         # (B,) int
+    position_error: np.ndarray     # (B,)
+    orientation_error: np.ndarray  # (B,)
+
+
+def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
+                seeds: np.ndarray, orientation: np.ndarray | None = None,
+                pos_tol: float = 1e-4, ori_tol: float = 1e-3,
+                max_iter: int = 200, damping: float = 1e-3,
+                step_clamp: float = 0.2) -> IKLanes:
+    """``inverse_kinematics`` for B lanes at once: lane b solves for
+    ``targets[b]`` from ``seeds[b]``, both (B, 3) and (B, n) stacks.
+
+    The lanes iterate in lockstep; each stops when it converges or spends
+    its budget (none for a target out of reach), and every iteration works
+    on the lanes still running only.  A lane's iterates are bit for bit
+    those of a call with that lane alone.
+    """
+    targets = np.asarray(targets, dtype=float)
+    seeds = np.asarray(seeds, dtype=float)
+    if (targets.ndim != 2 or targets.shape[1] != 3
+            or seeds.shape != (len(targets), model.n)):
+        raise DomainError(f"targets and seeds must be (B, 3) and "
+                          f"(B, {model.n}) stacks, got {targets.shape} and "
+                          f"{seeds.shape}")
+    lower, upper = model.lower_limits, model.upper_limits
+    q = np.minimum(np.maximum(seeds, lower), upper)
+    budget = np.array([0 if _outside_reach(model, target, orientation,
+                                           pos_tol, ori_tol) else max_iter
+                       for target in targets], dtype=int)
+    lanes = len(targets)
+    out = IKLanes(q=q.copy(), success=np.zeros(lanes, dtype=bool),
+                  iterations=np.zeros(lanes, dtype=int),
+                  position_error=np.full(lanes, math.inf),
+                  orientation_error=np.full(lanes, math.inf))
+    live = np.arange(lanes)
+    for iteration in range(max_iter + 1):
+        pose, jac = _contact_kinematics(model, link_frames(model, q))
+        err = targets - pose[:, :3, 3]
+        pos_err = _norms(err)
+        if orientation is None:
+            ori_err = np.zeros(live.size)
+            converged = pos_err < pos_tol
+            step_jac = jac[:, :3]
+        else:
+            err_o = _rotation_errors(orientation, pose[:, :3, :3])
+            ori_err = _norms(err_o)
+            converged = (pos_err < pos_tol) & (ori_err < ori_tol)
+            err = np.concatenate([err, err_o], axis=1)
+            step_jac = jac
+        done = converged | (budget == iteration)
+        if np.count_nonzero(done):
+            ended = live[done]
+            out.q[ended] = q[done]
+            out.success[ended] = converged[done]
+            out.iterations[ended] = iteration
+            out.position_error[ended] = pos_err[done]
+            out.orientation_error[ended] = ori_err[done]
+            running = ~done
+            live, q, err = live[running], q[running], err[running]
+            targets, budget = targets[running], budget[running]
+            step_jac = step_jac[running]
+            if not live.size:
+                break
+        step_jac_t = step_jac.mT
+        jjt = step_jac @ step_jac_t
+        # the diagonal, as a strided view of the fresh, contiguous product
+        jjt.reshape(len(jjt), -1)[:, ::len(err[0]) + 1] += damping * damping
+        step = (step_jac_t @ np.linalg.solve(jjt, err[:, :, None]))[:, :, 0]
+        # step_clamp / biggest where it exceeds step_clamp, else exactly 1
+        biggest = np.maximum.reduce(np.abs(step), axis=1)
+        scale = step_clamp / np.maximum(biggest, step_clamp)
+        q = np.minimum(np.maximum(q + step * scale[:, None], lower), upper)
+    return out
 
 
 def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
@@ -465,7 +623,7 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     ``step_clamp`` (largest joint move per iteration) and the result clipped
     to joint limits.  Success requires position error < pos_tol, and
     orientation error < ori_tol when a target orientation (a rotation
-    matrix) is given.
+    matrix) is given.  This is ``ik_lockstep`` with one lane.
 
     A target no in-limit q can reach is rejected before the first
     iteration.  Whatever q is, the last link's origin p_n lies within
@@ -480,36 +638,11 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
         raise DomainError(f"target must be a 3-vector, got {target.shape}")
-    lower, upper = model.lower_limits, model.upper_limits
-    q = np.clip(np.asarray(seed, dtype=float).copy(), lower, upper)
-    if _outside_reach(model, target, orientation, pos_tol, ori_tol):
-        max_iter = 0  # out of reach: report the seed's errors and stop
-
-    pos_err = ori_err = math.inf
-    for iteration in range(max_iter + 1):
-        t_ee, jac = _contact_kinematics(model, link_frames(model, q))
-        err_p = target - t_ee[:3, 3]
-        pos_err = float(np.linalg.norm(err_p))
-        if orientation is None:
-            ori_err = 0.0
-            if pos_err < pos_tol:
-                return IKResult(q, True, iteration, pos_err, ori_err)
-            err = err_p
-            jac = jac[:3]
-        else:
-            err_o = _rotation_error(orientation, t_ee[:3, :3])
-            ori_err = float(np.linalg.norm(err_o))
-            if pos_err < pos_tol and ori_err < ori_tol:
-                return IKResult(q, True, iteration, pos_err, ori_err)
-            err = np.concatenate([err_p, err_o])
-        if iteration == max_iter:
-            break
-        jjt = jac @ jac.T
-        jjt[np.diag_indices_from(jjt)] += damping * damping
-        step = jac.T @ np.linalg.solve(jjt, err)
-        biggest = float(np.max(np.abs(step)))
-        if biggest > step_clamp:
-            step *= step_clamp / biggest
-        q = np.clip(q + step, lower, upper)
-
-    return IKResult(q, False, max_iter, pos_err, ori_err)
+    seed = np.asarray(seed, dtype=float)
+    if seed.shape != (model.n,):
+        raise DomainError(f"seed must have shape ({model.n},), got {seed.shape}")
+    lanes = ik_lockstep(model, target[None], seed[None], orientation, pos_tol,
+                        ori_tol, max_iter, damping, step_clamp)
+    return IKResult(lanes.q[0], bool(lanes.success[0]),
+                    int(lanes.iterations[0]), float(lanes.position_error[0]),
+                    float(lanes.orientation_error[0]))

@@ -214,6 +214,10 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
         # ungated candidate step and the exact work it would perform
         v_next = v + force / m * dt
         work = 0.5 * m * (v_next * v_next - v * v)
+        if not math.isfinite(work):
+            raise DomainError(
+                f"gain {gain!r} N s/m on a speed error of {v_cmd - v!r} m/s "
+                f"asks for non-finite work at t = {t!r} s")
         granted, tank = tank_step(tank, work / dt, dt, power_cap=cfg.power_cap)
         e_grant = granted * dt
         if work > 0.0 and e_grant < work:

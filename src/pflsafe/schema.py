@@ -96,6 +96,13 @@ def vector3(what: str, key: str, value) -> np.ndarray:
     return np.array([number(what, key, v) for v in value])
 
 
+def text(what: str, key: str, value) -> str:
+    """A YAML string; a number, list or null is not one."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what}: {key} must be a string, got {value!r}")
+    return value
+
+
 def flag(what: str, key: str, value) -> bool:
     """A YAML boolean; a quoted ``"false"`` is not one."""
     if not isinstance(value, bool):

@@ -1,0 +1,62 @@
+"""The benchmark's tracer (bench/tracing.py) wraps pflsafe functions by
+module and name; renaming or removing one makes ``bench/run.py --trace 1``
+fail in ``Tracer.install``.  These tests read its table without changing
+it."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_boundary_resolves(tracing):
+    for owner, attr, _ in tracing.BOUNDARIES:
+        module, _, cls = owner.partition(".")
+        target = importlib.import_module(f"pflsafe.{module}")
+        if cls:
+            target = getattr(target, cls)
+        assert callable(getattr(target, attr, None)), (owner, attr)
+    names = {(owner, attr) for owner, attr, _ in tracing.BOUNDARIES}
+    assert {("sweep", "_sweep_scanline"), ("sweep", "inverse_kinematics"),
+            ("sweep", "reflected_mass"), ("sweep", "manipulability")} <= names
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_traced_sweep_records_every_grid_point(tracing, tmp_path, panda,
+                                                 body_table, workers):
+    # bench/run.py --trace 1 needs one IK span per grid point, pool workers
+    # included, and checks each converged (target, q) against the arm
+    from pflsafe import sweep
+    from pflsafe.dynamics import forward_kinematics
+
+    original = sweep.inverse_kinematics
+    tracer = tracing.Tracer(tmp_path)
+    tracer.install()
+    try:
+        result = sweep.run_sweep(panda, body_table, sweep.SweepConfig(
+            box_min=(0.6, 0.5, 0.15), box_max=(0.7, 0.8, 0.25),
+            grid_spacing=0.10, n_directions=20, n_workers=workers))
+    finally:
+        tracer.uninstall()
+    tracer.collect()
+    assert sweep.inverse_kinematics is original
+    ik = [span for span in tracer.spans
+          if span[0] == "dynamics.inverse_kinematics"]
+    assert (len(ik), sum(span[4]["ok"] for span in ik)) == (
+        result.n_grid, result.n_reachable) == (16, 2)
+    solved = tracing.solved_ik_points(tracer.spans)
+    assert len(solved) == result.n_reachable
+    for target, q in solved:
+        reached = forward_kinematics(panda, np.array(q))[:3, 3]
+        assert np.linalg.norm(reached - target) < 1e-4

@@ -236,6 +236,7 @@ FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
     ("filter", "duration", True),
     ("filter", "velocity_filter", "false"),
     ("filter", "recycling", "no"),
+    ("filter", "gain", 1.0e+300),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -250,6 +251,7 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
     assert run(command, flag, path, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert key in err
 
 
 @pytest.mark.parametrize("flag, value", [("--dt", "nan"),
@@ -463,6 +465,21 @@ def test_fuzz_every_key_keeps_the_exit_code_contract(tmp_path, capsys,
             assert err.startswith("error: "), (key, bad, err)
         if code == 3:
             assert not ik_calls, (key, bad)
+
+
+@pytest.mark.parametrize("level", ["model", "link"])
+def test_robot_names_must_be_strings(tmp_path, capsys, level):
+    path = tmp_path / "robot.yaml"
+    for bad in FUZZ_VALUES:
+        if isinstance(bad, str):
+            continue
+        model = copy.deepcopy(PANDA)
+        ROBOT_LEVELS[level](model)["name"] = bad
+        path.write_text(yaml.safe_dump(model))
+        assert run("limits", "--robot", path, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "name must be a string" in err, (bad, err)
 
 
 def test_usage_errors():

@@ -17,13 +17,14 @@ from pflsafe import dynamics, robot_model_path
 from pflsafe.dynamics import (FLANGE_DOWN, ReflectedMassQuery,
                               forward_kinematics, frame_jacobian,
                               inverse_kinematics, iso_effective_mass,
-                              joint_transform, link_frames, load_robot_model,
+                              link_frames, load_robot_model,
                               manipulability, mass_matrix, point_jacobian,
                               reflected_mass, rpy_matrix)
 from pflsafe.errors import (ConstrainedDirectionError, DomainError,
                             SchemaError, ValidationError)
 from pflsafe.sweep import horizontal_directions, sphere_directions
 from conftest import random_joint_configs
+import ik_reference
 
 # planar 2R arm: both joints about +z, links along +x; COMs at distance
 # l1, l2 along the links, rotational inertia i1, i2 about z.  The default
@@ -267,10 +268,27 @@ def test_jacobian_rounds_like_np_cross(panda, rng):
             assert np.array_equal(point_jacobian(panda, q, *args), want[:3])
 
 
+def test_stacked_kinematics_equal_one_configuration_at_a_time(panda, rng):
+    # each configuration of a (B, n) stack rounds as it does alone, and
+    # alone as the per-link chain product of the scalar loop
+    qs = random_joint_configs(panda, rng, 50)
+    frames = link_frames(panda, qs)
+    jacobians = frame_jacobian(panda, qs)
+    masses = mass_matrix(panda, qs)
+    assert frames.shape == (50, panda.n, 4, 4)
+    for b, q in enumerate(qs):
+        assert np.array_equal(frames[b], link_frames(panda, q))
+        assert np.array_equal(frames[b],
+                              np.array(ik_reference.link_frames(panda, q)))
+        assert np.array_equal(jacobians[b], frame_jacobian(panda, q))
+        assert np.array_equal(masses[b], mass_matrix(panda, q))
+
+
 def test_reflected_mass_walks_the_chain_once(panda, monkeypatch):
-    # J and M come from the same link frames: one link_frames pass, n joint
-    # transforms, per call, whatever the number of directions
-    calls = {"link_frames": 0, "joint_transform": 0}
+    # J and M come from the same link frames: one link_frames pass, built
+    # on one stack of joint transforms, per call, whatever the number of
+    # directions
+    calls = {"link_frames": 0, "_joint_transforms": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -283,7 +301,7 @@ def test_reflected_mass_walks_the_chain_once(panda, monkeypatch):
         monkeypatch.setattr(dynamics, name, counting(name, original))
     q = np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8])
     reflected_mass(panda, ReflectedMassQuery(q=q, u=sphere_directions(20)))
-    assert calls == {"link_frames": 1, "joint_transform": panda.n}
+    assert calls == {"link_frames": 1, "_joint_transforms": 1}
 
 
 def test_frame_jacobian_angular_rows(panda, rng):
@@ -578,6 +596,105 @@ def test_ik_respects_joint_limits(panda, rng):
         assert np.all(result.q <= panda.upper_limits + 1e-12)
 
 
+# ------------------------------------------- lockstep IK vs the scalar loop
+
+def assert_lanes_match_the_scalar_loop(model, targets, seeds, orientation):
+    """Every lane of one lockstep call equals the reference scalar loop
+    run on that lane alone, bit for bit."""
+    lanes = dynamics.ik_lockstep(model, targets, seeds, orientation)
+    for b, (target, seed) in enumerate(zip(targets, seeds)):
+        q, success, iterations, pos_err, ori_err = \
+            ik_reference.inverse_kinematics(model, target, seed, orientation)
+        assert np.array_equal(lanes.q[b], q), b
+        assert (lanes.success[b], lanes.iterations[b]) == (success,
+                                                            iterations), b
+        assert np.array_equal(lanes.position_error[b], pos_err), b
+        assert np.array_equal(lanes.orientation_error[b], ori_err), b
+    return lanes
+
+
+def grid(box_min, box_max, spacing):
+    axes = [np.arange(lo, hi + 1e-9, spacing)
+            for lo, hi in zip(box_min, box_max)]
+    return np.array([(x, y, z) for z in axes[2] for y in axes[1]
+                     for x in axes[0]])
+
+
+def test_lockstep_ik_matches_the_scalar_loop_on_a07_boundary_boxes(panda):
+    # a07 boxes on the reach boundary: points that converge, points that
+    # spend the whole budget and points rejected by the reach ball
+    targets = np.vstack([grid((0.6, 0.5, 0.15), (0.7, 0.8, 0.25), 0.1),
+                         grid((-0.6, -0.7, 0.05), (-0.5, -0.4, 0.15), 0.1)])
+    seeds = np.tile(0.5 * (panda.lower_limits + panda.upper_limits),
+                    (len(targets), 1))
+    lanes = assert_lanes_match_the_scalar_loop(panda, targets, seeds,
+                                               FLANGE_DOWN)
+    assert {0, 200} <= set(lanes.iterations[~lanes.success].tolist())
+    assert lanes.success.any()
+
+
+@pytest.mark.parametrize("orientation", [None, FLANGE_DOWN],
+                         ids=["point", "flange-down"])
+def test_lockstep_ik_matches_the_scalar_loop_on_random_targets(
+        panda, rng, orientation):
+    targets = np.column_stack([rng.uniform(-0.9, 0.9, 16),
+                               rng.uniform(-0.9, 0.9, 16),
+                               rng.uniform(0.0, 1.1, 16)])
+    seeds = random_joint_configs(panda, rng, 16)
+    lanes = assert_lanes_match_the_scalar_loop(panda, targets, seeds,
+                                               orientation)
+    assert lanes.success.any() and not lanes.success.all()
+
+
+def test_lockstep_ik_matches_the_scalar_loop_on_a_prismatic_model(rng):
+    model = load_robot_model(yaml_stream(ARM_SLIDE_YAML))
+    angle = rng.uniform(-math.pi, math.pi, 12)
+    radius = rng.uniform(0.4, 1.0, 12)
+    targets = np.column_stack([radius * np.cos(angle), radius * np.sin(angle),
+                               np.full(12, 0.2)])
+    seeds = random_joint_configs(model, rng, 12)
+    lanes = assert_lanes_match_the_scalar_loop(model, targets, seeds, None)
+    assert lanes.success.any() and not lanes.success.all()
+
+
+def test_lockstep_ik_matches_the_scalar_loop_through_a_half_turn(panda):
+    # the target orientation is the seed's turned by pi about the tool x
+    # axis: the first rotation error takes the angle ~ pi branch
+    seed = np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8])
+    pose = forward_kinematics(panda, seed)
+    half_turn = pose[:3, :3] @ rpy_matrix(math.pi, 0.0, 0.0)
+    r_err = half_turn @ pose[:3, :3].T
+    assert np.linalg.norm(r_err - r_err.T) < 1e-12  # no axis left to read
+    error = dynamics._rotation_errors(half_turn, pose[None, :3, :3])[0]
+    assert np.array_equal(
+        error, ik_reference.rotation_error(half_turn, pose[:3, :3]))
+    assert np.linalg.norm(error) == pytest.approx(math.pi, abs=1e-7)
+    targets = pose[:3, 3] + np.array([[0.0, 0.0, 0.0], [0.02, -0.01, 0.03]])
+    assert_lanes_match_the_scalar_loop(panda, targets, np.tile(seed, (2, 1)),
+                                       half_turn)
+
+
+def test_lockstep_ik_rejects_mismatched_stacks(panda):
+    seeds = np.zeros((2, panda.n))
+    for targets, seeds in ((np.zeros((3, 3)), seeds),
+                           (np.zeros((2, 3)), np.zeros((2, 5))),
+                           (np.zeros(3), seeds[0])):
+        with pytest.raises(DomainError, match="stacks"):
+            dynamics.ik_lockstep(panda, targets, seeds)
+
+
+def test_rotation_errors_match_the_scalar_form(rng):
+    rotations = [rpy_matrix(*rng.uniform(-math.pi, math.pi, 3))
+                 for _ in range(200)]
+    rotations += [np.eye(3), rpy_matrix(1e-13, 0.0, 0.0),
+                  rpy_matrix(0.0, math.pi, 0.0)]
+    target = rpy_matrix(0.3, -0.2, 1.1)
+    errors = dynamics._rotation_errors(target, np.array(rotations))
+    for error, rotation in zip(errors, rotations):
+        assert np.array_equal(error,
+                              ik_reference.rotation_error(target, rotation))
+
+
 def test_rpy_matrix_orthonormal(rng):
     for _ in range(20):
         r = rpy_matrix(*rng.uniform(-math.pi, math.pi, 3))
@@ -586,9 +703,9 @@ def test_rpy_matrix_orthonormal(rng):
 
 
 def test_joint_transform_zero_angle_is_fixed_origin(panda):
-    link = panda.links[3]
-    assert np.allclose(joint_transform(link, 0.0), link.joint.origin,
-                       atol=1e-15)
+    transforms = dynamics._joint_transforms(panda, np.zeros((1, panda.n)))
+    for transform, link in zip(transforms[:, 0], panda.links):
+        assert np.allclose(transform, link.joint.origin, atol=1e-15)
 
 
 # ------------------------------------------------------------ model loading
@@ -645,8 +762,10 @@ def test_model_rejects_malformed_values(old, new):
     ("mass: 4.970684", "mass: true", "mass"),
     ("com: [0.003875, 0.002081, -0.04762]", "com: [true, false, true]", "com"),
     ("mass: 4.970684", "mass: '4.970684'", "mass"),
+    ("name: panda", "name: [1]", "name"),
+    ("name: link3", "name: .nan", r"link 2: name"),
 ], ids=["movin", "end_efector", "lowr", "axs", "ixyy", "mass-true",
-        "com-booleans", "mass-quoted"])
+        "com-booleans", "mass-quoted", "name-list", "link-name-nan"])
 def test_model_rejects_misspelt_keys_and_mistyped_values(old, new, key):
     # each of these loaded silently before, with a default in its place
     text = robot_model_path().read_text(encoding="utf-8")
@@ -687,3 +806,14 @@ def test_model_rejects_unknown_joint_type():
 def test_wrong_joint_count_rejected(panda):
     with pytest.raises(DomainError):
         forward_kinematics(panda, np.zeros(5))
+
+
+@pytest.mark.parametrize("kernel", [
+    manipulability,
+    lambda model, q: reflected_mass(
+        model, ReflectedMassQuery(q=q, u=np.array([1.0, 0.0, 0.0]))),
+], ids=["manipulability", "reflected_mass"])
+def test_scalar_kernels_reject_a_stack_of_configurations(panda, kernel):
+    q = np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8])
+    with pytest.raises(DomainError, match=r"q must have shape \(7,\), got"):
+        kernel(panda, np.stack([q, q]))
