@@ -155,9 +155,6 @@ class BodyRegionTable:
     def __iter__(self) -> Iterable[BodyRegionParams]:
         return (self.entries[rid] for rid in REGION_IDS)
 
-    def regions(self) -> tuple[str, ...]:
-        return REGION_IDS
-
 
 def _parse_float(raw: str, row: int, column: str, region: str,
                  allow_inf: bool = False) -> float:

@@ -189,9 +189,8 @@ def _cmd_limits(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-#: sweep config keys: every SweepConfig field but the mode list
-_SWEEP_KEYS = tuple(f.name for f in dataclasses.fields(SweepConfig)
-                    if f.name != "modes")
+#: sweep config keys: every SweepConfig field
+_SWEEP_KEYS = tuple(f.name for f in dataclasses.fields(SweepConfig))
 
 
 def _cmd_sweep(args) -> int:

@@ -414,7 +414,11 @@ def reflected_mass(model: ManipulatorModel,
     jac = _contact_kinematics(model, frames, query.link_index,
                               query.local_point)[1][:3]
     m = _mass_matrix(model, frames)
-    lam_inv = jac @ np.linalg.solve(m, jac.T)
+    try:
+        lam_inv = jac @ np.linalg.solve(m, jac.T)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"mass matrix is singular at q = "
+                          f"{np.asarray(query.q).tolist()}") from None
     u = np.asarray(query.u, dtype=float)
     rows = u.reshape(-1, 1, 3)
     s = (rows @ lam_inv @ rows.transpose(0, 2, 1))[:, 0, 0]

@@ -36,4 +36,4 @@ class SweepError(PflError):
 
 
 class ReportError(PflError):
-    """Aggregation/report generation failed (e.g. missing baseline data)."""
+    """Aggregation/report generation failed (e.g. a non-conservative variant)."""

@@ -72,7 +72,6 @@ class SweepConfig:
     direction_style: str = "horizontal"
     contact_area: float = 1.0   # cm^2
     payload: float = 0.0        # kg
-    modes: tuple[tuple[ContactMode, MassSource], ...] = ALL_COMBOS
     n_workers: int = 1
 
     def __post_init__(self) -> None:
@@ -86,16 +85,10 @@ class SweepConfig:
                               f"{self.box_min} / {self.box_max}")
         number(what, "grid_spacing", self.grid_spacing, gt=0)
         number(what, "n_directions", self.n_directions, integral=True, ge=1)
-        if not isinstance(self.direction_style, str) \
-                or self.direction_style not in _DIRECTION_STYLES:
-            raise DomainError(
-                f"unknown direction style {self.direction_style!r}; valid: "
-                + ", ".join(sorted(_DIRECTION_STYLES)))
+        _direction_generator(self.direction_style)
         number(what, "contact_area", self.contact_area, gt=0)
         number(what, "payload", self.payload, ge=0)
         number(what, "n_workers", self.n_workers, integral=True, ge=1)
-        if not self.modes:
-            raise DomainError("modes must not be empty")
 
 
 def sphere_directions(n: int) -> np.ndarray:
@@ -130,15 +123,17 @@ _DIRECTION_STYLES = {
 }
 
 
-def direction_set(n: int, style: str = "horizontal") -> np.ndarray:
-    """Deterministic direction set: ``horizontal`` circle or Fibonacci ``sphere``."""
-    try:
-        generator = _DIRECTION_STYLES[style]
-    except KeyError:
+def _direction_generator(style: str):
+    if not isinstance(style, str) or style not in _DIRECTION_STYLES:
         raise DomainError(
             f"unknown direction style {style!r}; valid: "
-            + ", ".join(sorted(_DIRECTION_STYLES))) from None
-    return generator(n)
+            + ", ".join(sorted(_DIRECTION_STYLES)))
+    return _DIRECTION_STYLES[style]
+
+
+def direction_set(n: int, style: str = "horizontal") -> np.ndarray:
+    """Deterministic direction set: ``horizontal`` circle or Fibonacci ``sphere``."""
+    return _direction_generator(style)(n)
 
 
 def summary_stats(samples: np.ndarray) -> BoxStats:
@@ -171,7 +166,6 @@ class SweepResult:
     n_unreachable: int
     n_singular: int
     n_constrained_directions: int
-    star_out_of_range: tuple[tuple[str, ContactMode], ...]
 
     def stats(self, region: str, mode: ContactMode,
               source: MassSource) -> BoxStats:
@@ -222,12 +216,18 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     directions = direction_set(config.n_directions, config.direction_style)
     seed = _default_seed(model)
 
-    free_modes = {ContactMode.TRANSIENT, ContactMode.QUASI_STATIC_FREE}
     for params in table:
-        if params.clamped_only and any(m in free_modes for m, _ in config.modes):
-            raise SweepError(
-                f"{params.label}: infinite effective mass cannot be swept in "
-                f"free-impact modes; restrict modes to quasi-static clamped")
+        if params.clamped_only:
+            raise DomainError(
+                f"{params.label}: infinite effective mass (m_h_kg = inf) "
+                f"cannot be swept, because a sweep also evaluates the "
+                f"free-impact modes (transient, quasi-static free)")
+    iso_mass = iso_effective_mass(model, config.payload)
+    if not iso_mass > 0:
+        raise DomainError(
+            f"constant effective mass (half the moving link mass + payload) "
+            f"is {iso_mass!r} kg with payload {config.payload!r} kg; it must "
+            f"be > 0: mark a link as moving or set a payload")
 
     # one scanline per (z, y): deterministic order, warm start along x
     payloads = []
@@ -263,27 +263,15 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         raise SweepError("no reachable grid points in the configured box")
     reflected = np.vstack(mass_rows)
     flat_masses = reflected.reshape(-1)
-    iso_mass = iso_effective_mass(model, config.payload)
 
     samples: dict[tuple[str, ContactMode, MassSource], np.ndarray] = {}
     for params in table:
-        for mode, source in config.modes:
+        for mode, source in ALL_COMBOS:
             masses = flat_masses if source is MassSource.REFLECTED \
                 else np.array([iso_mass])
             samples[(params.region_id, mode, source)] = v0_max(
                 max_elastic_energy(params, mode, config.contact_area),
                 masses, body_part_mass(params, mode))
-
-    stars_out = []
-    for params in table:
-        for mode in {m for m, _ in config.modes}:
-            key_dir = (params.region_id, mode, MassSource.REFLECTED)
-            key_const = (params.region_id, mode, MassSource.CONSTANT)
-            if key_dir in samples and key_const in samples:
-                dir_samples = samples[key_dir]
-                const = samples[key_const][0]
-                if not (np.min(dir_samples) <= const <= np.max(dir_samples)):
-                    stars_out.append((params.region_id, mode))
 
     return SweepResult(
         config=config,
@@ -295,8 +283,6 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         n_unreachable=n_grid - len(mass_rows),
         n_singular=n_singular,
         n_constrained_directions=n_constrained,
-        star_out_of_range=tuple(sorted(stars_out,
-                                       key=lambda t: (t[0], t[1].value))),
     )
 
 
@@ -310,36 +296,24 @@ class ScalingRow:
     worst_case_pct: Mapping[tuple[ContactMode, MassSource], float]
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    baseline: tuple[ContactMode, MassSource]
-    rows: tuple[ScalingRow, ...]
-
-
-def scaling_report(result: SweepResult,
-                   baseline: tuple[ContactMode, MassSource] = BASELINE_COMBO,
-                   ) -> ScalingReport:
+def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
     """Percentage speed scalings of each conservative variant vs baseline.
 
-    Per region: 100 * mean(variant) / mean(baseline).  The worst-case
-    columns substitute the face region's limit (the most restrictive body
-    region) for every region before dividing, answering "what fraction of
-    the nominal speed survives if any body part might be hit".
+    One row per region: 100 * mean(variant) / mean(baseline), where the
+    baseline is ``BASELINE_COMBO`` and the variants are the other five pairs
+    of ``ALL_COMBOS``.  The worst-case columns substitute the face region's
+    limit (the most restrictive body region) for every region before
+    dividing, answering "what fraction of the nominal speed survives if any
+    body part might be hit".
     """
-    mode_b, source_b = baseline
     rows = []
     means = {key: float(np.mean(v)) for key, v in result.samples.items()}
     for rid in REGION_IDS:
-        key = (rid, mode_b, source_b)
-        if key not in result.samples:
-            raise ReportError(
-                f"missing baseline combination {mode_b.value}/{source_b.value} "
-                f"for region {REGION_LABELS[rid]}")
-        base_mean = means[key]
+        base_mean = means[(rid, *BASELINE_COMBO)]
         scaling: dict[tuple[ContactMode, MassSource], float] = {}
         worst: dict[tuple[ContactMode, MassSource], float] = {}
-        for mode, source in result.config.modes:
-            if (mode, source) == baseline:
+        for mode, source in ALL_COMBOS:
+            if (mode, source) == BASELINE_COMBO:
                 continue
             pct = 100.0 * means[(rid, mode, source)] / base_mean
             if not 0.0 < pct <= 100.0 + 1e-9:
@@ -352,7 +326,7 @@ def scaling_report(result: SweepResult,
                                      / base_mean)
         rows.append(ScalingRow(region_id=rid, baseline_mean=base_mean,
                                scaling_pct=scaling, worst_case_pct=worst))
-    return ScalingReport(baseline=baseline, rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------- writers
@@ -362,24 +336,21 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("region,mode,mass_source,sample\n")
         for rid in REGION_IDS:
-            for mode, source in result.config.modes:
-                key = (rid, mode, source)
-                if key not in result.samples:
-                    continue
-                for value in result.samples[key]:
+            for mode, source in ALL_COMBOS:
+                for value in result.samples[(rid, mode, source)]:
                     fh.write(f"{rid},{mode.value},{source.value},"
                              f"{float(value)!r}\n")
 
 
-def write_scaling_csv(report: ScalingReport, path: str | Path) -> None:
-    combos = sorted({combo for row in report.rows for combo in row.scaling_pct},
+def write_scaling_csv(rows: tuple[ScalingRow, ...], path: str | Path) -> None:
+    combos = sorted({combo for row in rows for combo in row.scaling_pct},
                     key=lambda c: (c[0].value, c[1].value))
     header = ["region", "baseline_mean_mps"]
     header += [f"pct_{m.value}_{s.value}" for m, s in combos]
     header += [f"worst_pct_{m.value}_{s.value}" for m, s in combos]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in report.rows:
+        for row in rows:
             cells = [row.region_id, repr(row.baseline_mean)]
             cells += [f"{row.scaling_pct[c]:.6f}" for c in combos]
             cells += [f"{row.worst_case_pct[c]:.6f}" for c in combos]
@@ -401,10 +372,8 @@ def boxstats_payload(result: SweepResult) -> dict:
     }
     for rid in REGION_IDS:
         entry: dict = {}
-        for mode, source in result.config.modes:
+        for mode, source in ALL_COMBOS:
             key = (rid, mode, source)
-            if key not in result.samples:
-                continue
             name = f"{mode.value}|{source.value}"
             if source is MassSource.CONSTANT:
                 entry[name] = {"value": float(result.samples[key][0])}
@@ -433,26 +402,14 @@ def render_sweep_svg(result: SweepResult) -> str:
         ContactMode.QUASI_STATIC_FREE: "quasi-static (free)",
         ContactMode.QUASI_STATIC_CLAMPED: "quasi-static (clamped)",
     }
-    modes_present = [m for m in mode_labels
-                     if any(mode == m for mode, _ in result.config.modes)]
     groups = [REGION_LABELS[rid] for rid in REGION_IDS]
     boxes: dict[str, list] = {}
     stars: dict[str, list] = {}
-    for mode in modes_present:
-        box_row: list = []
-        star_row: list = []
-        for rid in REGION_IDS:
-            key = (rid, mode, MassSource.REFLECTED)
-            box_row.append(result.stats(*key) if key in result.samples
-                           else None)
-            key_c = (rid, mode, MassSource.CONSTANT)
-            star_row.append(float(result.samples[key_c][0])
-                            if key_c in result.samples else None)
-        label = mode_labels[mode]
-        if any(b is not None for b in box_row):
-            boxes[label] = box_row
-        if any(s is not None for s in star_row):
-            stars[label] = star_row
+    for mode, label in mode_labels.items():
+        boxes[label] = [result.stats(rid, mode, MassSource.REFLECTED)
+                        for rid in REGION_IDS]
+        stars[label] = [float(result.samples[rid, mode, MassSource.CONSTANT][0])
+                        for rid in REGION_IDS]
     return grouped_boxplot(
         groups, boxes, stars,
         title="Admissible speed per body region "

@@ -14,6 +14,7 @@ from pflsafe.cli import FilterScenario, main
 from pflsafe.collision import CollisionScenario, peak_contact_state
 from pflsafe.dynamics import MODEL_KEYS
 from pflsafe.limits import LimitQuery, compute_limit
+from test_body import table_text
 
 
 def run(*argv):
@@ -314,6 +315,72 @@ def test_non_finite_robot_model_exits_3_before_ik(tmp_path, capsys,
     assert f"({links[link]['name']}): {key} must be finite" in err
 
 
+def _count_ik(monkeypatch):
+    """The list of sweep IK calls, appended to as the sweep runs."""
+    calls = []
+    real_ik = sweep.inverse_kinematics
+
+    def counting_ik(*args, **kwargs):
+        calls.append(args)
+        return real_ik(*args, **kwargs)
+
+    monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", counting_ik)
+    return calls
+
+
+def test_sweep_over_a_pinned_region_exits_3_before_ik(tmp_path, capsys,
+                                                      monkeypatch):
+    ik_calls = _count_ik(monkeypatch)
+    table = tmp_path / "pinned.csv"
+    table.write_text(table_text(chest="Chest,140,170,25,inf,2\n"))
+    config = tmp_path / "box.yaml"
+    config.write_text(yaml.safe_dump(SWEEP_BOX))
+    assert run("sweep", "--config", config, "--body-table", table,
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Chest: ") and "Traceback" not in err
+    assert "free-impact modes" in err
+    assert ik_calls == []
+
+
+@pytest.mark.parametrize("payload, code", [(0.0, 3), (5.0, 0)])
+def test_sweep_needs_a_constant_mass_before_ik(tmp_path, capsys, monkeypatch,
+                                              payload, code):
+    # no moving link: the constant effective mass is the payload alone
+    ik_calls = _count_ik(monkeypatch)
+    links = [dict(spec, moving=False) for spec in PANDA["links"]]
+    robot = tmp_path / "robot.yaml"
+    robot.write_text(yaml.safe_dump(dict(PANDA, links=links)))
+    config = tmp_path / "box.yaml"
+    config.write_text(yaml.safe_dump(dict(SWEEP_BOX, payload=payload)))
+    assert run("sweep", "--config", config, "--robot", robot,
+               "--out", tmp_path / "o") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: constant effective mass")
+        assert "payload 0.0 kg" in err
+        assert ik_calls == []
+    else:
+        assert len(ik_calls) == 27
+
+
+def test_sweep_with_a_singular_mass_matrix_exits_3(tmp_path, capsys):
+    links = [dict(spec) for spec in PANDA["links"]]
+    links[-1] = dict(links[-1], mass=0.0,
+                     inertia=dict.fromkeys(links[-1]["inertia"], 0.0))
+    robot = tmp_path / "robot.yaml"
+    robot.write_text(yaml.safe_dump(dict(PANDA, links=links)))
+    config = tmp_path / "point.yaml"
+    config.write_text(yaml.safe_dump(dict(
+        SWEEP_BOX, box_min=[0.4, 0.0, 0.45], box_max=[0.4, 0.0, 0.45])))
+    assert run("sweep", "--config", config, "--robot", robot,
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass matrix is singular at q = ")
+    assert "Traceback" not in err
+
+
 def test_empty_filter_scenario_runs_on_defaults(tmp_path):
     scenario = tmp_path / "empty.yaml"
     scenario.write_text("")
@@ -421,8 +488,7 @@ ROBOT_LEVELS = {
 
 
 FUZZ_CASES = (
-    [("sweep", None, f.name) for f in dataclasses.fields(sweep.SweepConfig)
-     if f.name != "modes"]
+    [("sweep", None, f.name) for f in dataclasses.fields(sweep.SweepConfig)]
     + [("filter", None, f.name) for f in dataclasses.fields(FilterScenario)]
     + [("robot", level, key) for level, keys in MODEL_KEYS.items()
        for key in keys])

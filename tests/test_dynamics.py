@@ -426,6 +426,20 @@ def test_reflected_mass_unit_vector_enforced(panda):
         ReflectedMassQuery(q=q, u=np.zeros((0, 3)))
 
 
+def test_singular_mass_matrix_is_a_domain_error():
+    # a massless last link without inertia leaves joint 7 with no inertia:
+    # M has a zero row and column, and Lambda^-1 = J M^-1 J^T does not exist
+    with open(robot_model_path(), "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    last = raw["links"][-1]
+    last.update(mass=0.0, inertia=dict.fromkeys(last["inertia"], 0.0))
+    model = load_robot_model(yaml_stream(yaml.safe_dump(raw)))
+    query = ReflectedMassQuery(q=np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8]),
+                               u=horizontal_directions(4))
+    with pytest.raises(DomainError, match="mass matrix is singular at q"):
+        reflected_mass(model, query)
+
+
 def test_iso_effective_mass_reference_value(panda):
     # half the moving-link mass; the identified link set sums to 11.091448 kg
     assert abs(iso_effective_mass(panda) - 5.545) < 1e-3

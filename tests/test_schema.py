@@ -25,6 +25,6 @@ def _readme_keys(label: str) -> list[str]:
 
 def test_readme_lists_every_config_key():
     assert _readme_keys("Sweep config keys") == [
-        f.name for f in dataclasses.fields(SweepConfig) if f.name != "modes"]
+        f.name for f in dataclasses.fields(SweepConfig)]
     assert _readme_keys("Filter scenario keys") == [
         f.name for f in dataclasses.fields(FilterScenario)]

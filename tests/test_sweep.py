@@ -9,8 +9,8 @@ import pytest
 from pflsafe import dynamics, sweep
 from pflsafe.body import ContactMode, REGION_IDS, load_body_table
 from pflsafe.dynamics import IKResult, load_robot_model
-from pflsafe.errors import DomainError, ReportError, SweepError
-from pflsafe.sweep import (ALL_COMBOS, BASELINE_COMBO, MassSource, SweepConfig,
+from pflsafe.errors import DomainError, SweepError
+from pflsafe.sweep import (ALL_COMBOS, MassSource, SweepConfig,
                            SweepResult, boxstats_payload, direction_set,
                            horizontal_directions, render_sweep_svg, run_sweep,
                            scaling_report, sphere_directions, summary_stats,
@@ -73,8 +73,6 @@ def test_config_validation():
         SweepConfig(n_workers=0)
     with pytest.raises(DomainError):
         SweepConfig(direction_style="diagonal")
-    with pytest.raises(DomainError):
-        SweepConfig(modes=())
 
 
 def test_tiny_sweep_counts(tiny_result):
@@ -235,13 +233,8 @@ def test_sweep_unreachable_box_raises(panda, body_table):
 def test_sweep_rejects_free_modes_for_pinned_region(panda):
     table = load_body_table(table_text(
         chest="Chest,140,170,25,inf,2\n").encode())
-    with pytest.raises(SweepError, match="Chest"):
+    with pytest.raises(DomainError, match="Chest"):
         run_sweep(panda, table, SweepConfig(**TINY))
-    # clamped-only sweep over the same table is fine
-    combos = tuple((ContactMode.QUASI_STATIC_CLAMPED, s) for s in MassSource)
-    result = run_sweep(panda, table, SweepConfig(modes=combos, **TINY))
-    assert (("chest", ContactMode.QUASI_STATIC_CLAMPED, MassSource.REFLECTED)
-            in result.samples)
 
 
 def test_summary_stats_against_numpy():
@@ -259,30 +252,22 @@ def test_summary_stats_against_numpy():
 
 
 def test_scaling_report_percentages(tiny_result):
-    report = scaling_report(tiny_result)
-    assert report.baseline == BASELINE_COMBO
-    assert len(report.rows) == 12
-    for row in report.rows:
+    rows = scaling_report(tiny_result)
+    assert len(rows) == 12
+    for row in rows:
         assert row.baseline_mean > 0
         for pct in row.scaling_pct.values():
             assert 0.0 < pct <= 100.0 + 1e-9
         for pct in row.worst_case_pct.values():
             assert pct > 0.0
     # worst-case column: substituting the most restrictive region's limit
-    face_row = next(r for r in report.rows if r.region_id == "face")
+    face_row = next(r for r in rows if r.region_id == "face")
     combo = (ContactMode.TRANSIENT, MassSource.CONSTANT)
     face_mean = float(np.mean(tiny_result.samples[
         ("face", combo[0], combo[1])]))
-    chest_row = next(r for r in report.rows if r.region_id == "chest")
+    chest_row = next(r for r in rows if r.region_id == "chest")
     assert chest_row.worst_case_pct[combo] == pytest.approx(
         100.0 * face_mean / chest_row.baseline_mean, rel=1e-12)
-
-
-def test_scaling_report_requires_baseline(panda, body_table):
-    combos = tuple((ContactMode.QUASI_STATIC_CLAMPED, s) for s in MassSource)
-    result = run_sweep(panda, body_table, SweepConfig(modes=combos, **TINY))
-    with pytest.raises(ReportError, match="baseline"):
-        scaling_report(result)
 
 
 def test_sweep_csv_round_trip(tiny_result, tmp_path):
@@ -326,11 +311,3 @@ def test_render_sweep_svg(tiny_result):
     assert "<svg" in svg
     assert "Chest" in svg and "Hands/fingers" in svg
     assert svg == render_sweep_svg(tiny_result)  # deterministic
-
-
-def test_star_range_bookkeeping(tiny_result):
-    # constant-mass markers inside the reflected range for the tiny box is
-    # not guaranteed, but the bookkeeping must be well-formed and sorted
-    stars = tiny_result.star_out_of_range
-    assert isinstance(stars, tuple)
-    assert list(stars) == sorted(stars, key=lambda t: (t[0], t[1].value))
