@@ -266,4 +266,10 @@ def max_elastic_energy(params: BodyRegionParams, mode: ContactMode,
                        contact_area: float = 1.0) -> float:
     """Maximum elastic energy [J] the contact spring may store: F^2 / (2k)."""
     f_eff = effective_force_limit(params, mode, contact_area)
-    return f_eff * f_eff / (2.0 * params.stiffness)
+    budget = f_eff * f_eff / (2.0 * params.stiffness)
+    if not budget > 0:
+        raise DomainError(
+            f"{params.label} {mode.value}: contact_area = {contact_area!r} "
+            f"cm^2 leaves an elastic energy budget F^2 / 2k of {budget!r} J; "
+            f"it must be > 0")
+    return budget

@@ -55,6 +55,12 @@ class CollisionScenario:
             raise ValidationError(f"k must be finite and > 0, got {self.k!r}")
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ValidationError(f"v0 must be finite and >= 0, got {self.v0!r}")
+        # v0 * v0 overflows to inf where v0 ** 2 raises OverflowError
+        energy = 0.5 * self.m_r * (self.v0 * self.v0)
+        if not (math.isfinite(self.m_r * self.v0) and math.isfinite(energy)):
+            raise ValidationError(
+                f"m_r = {self.m_r!r} kg at v0 = {self.v0!r} m/s: the impact "
+                f"momentum m_r * v0 and energy 1/2 * m_r * v0^2 must be finite")
 
     @property
     def clamped(self) -> bool:
@@ -68,18 +74,8 @@ class CollisionScenario:
 
 
 @dataclass(frozen=True)
-class PeakState:
-    """Analytic state at maximum compression."""
-
-    dx_max: float   # m
-    f_peak: float   # N
-    t_star: float   # s
-    degenerate: bool = False  # v0 == 0: no contact develops, t_star undefined
-
-
-@dataclass(frozen=True)
 class CollisionOutcome:
-    """Quantities extracted from a simulated collision."""
+    """State at maximum compression, simulated or in closed form."""
 
     v_star: float    # common velocity at peak compression (0 when clamped)
     t_star: float    # s
@@ -88,7 +84,11 @@ class CollisionOutcome:
     delta_k: float   # kinetic energy converted to elastic energy at peak, J
     k0: float        # robot kinetic energy at impact, J
     k_star: float    # kinetic energy remaining at peak, J
-    degenerate: bool = False
+    degenerate: bool = False  # v0 == 0: no contact develops, t_star undefined
+
+
+#: the outcome of an impact at v0 == 0
+_AT_REST = CollisionOutcome(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, degenerate=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +117,22 @@ def natural_period(scenario: CollisionScenario) -> float:
     return 2.0 * math.pi * math.sqrt(scenario.reduced_mass / scenario.k)
 
 
-def peak_contact_state(scenario: CollisionScenario) -> PeakState:
-    """Closed-form peak compression, peak force and time of peak."""
+def peak_contact_state(scenario: CollisionScenario) -> CollisionOutcome:
+    """Closed-form state at maximum compression."""
     if scenario.v0 == 0.0:
-        return PeakState(0.0, 0.0, 0.0, degenerate=True)
+        return _AT_REST
     mu = scenario.reduced_mass
     dx_max = scenario.v0 * math.sqrt(mu / scenario.k)
-    return PeakState(
+    delta_k = energy_transfer(scenario)
+    k0 = 0.5 * scenario.m_r * scenario.v0 ** 2
+    return CollisionOutcome(
+        v_star=common_velocity(scenario),
+        t_star=(math.pi / 2.0) * math.sqrt(mu / scenario.k),
         dx_max=dx_max,
         f_peak=scenario.k * dx_max,
-        t_star=(math.pi / 2.0) * math.sqrt(mu / scenario.k),
+        delta_k=delta_k,
+        k0=k0,
+        k_star=k0 - delta_k,
     )
 
 
@@ -205,8 +211,7 @@ def simulate(scenario: CollisionScenario, dt: float | None = None,
         v_h.fill(0.0)
         dx.fill(0.0)
         traj = CollisionTrajectory(t=t, v_r=v_r, v_h=v_h, dx=dx, dt=dt)
-        return traj, CollisionOutcome(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                      degenerate=True)
+        return traj, _AT_REST
 
     m_r, m_h, k = scenario.m_r, scenario.m_h, scenario.k
     state = (scenario.v0, 0.0, 0.0)

@@ -8,7 +8,7 @@ all in the link frame.  On top of the chain this module provides
   * forward kinematics and the point Jacobian,
   * the joint-space mass matrix, summed link by link from the Jacobians at
     the link centres of mass (one Jacobian kernel serves both),
-  * the directional reflected (effective) mass at a contact point,
+  * the directional reflected (effective) mass at the tool frame origin,
         m_u = 1 / (u^T (J M^-1 J^T) u)
     i.e. the apparent mass a collision along unit direction u runs into,
   * the constant effective-mass convention used by power-and-force-limiting
@@ -302,45 +302,19 @@ def _jacobians(model: ManipulatorModel, frames: np.ndarray,
     return jac
 
 
-def _contact_kinematics(model: ManipulatorModel, frames: np.ndarray,
-                        link_index: int | None = None,
-                        local_point: np.ndarray | None = None,
+def _contact_kinematics(model: ManipulatorModel, frames: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """World pose (..., 4, 4) and (..., 6, n) Jacobian, rows (linear;
-    angular), of a contact frame, from the link frames of one
-    ``link_frames`` pass.
-
-    The contact frame defaults to the tool frame on the last link; with
-    ``link_index`` it is that link's frame, moved to ``local_point`` (link
-    coordinates) when given.  Columns of joints distal to the contact link
-    are zero.
-    """
-    idx = model.n - 1 if link_index is None else link_index
-    if not 0 <= idx < model.n:
-        raise DomainError(f"link_index out of range: {link_index!r}")
-    pose = frames[..., idx, :, :]
-    if local_point is None:
-        if idx == model.n - 1:
-            pose = pose @ model.ee_offset
-    else:
-        local = np.asarray(local_point, dtype=float)
-        pose = pose.copy()
-        pose[..., :3, 3] = pose[..., :3, :3] @ local + pose[..., :3, 3]
-    jac = _jacobians(model, frames, pose[..., None, :3, 3], [idx])
+    angular), of the tool frame, from the link frames of one
+    ``link_frames`` pass."""
+    pose = frames[..., -1, :, :] @ model.ee_offset
+    jac = _jacobians(model, frames, pose[..., None, :3, 3], [model.n - 1])
     return pose, jac[..., 0, :, :]
 
 
-def point_jacobian(model: ManipulatorModel, q: np.ndarray,
-                   link_index: int | None = None,
-                   local_point: np.ndarray | None = None) -> np.ndarray:
-    """Translational Jacobian (3 x n) of a contact point.
-
-    Defaults to the tool frame origin on the last link.  Columns of joints
-    distal to the contact link are zero.
-    """
-    frames = link_frames(model, q)
-    jac = _contact_kinematics(model, frames, link_index, local_point)[1]
-    return jac[..., :3, :]
+def point_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
+    """Translational Jacobian (3 x n) of the tool frame origin."""
+    return frame_jacobian(model, q)[..., :3, :]
 
 
 def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
@@ -379,12 +353,10 @@ def mass_matrix(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReflectedMassQuery:
-    """Directional effective-mass request at a contact point."""
+    """Directional effective-mass request at the tool frame origin."""
 
     q: np.ndarray
     u: np.ndarray                        # unit (3,) or (d, 3) stack, world frame
-    link_index: int | None = None        # default: last link
-    local_point: np.ndarray | None = None  # default: tool frame origin
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float)
@@ -404,15 +376,14 @@ def reflected_mass(model: ManipulatorModel,
     """Effective mass [kg] felt by a collision along query.u.
 
     m_u = (u^T Lambda^-1 u)^-1 with Lambda^-1 = J M^-1 J^T the inverse
-    operational-space inertia at the contact point.  For one direction the
-    result is a float, and a direction with no feasible motion raises
+    operational-space inertia at the tool frame origin.  For one direction
+    the result is a float, and a direction with no feasible motion raises
     ConstrainedDirectionError.  For a (d, 3) stack the Jacobian, M and
     Lambda^-1 are built once and the result is a (d,) array holding inf for
     each constrained direction.  q is one configuration, of shape (n,).
     """
     frames = link_frames(model, _check_q(model, query.q, stack=False))
-    jac = _contact_kinematics(model, frames, query.link_index,
-                              query.local_point)[1][:3]
+    jac = _contact_kinematics(model, frames)[1][:3]
     m = _mass_matrix(model, frames)
     try:
         lam_inv = jac @ np.linalg.solve(m, jac.T)
@@ -447,13 +418,25 @@ def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:
 
 # --------------------------------------------------------------------- IK
 
+#: IK converges within IK_POS_TOL [m] of the target point and IK_ORI_TOL
+#: [rad] of a target orientation, in at most IK_MAX_ITER iterations damped
+#: by IK_DAMPING, each moving no joint by more than IK_STEP_CLAMP [rad or m]
+IK_POS_TOL = 1e-4
+IK_ORI_TOL = 1e-3
+IK_MAX_ITER = 200
+IK_DAMPING = 1e-3
+IK_STEP_CLAMP = 0.2
+
+
 @dataclass(frozen=True, eq=False)
 class IKResult:
-    q: np.ndarray
-    success: bool
-    iterations: int
-    position_error: float
-    orientation_error: float
+    """IK outcome: Python scalars for one solve, (B,) arrays for B lanes."""
+
+    q: np.ndarray                        # final iterate
+    success: bool | np.ndarray
+    iterations: int | np.ndarray
+    position_error: float | np.ndarray
+    orientation_error: float | np.ndarray
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -534,22 +517,9 @@ def _outside_reach(model: ManipulatorModel, target: np.ndarray,
     return math.dist(point, centre) > radius
 
 
-@dataclass(frozen=True, eq=False)
-class IKLanes:
-    """Outcome of a lockstep IK call, one row per lane."""
-
-    q: np.ndarray                  # (B, n) final iterate
-    success: np.ndarray            # (B,) bool
-    iterations: np.ndarray         # (B,) int
-    position_error: np.ndarray     # (B,)
-    orientation_error: np.ndarray  # (B,)
-
-
 def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
-                seeds: np.ndarray, orientation: np.ndarray | None = None,
-                pos_tol: float = 1e-4, ori_tol: float = 1e-3,
-                max_iter: int = 200, damping: float = 1e-3,
-                step_clamp: float = 0.2) -> IKLanes:
+                seeds: np.ndarray,
+                orientation: np.ndarray | None = None) -> IKResult:
     """``inverse_kinematics`` for B lanes at once: lane b solves for
     ``targets[b]`` from ``seeds[b]``, both (B, 3) and (B, n) stacks.
 
@@ -568,26 +538,26 @@ def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
     lower, upper = model.lower_limits, model.upper_limits
     q = np.minimum(np.maximum(seeds, lower), upper)
     budget = np.array([0 if _outside_reach(model, target, orientation,
-                                           pos_tol, ori_tol) else max_iter
-                       for target in targets], dtype=int)
+                                           IK_POS_TOL, IK_ORI_TOL)
+                       else IK_MAX_ITER for target in targets], dtype=int)
     lanes = len(targets)
-    out = IKLanes(q=q.copy(), success=np.zeros(lanes, dtype=bool),
-                  iterations=np.zeros(lanes, dtype=int),
-                  position_error=np.full(lanes, math.inf),
-                  orientation_error=np.full(lanes, math.inf))
+    out = IKResult(q=q.copy(), success=np.zeros(lanes, dtype=bool),
+                   iterations=np.zeros(lanes, dtype=int),
+                   position_error=np.full(lanes, math.inf),
+                   orientation_error=np.full(lanes, math.inf))
     live = np.arange(lanes)
-    for iteration in range(max_iter + 1):
+    for iteration in range(IK_MAX_ITER + 1):
         pose, jac = _contact_kinematics(model, link_frames(model, q))
         err = targets - pose[:, :3, 3]
         pos_err = _norms(err)
         if orientation is None:
             ori_err = np.zeros(live.size)
-            converged = pos_err < pos_tol
+            converged = pos_err < IK_POS_TOL
             step_jac = jac[:, :3]
         else:
             err_o = _rotation_errors(orientation, pose[:, :3, :3])
             ori_err = _norms(err_o)
-            converged = (pos_err < pos_tol) & (ori_err < ori_tol)
+            converged = (pos_err < IK_POS_TOL) & (ori_err < IK_ORI_TOL)
             err = np.concatenate([err, err_o], axis=1)
             step_jac = jac
         done = converged | (budget == iteration)
@@ -607,37 +577,36 @@ def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
         step_jac_t = step_jac.mT
         jjt = step_jac @ step_jac_t
         # the diagonal, as a strided view of the fresh, contiguous product
-        jjt.reshape(len(jjt), -1)[:, ::len(err[0]) + 1] += damping * damping
+        diagonal = jjt.reshape(len(jjt), -1)[:, ::len(err[0]) + 1]
+        diagonal += IK_DAMPING * IK_DAMPING
         step = (step_jac_t @ np.linalg.solve(jjt, err[:, :, None]))[:, :, 0]
-        # step_clamp / biggest where it exceeds step_clamp, else exactly 1
+        # IK_STEP_CLAMP / biggest where it exceeds the clamp, else exactly 1
         biggest = np.maximum.reduce(np.abs(step), axis=1)
-        scale = step_clamp / np.maximum(biggest, step_clamp)
+        scale = IK_STEP_CLAMP / np.maximum(biggest, IK_STEP_CLAMP)
         q = np.minimum(np.maximum(q + step * scale[:, None], lower), upper)
     return out
 
 
 def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
-                       seed: np.ndarray, orientation: np.ndarray | None = None,
-                       pos_tol: float = 1e-4, ori_tol: float = 1e-3,
-                       max_iter: int = 200, damping: float = 1e-3,
-                       step_clamp: float = 0.2) -> IKResult:
+                       seed: np.ndarray,
+                       orientation: np.ndarray | None = None) -> IKResult:
     """Damped-least-squares IK for the tool point (optionally full pose).
 
-    Iterates q += J^T (J J^T + damping^2 I)^-1 e with each update clamped to
-    ``step_clamp`` (largest joint move per iteration) and the result clipped
-    to joint limits.  Success requires position error < pos_tol, and
-    orientation error < ori_tol when a target orientation (a rotation
+    Iterates q += J^T (J J^T + IK_DAMPING^2 I)^-1 e with each update clamped
+    to IK_STEP_CLAMP (largest joint move per iteration) and the result
+    clipped to joint limits.  Success requires position error < IK_POS_TOL,
+    and orientation error < IK_ORI_TOL when a target orientation (a rotation
     matrix) is given.  This is ``ik_lockstep`` with one lane.
 
     A target no in-limit q can reach is rejected before the first
     iteration.  Whatever q is, the last link's origin p_n lies within
     R = sum over k >= 2 of ||xyz_k|| of link 1's origin (``_chain_reach``:
     prismatic joints add their travel).  With an orientation R_t, a
-    converged pose puts p_n within pos_tol + ||ee_xyz|| * ori_tol of
+    converged pose puts p_n within IK_POS_TOL + ||ee_xyz|| * IK_ORI_TOL of
     target - R_t R_ee^T ee_xyz, so that point must lie within R plus this
     margin.  Without one, the tool point itself must lie within
-    R + ||ee_xyz|| + pos_tol.  A rejected target returns the clipped seed
-    with ``success=False``, ``iterations == 0`` and the seed's errors.
+    R + ||ee_xyz|| + IK_POS_TOL.  A rejected target returns the clipped
+    seed with ``success=False``, ``iterations == 0`` and the seed's errors.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
@@ -645,8 +614,7 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (model.n,):
         raise DomainError(f"seed must have shape ({model.n},), got {seed.shape}")
-    lanes = ik_lockstep(model, target[None], seed[None], orientation, pos_tol,
-                        ori_tol, max_iter, damping, step_clamp)
+    lanes = ik_lockstep(model, target[None], seed[None], orientation)
     return IKResult(lanes.q[0], bool(lanes.success[0]),
                     int(lanes.iterations[0]), float(lanes.position_error[0]),
                     float(lanes.orientation_error[0]))

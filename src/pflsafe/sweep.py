@@ -228,6 +228,9 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             f"constant effective mass (half the moving link mass + payload) "
             f"is {iso_mass!r} kg with payload {config.payload!r} kg; it must "
             f"be > 0: mark a link as moving or set a payload")
+    budgets = {(params.region_id, mode):
+               max_elastic_energy(params, mode, config.contact_area)
+               for params in table for mode in ContactMode}
 
     # one scanline per (z, y): deterministic order, warm start along x
     payloads = []
@@ -270,8 +273,8 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             masses = flat_masses if source is MassSource.REFLECTED \
                 else np.array([iso_mass])
             samples[(params.region_id, mode, source)] = v0_max(
-                max_elastic_energy(params, mode, config.contact_area),
-                masses, body_part_mass(params, mode))
+                budgets[params.region_id, mode], masses,
+                body_part_mass(params, mode))
 
     return SweepResult(
         config=config,
@@ -317,10 +320,16 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
                 continue
             pct = 100.0 * means[(rid, mode, source)] / base_mean
             if not 0.0 < pct <= 100.0 + 1e-9:
+                cause = "" if source is MassSource.REFLECTED else (
+                    f": the constant effective mass {result.iso_mass:.6g} kg "
+                    f"(half the moving link mass + payload "
+                    f"{result.config.payload:g} kg) is too light against "
+                    f"the arm's reflected masses, the smallest "
+                    f"{float(np.min(result.reflected_masses)):.6g} kg")
                 raise ReportError(
                     f"{REGION_LABELS[rid]} {mode.value}/{source.value}: "
                     f"scaling {pct:.2f}% outside (0, 100]; variant is not "
-                    f"conservative w.r.t. the baseline")
+                    f"conservative w.r.t. the baseline{cause}")
             scaling[(mode, source)] = pct
             worst[(mode, source)] = (100.0 * means[("face", mode, source)]
                                      / base_mean)

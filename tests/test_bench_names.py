@@ -4,6 +4,7 @@ fail in ``Tracer.install``.  These tests read its table without changing
 it."""
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,3 +61,10 @@ def test_a_traced_sweep_records_every_grid_point(tracing, tmp_path, panda,
     for target, q in solved:
         reached = forward_kinematics(panda, np.array(q))[:3, 3]
         assert np.linalg.norm(reached - target) < 1e-4
+
+
+def test_the_kernel_timings_run(tracing):
+    # bench/run.py --trace 1 times the dynamics kernels by these calls
+    timings = tracing.kernel_us(1, configs=3)
+    assert len(timings) == 4
+    assert all(math.isfinite(t) and t > 0 for t in timings.values())

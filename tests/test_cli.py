@@ -238,6 +238,8 @@ FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
     ("filter", "velocity_filter", "false"),
     ("filter", "recycling", "no"),
     ("filter", "gain", 1.0e+300),
+    ("sweep", "contact_area", 1.0e-300),
+    ("filter", "contact_area", 1.0e-300),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -264,6 +266,16 @@ def test_simulate_non_finite_step_or_horizon_exits_3(tmp_path, capsys, flag,
                flag, value, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mr, v0", [(1, 1e160), (1e300, 1e10)])
+def test_simulate_overflowing_impact_exits_3(tmp_path, capsys, mr, v0):
+    # the impact's momentum or energy overflows a float
+    assert run("simulate", "--mr", mr, "--mh", 1, "--k", 5, "--v0", v0,
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "m_r = " in err and "v0 = " in err
 
 
 with open(assets.robot_model_path(), encoding="utf-8") as _fh:
@@ -363,6 +375,24 @@ def test_sweep_needs_a_constant_mass_before_ik(tmp_path, capsys, monkeypatch,
         assert ik_calls == []
     else:
         assert len(ik_calls) == 27
+
+
+def test_a_too_light_constant_mass_is_named(tmp_path, capsys):
+    # no moving link and a 1 kg payload: the constant-mass variant beats
+    # the reflected-mass baseline, and the message says why
+    links = [dict(spec, moving=False) for spec in PANDA["links"]]
+    robot = tmp_path / "robot.yaml"
+    robot.write_text(yaml.safe_dump(dict(PANDA, links=links)))
+    config = tmp_path / "box.yaml"
+    config.write_text(yaml.safe_dump(dict(SWEEP_BOX, payload=1.0)))
+    assert run("sweep", "--config", config, "--robot", robot,
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "variant is not conservative" in err
+    assert ("the constant effective mass 1 kg (half the moving link mass + "
+            "payload 1 kg) is too light against the arm's reflected masses, "
+            "the smallest ") in err
 
 
 def test_sweep_with_a_singular_mass_matrix_exits_3(tmp_path, capsys):

@@ -234,17 +234,22 @@ def test_point_jacobian_matches_finite_differences(panda, rng):
         return forward_kinematics(panda, q)[:3, 3]
 
     def on_link(index, local):
-        # contact point fixed in link ``index``'s frame
-        return lambda q: (link_frames(panda, q)[index] @ np.append(local, 1.0))[:3]
+        # contact point fixed in link ``index``'s frame, and its Jacobian
+        def position(q):
+            return (link_frames(panda, q)[index] @ np.append(local, 1.0))[:3]
 
-    contacts = [((), tool),
-                ((6, np.zeros(3)), on_link(6, np.zeros(3))),
-                ((3,), on_link(3, np.zeros(3))),
-                ((4, np.array([0.05, -0.02, 0.1])),
-                 on_link(4, np.array([0.05, -0.02, 0.1])))]
+        def jacobian(q):
+            return dynamics._jacobians(panda, link_frames(panda, q),
+                                       position(q)[None], [index])[0, :3]
+        return jacobian, position
+
+    contacts = [(lambda q: point_jacobian(panda, q), tool),
+                on_link(6, np.zeros(3)),
+                on_link(3, np.zeros(3)),
+                on_link(4, np.array([0.05, -0.02, 0.1]))]
     for q in random_joint_configs(panda, rng, 10):
-        for args, position in contacts:
-            jac = point_jacobian(panda, q, *args)
+        for jacobian, position in contacts:
+            jac = jacobian(q)
             fd = np.empty_like(jac)
             for j in range(panda.n):
                 dq = np.zeros(panda.n)
@@ -260,12 +265,13 @@ def test_jacobian_rounds_like_np_cross(panda, rng):
     for q in random_joint_configs(panda, rng, 50):
         frames = link_frames(panda, q)
         rot, origin = frames[4][:3, :3], frames[4][:3, 3]
-        contacts = [((), 6, forward_kinematics(panda, q)[:3, 3]),
-                    ((3,), 3, frames[3][:3, 3]),
-                    ((4, local), 4, rot @ local + origin)]
-        for args, index, point in contacts:
+        want = link_frame_jacobian_oracle(
+            panda, frames, 6, forward_kinematics(panda, q)[:3, 3])
+        assert np.array_equal(point_jacobian(panda, q), want[:3])
+        for index, point in ((3, frames[3][:3, 3]), (4, rot @ local + origin)):
             want = link_frame_jacobian_oracle(panda, frames, index, point)
-            assert np.array_equal(point_jacobian(panda, q, *args), want[:3])
+            jac = dynamics._jacobians(panda, frames, point[None], [index])
+            assert np.array_equal(jac[0, :3], want[:3])
 
 
 def test_stacked_kinematics_equal_one_configuration_at_a_time(panda, rng):
