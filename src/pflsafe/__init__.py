@@ -16,9 +16,7 @@ from .collision import (CollisionOutcome, CollisionScenario,
 from .dynamics import (ManipulatorModel, ReflectedMassQuery, forward_kinematics,
                        inverse_kinematics, iso_effective_mass, load_robot_model,
                        mass_matrix, point_jacobian, reflected_mass)
-from .errors import (ConstrainedDirectionError, DomainError, PflError,
-                     ReportError, SchemaError, StepSizeError, SweepError,
-                     ValidationError)
+from .errors import InputError, NumericalError, PflError
 from .limits import (LimitQuery, SpeedLimit, compute_limit, is_admissible,
                      v0_max, v0_max_clamped, v0_max_free, velocity_bounds)
 from .safety_filter import (FilterConfig, PlantState, TankState, filter_velocity,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DomainError, SchemaError, ValidationError
+from .errors import InputError
 from .schema import Source, number, read_text
 
 # Table rows in report order.  Keys are normalised region ids; values the
@@ -92,20 +92,20 @@ class BodyRegionParams:
 
     def __post_init__(self) -> None:
         if self.region_id not in REGION_LABELS:
-            raise ValidationError(
+            raise InputError(
                 f"unknown region id {self.region_id!r}; expected one of "
                 + ", ".join(REGION_IDS))
         for field in ("f_max_qs", "p_max_qs", "stiffness"):
             value = getattr(self, field)
             if not (math.isfinite(value) and value > 0):
-                raise ValidationError(
+                raise InputError(
                     f"{self.label}: {field} must be finite and > 0, got {value!r}")
         if not (self.m_h > 0):  # inf allowed, nan rejected
-            raise ValidationError(
+            raise InputError(
                 f"{self.label}: m_h must be > 0 (or inf), got {self.m_h!r}")
         if not (math.isfinite(self.transient_multiplier)
                 and self.transient_multiplier >= 1.0):
-            raise ValidationError(
+            raise InputError(
                 f"{self.label}: transient_mult must be >= 1, "
                 f"got {self.transient_multiplier!r}")
 
@@ -129,28 +129,26 @@ class BodyRegionTable:
     def __post_init__(self) -> None:
         missing = [rid for rid in REGION_IDS if rid not in self.entries]
         if missing:
-            raise SchemaError(
+            raise InputError(
                 "missing region: " + ", ".join(REGION_LABELS[m] for m in missing))
         extra = [rid for rid in self.entries if rid not in REGION_LABELS]
         if extra:
-            raise SchemaError("unknown region: " + ", ".join(extra))
+            raise InputError("unknown region: " + ", ".join(extra))
         # The two head regions take no transient elevation; every other
         # region of the reference table doubles its quasi-static threshold.
         for rid, params in self.entries.items():
             expected = 1.0 if rid in HEAD_REGIONS else 2.0
             if params.transient_multiplier != expected:
-                raise ValidationError(
+                raise InputError(
                     f"{params.label}: transient_mult must be {expected:g} "
                     f"for this region, got {params.transient_multiplier:g}")
 
     def __getitem__(self, region: str) -> BodyRegionParams:
         rid = normalize_region(region)
-        try:
-            return self.entries[rid]
-        except KeyError:
-            raise KeyError(
-                f"unknown region {region!r}; valid regions: "
-                + ", ".join(REGION_IDS)) from None
+        if rid not in self.entries:
+            raise InputError(f"unknown region {region!r}; valid regions: "
+                             + ", ".join(REGION_IDS))
+        return self.entries[rid]
 
     def __iter__(self) -> Iterable[BodyRegionParams]:
         return (self.entries[rid] for rid in REGION_IDS)
@@ -161,7 +159,7 @@ def _parse_float(raw: str, row: int, column: str, region: str,
     try:
         value = float(raw)
     except ValueError:
-        raise SchemaError(
+        raise InputError(
             f"row {row} ({region}): column {column!r} is not a number: {raw!r}"
         ) from None
     return number(f"row {row} ({region})", f"column {column!r}", value,
@@ -192,27 +190,27 @@ def load_body_table(source: Source) -> BodyRegionTable:
         rows.append((lineno, next(csv.reader(io.StringIO(line)))))
 
     if not rows:
-        raise SchemaError("empty table: no header row found")
+        raise InputError("empty table: no header row found")
     header_line, header = rows[0]
     if [h.strip() for h in header] != _CSV_HEADER:
-        raise SchemaError(
+        raise InputError(
             f"line {header_line}: bad header {header!r}; expected "
             + ",".join(_CSV_HEADER))
 
     entries: dict[str, BodyRegionParams] = {}
     for lineno, cells in rows[1:]:
         if len(cells) != len(_CSV_HEADER):
-            raise SchemaError(
+            raise InputError(
                 f"row {lineno}: expected {len(_CSV_HEADER)} columns, "
                 f"got {len(cells)}")
         raw_region = cells[0]
         rid = normalize_region(raw_region)
         if rid not in REGION_LABELS:
-            raise SchemaError(
+            raise InputError(
                 f"row {lineno}: unknown region {raw_region!r}; valid regions: "
                 + ", ".join(REGION_LABELS.values()))
         if rid in entries:
-            raise SchemaError(
+            raise InputError(
                 f"row {lineno}: duplicate region: {REGION_LABELS[rid]}")
         f_max = _parse_float(cells[1], lineno, "f_max_qs_N", raw_region)
         p_max = _parse_float(cells[2], lineno, "p_max_qs_N_per_cm2", raw_region)
@@ -228,8 +226,8 @@ def load_body_table(source: Source) -> BodyRegionTable:
                 m_h=m_h,
                 transient_multiplier=mult,
             )
-        except ValidationError as exc:
-            raise ValidationError(f"row {lineno}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"row {lineno}: {exc}") from None
 
     return BodyRegionTable(entries=entries, source_label=source_label)
 
@@ -241,7 +239,7 @@ def binding_criterion(params: BodyRegionParams, contact_area: float = 1.0) -> st
     limit is the operative number.
     """
     if not (math.isfinite(contact_area) and contact_area > 0):
-        raise DomainError(f"contact_area must be > 0, got {contact_area!r}")
+        raise InputError(f"contact_area must be > 0, got {contact_area!r}")
     return "pressure" if contact_area * params.p_max_qs < params.f_max_qs else "force"
 
 
@@ -255,7 +253,7 @@ def effective_force_limit(params: BodyRegionParams, mode: ContactMode,
     loading after the impact, so the short-duration elevation never applies).
     """
     if not (math.isfinite(contact_area) and contact_area > 0):
-        raise DomainError(f"contact_area must be > 0, got {contact_area!r}")
+        raise InputError(f"contact_area must be > 0, got {contact_area!r}")
     limit = min(params.f_max_qs, contact_area * params.p_max_qs)
     if mode is ContactMode.TRANSIENT:
         limit *= params.transient_multiplier
@@ -264,12 +262,24 @@ def effective_force_limit(params: BodyRegionParams, mode: ContactMode,
 
 def max_elastic_energy(params: BodyRegionParams, mode: ContactMode,
                        contact_area: float = 1.0) -> float:
-    """Maximum elastic energy [J] the contact spring may store: F^2 / (2k)."""
+    """Maximum elastic energy [J] the contact spring may store: F^2 / (2k).
+
+    A budget that underflows to 0 or overflows to inf is rejected.
+    """
     f_eff = effective_force_limit(params, mode, contact_area)
     budget = f_eff * f_eff / (2.0 * params.stiffness)
     if not budget > 0:
-        raise DomainError(
+        raise InputError(
             f"{params.label} {mode.value}: contact_area = {contact_area!r} "
             f"cm^2 leaves an elastic energy budget F^2 / 2k of {budget!r} J; "
             f"it must be > 0")
+    if math.isinf(budget):
+        column, value = (
+            ("p_max_qs_N_per_cm2", params.p_max_qs)
+            if binding_criterion(params, contact_area) == "pressure"
+            else ("f_max_qs_N", params.f_max_qs))
+        raise InputError(
+            f"{params.label} {mode.value}: {column} = {value!r} at "
+            f"contact_area = {contact_area!r} cm^2 gives an elastic energy "
+            f"budget F^2 / 2k of {budget!r} J; it must be finite")
     return budget

@@ -25,8 +25,7 @@ from . import __version__, assets
 from .body import ContactMode, REGION_IDS, REGION_LABELS, load_body_table
 from .collision import CollisionScenario, simulate, total_energy
 from .dynamics import load_robot_model, iso_effective_mass
-from .errors import (ConstrainedDirectionError, DomainError, ReportError,
-                     SchemaError, StepSizeError, SweepError, ValidationError)
+from .errors import InputError, NumericalError
 from .limits import LimitQuery, compute_limit
 from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
 from .schema import flag, number, read_mapping, text, write_json
@@ -34,7 +33,6 @@ from .svgplot import line_chart
 from .sweep import (SweepConfig, render_sweep_svg, run_sweep, scaling_report,
                     write_boxstats_json, write_scaling_csv, write_sweep_csv)
 
-_USAGE_EXIT = 2
 _INPUT_EXIT = 3
 _NUMERIC_EXIT = 4
 
@@ -48,12 +46,12 @@ _MODE_ALIASES = {
 
 
 def _parse_mode(text: str) -> ContactMode:
-    try:
-        return _MODE_ALIASES[text.strip().lower()]
-    except KeyError:
-        raise ValidationError(
+    mode = _MODE_ALIASES.get(text.strip().lower())
+    if mode is None:
+        raise InputError(
             f"unknown contact mode {text!r}; valid: transient, qs-free, "
-            f"qs-clamped") from None
+            f"qs-clamped")
+    return mode
 
 
 def _sha256(path: Path) -> str:
@@ -417,16 +415,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ValidationError, DomainError, ReportError,
-            OSError) as exc:
+    except (InputError, OSError) as exc:
         # OSError: an input that cannot be read, an --out that is a file
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_EXIT
-    except KeyError as exc:
-        # unknown region names surface here with the valid list attached
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return _INPUT_EXIT
-    except (StepSizeError, SweepError, ConstrainedDirectionError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
 

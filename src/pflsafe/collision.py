@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError, ValidationError
+from .errors import InputError, NumericalError
 
 #: most samples one trajectory may hold (the default horizon gives 751)
 MAX_SIMULATE_SAMPLES = 1_000_000
@@ -48,17 +48,17 @@ class CollisionScenario:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.m_r) and self.m_r > 0):
-            raise ValidationError(f"m_r must be finite and > 0, got {self.m_r!r}")
+            raise InputError(f"m_r must be finite and > 0, got {self.m_r!r}")
         if not self.m_h > 0:
-            raise ValidationError(f"m_h must be > 0 (or inf), got {self.m_h!r}")
+            raise InputError(f"m_h must be > 0 (or inf), got {self.m_h!r}")
         if not (math.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"k must be finite and > 0, got {self.k!r}")
+            raise InputError(f"k must be finite and > 0, got {self.k!r}")
         if not (math.isfinite(self.v0) and self.v0 >= 0):
-            raise ValidationError(f"v0 must be finite and >= 0, got {self.v0!r}")
+            raise InputError(f"v0 must be finite and >= 0, got {self.v0!r}")
         # v0 * v0 overflows to inf where v0 ** 2 raises OverflowError
         energy = 0.5 * self.m_r * (self.v0 * self.v0)
         if not (math.isfinite(self.m_r * self.v0) and math.isfinite(energy)):
-            raise ValidationError(
+            raise InputError(
                 f"m_r = {self.m_r!r} kg at v0 = {self.v0!r} m/s: the impact "
                 f"momentum m_r * v0 and energy 1/2 * m_r * v0^2 must be finite")
 
@@ -185,20 +185,20 @@ def simulate(scenario: CollisionScenario, dt: float | None = None,
     if dt is None:
         dt = period / 1000.0
     elif not (math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
+        raise InputError(f"dt must be finite and > 0, got {dt!r}")
     if dt >= period / 10.0:
-        raise StepSizeError(
+        raise NumericalError(
             f"dt = {dt:g} s too coarse for contact period {period:g} s; "
             f"need dt < period/10")
     if horizon is None:
         horizon = 0.75 * period
     elif not (math.isfinite(horizon) and horizon > 0):
-        raise DomainError(f"horizon must be finite and > 0, got {horizon!r}")
+        raise InputError(f"horizon must be finite and > 0, got {horizon!r}")
 
     steps = horizon / dt + 1e-9
     if not steps < MAX_SIMULATE_SAMPLES:
-        raise DomainError(f"horizon / dt = {steps:.4g} steps: over the cap of "
-                          f"{MAX_SIMULATE_SAMPLES:,} samples")
+        raise InputError(f"horizon / dt = {steps:.4g} steps: over the cap of "
+                         f"{MAX_SIMULATE_SAMPLES:,} samples")
     n = int(math.floor(steps)) + 1
     t = np.arange(n) * dt
     v_r = np.empty(n)
@@ -237,7 +237,7 @@ def _extract_outcome(scenario: CollisionScenario,
     """Peak quantities from the sampled trajectory (parabolic refinement)."""
     i = int(np.argmax(traj.dx))
     if i == 0 or i == len(traj.dx) - 1:
-        raise DomainError(
+        raise InputError(
             "peak compression not bracketed by the horizon; extend it")
     ym, y0, yp = traj.dx[i - 1], traj.dx[i], traj.dx[i + 1]
     denom = ym - 2.0 * y0 + yp

@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConstrainedDirectionError, DomainError, SchemaError,
-                     ValidationError)
+from .errors import InputError
 from .schema import (Source, flag, mapping, number, read_mapping, text,
                      vector3)
 
@@ -157,7 +156,7 @@ def load_robot_model(source: Source) -> ManipulatorModel:
     raw = read_mapping(source, "robot model", MODEL_KEYS["model"])
     link_specs = raw.get("links")
     if not isinstance(link_specs, list) or not link_specs:
-        raise SchemaError("robot model: 'links' must be a non-empty list")
+        raise InputError("robot model: 'links' must be a non-empty list")
     links = tuple(_parse_link(idx, spec) for idx, spec in enumerate(link_specs))
     ee_spec = mapping("end_effector", raw.get("end_effector", {}),
                       MODEL_KEYS["end_effector"])
@@ -186,21 +185,21 @@ def _parse_link(idx: int, spec) -> Link:
 
     kind = jspec.get("type", "revolute")
     if kind not in ("revolute", "prismatic"):
-        raise SchemaError(f"{where}: unsupported joint type {kind!r}")
+        raise InputError(f"{where}: unsupported joint type {kind!r}")
     axis = vector3(where, "axis", jspec.get("axis", [0, 0, 1]))
     norm = math.hypot(*axis)  # no overflow for a huge component
     if norm < 1e-12:
-        raise ValidationError(f"{where}: joint axis must be non-zero")
+        raise InputError(f"{where}: joint axis must be non-zero")
     axis = axis / norm
     lower = number(where, "lower", jspec.get("lower", -math.inf), allow_inf=True)
     upper = number(where, "upper", jspec.get("upper", math.inf), allow_inf=True)
     if not lower < upper:
-        raise ValidationError(f"{where}: joint limits must satisfy lower < upper")
+        raise InputError(f"{where}: joint limits must satisfy lower < upper")
 
     inertia = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
     eigmin = float(np.linalg.eigvalsh(inertia)[0])
     if eigmin < -1e-10:
-        raise ValidationError(
+        raise InputError(
             f"{where}: inertia tensor not positive semi-definite "
             f"(min eigenvalue {eigmin:g})")
 
@@ -226,8 +225,8 @@ def _check_q(model: ManipulatorModel, q: np.ndarray,
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (model.n,) or q.ndim not in ((1, 2) if stack else (1,)):
         allowed = f" or (B, {model.n})" if stack else ""
-        raise DomainError(f"q must have shape ({model.n},){allowed}, "
-                          f"got {q.shape}")
+        raise InputError(f"q must have shape ({model.n},){allowed}, "
+                         f"got {q.shape}")
     return q
 
 
@@ -361,13 +360,13 @@ class ReflectedMassQuery:
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float)
         if u.shape[-1:] != (3,) or u.ndim > 2 or u.size == 0:
-            raise ValidationError(
+            raise InputError(
                 f"u must be a 3-vector or a non-empty (d, 3) stack, "
                 f"got shape {u.shape}")
         norms = np.atleast_1d(np.linalg.norm(u, axis=-1))
         bad = norms[np.abs(norms - 1.0) > 1e-9]
         if bad.size:
-            raise ValidationError(
+            raise InputError(
                 f"u must be a unit vector (|u| = {bad[0]:.12g})")
 
 
@@ -376,11 +375,11 @@ def reflected_mass(model: ManipulatorModel,
     """Effective mass [kg] felt by a collision along query.u.
 
     m_u = (u^T Lambda^-1 u)^-1 with Lambda^-1 = J M^-1 J^T the inverse
-    operational-space inertia at the tool frame origin.  For one direction
-    the result is a float, and a direction with no feasible motion raises
-    ConstrainedDirectionError.  For a (d, 3) stack the Jacobian, M and
-    Lambda^-1 are built once and the result is a (d,) array holding inf for
-    each constrained direction.  q is one configuration, of shape (n,).
+    operational-space inertia at the tool frame origin.  A direction with
+    no feasible motion (u^T Lambda^-1 u below SINGULAR_GUARD) has infinite
+    mass.  One direction gives a float; for a (d, 3) stack the Jacobian, M
+    and Lambda^-1 are built once and the result is a (d,) array.  q is one
+    configuration, of shape (n,).
     """
     frames = link_frames(model, _check_q(model, query.q, stack=False))
     jac = _contact_kinematics(model, frames)[1][:3]
@@ -388,20 +387,14 @@ def reflected_mass(model: ManipulatorModel,
     try:
         lam_inv = jac @ np.linalg.solve(m, jac.T)
     except np.linalg.LinAlgError:
-        raise DomainError(f"mass matrix is singular at q = "
-                          f"{np.asarray(query.q).tolist()}") from None
+        raise InputError(f"mass matrix is singular at q = "
+                         f"{np.asarray(query.q).tolist()}") from None
     u = np.asarray(query.u, dtype=float)
     rows = u.reshape(-1, 1, 3)
     s = (rows @ lam_inv @ rows.transpose(0, 2, 1))[:, 0, 0]
     masses = np.divide(1.0, s, out=np.full(s.shape, math.inf),
                        where=s >= SINGULAR_GUARD)
-    if u.ndim == 2:
-        return masses
-    if s[0] < SINGULAR_GUARD:
-        raise ConstrainedDirectionError(
-            f"direction {u.tolist()} is structurally constrained "
-            f"(u^T Lambda^-1 u = {s[0]:.3g} 1/kg)")
-    return float(masses[0])
+    return masses if u.ndim == 2 else float(masses[0])
 
 
 def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:
@@ -411,7 +404,7 @@ def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:
     (links marked ``moving: false`` in the model file are excluded).
     """
     if payload < 0 or not math.isfinite(payload):
-        raise DomainError(f"payload must be finite and >= 0, got {payload!r}")
+        raise InputError(f"payload must be finite and >= 0, got {payload!r}")
     total = sum(link.mass for link in model.links if link.moving)
     return 0.5 * total + payload
 
@@ -532,9 +525,9 @@ def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
     seeds = np.asarray(seeds, dtype=float)
     if (targets.ndim != 2 or targets.shape[1] != 3
             or seeds.shape != (len(targets), model.n)):
-        raise DomainError(f"targets and seeds must be (B, 3) and "
-                          f"(B, {model.n}) stacks, got {targets.shape} and "
-                          f"{seeds.shape}")
+        raise InputError(f"targets and seeds must be (B, 3) and "
+                         f"(B, {model.n}) stacks, got {targets.shape} and "
+                         f"{seeds.shape}")
     lower, upper = model.lower_limits, model.upper_limits
     q = np.minimum(np.maximum(seeds, lower), upper)
     budget = np.array([0 if _outside_reach(model, target, orientation,
@@ -610,10 +603,10 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (3,):
-        raise DomainError(f"target must be a 3-vector, got {target.shape}")
+        raise InputError(f"target must be a 3-vector, got {target.shape}")
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (model.n,):
-        raise DomainError(f"seed must have shape ({model.n},), got {seed.shape}")
+        raise InputError(f"seed must have shape ({model.n},), got {seed.shape}")
     lanes = ik_lockstep(model, target[None], seed[None], orientation)
     return IKResult(lanes.q[0], bool(lanes.success[0]),
                     int(lanes.iterations[0]), float(lanes.position_error[0]),

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all pflsafe modules.
+"""Exception hierarchy shared by all pflsafe modules: one class per exit code.
 
-The CLI maps these onto process exit codes: schema/validation/domain
-problems are "bad input" (exit 3), numerical failures are "computation
-did not succeed" (exit 4).
+``InputError`` (exit 3) is an input the computation cannot accept: a file
+that does not match its format, a value that is malformed, not finite or
+outside its bound, or a combination no limit can be derived for.
+``NumericalError`` (exit 4) is a well-formed input the computation did not
+succeed on: an integrator step too coarse for the dynamics, or a sweep with
+no reachable grid point.
 """
 from __future__ import annotations
 
@@ -11,29 +14,9 @@ class PflError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SchemaError(PflError):
-    """An input file does not match its documented format."""
+class InputError(PflError):
+    """An input breaks a stated format, bound or assumption (exit 3)."""
 
 
-class ValidationError(PflError):
-    """Values are well-formed but violate a stated invariant."""
-
-
-class DomainError(PflError):
-    """An argument is outside the domain of the requested computation."""
-
-
-class StepSizeError(PflError):
-    """Integrator step size too coarse for the fastest dynamics present."""
-
-
-class ConstrainedDirectionError(PflError):
-    """Contact direction is structurally inaccessible to the mechanism."""
-
-
-class SweepError(PflError):
-    """Workspace sweep could not produce a usable result."""
-
-
-class ReportError(PflError):
-    """Aggregation/report generation failed (e.g. a non-conservative variant)."""
+class NumericalError(PflError):
+    """A computation on valid input did not succeed (exit 4)."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .body import (BodyRegionParams, BodyRegionTable, ContactMode,
                    binding_criterion, max_elastic_energy)
-from .errors import DomainError
+from .errors import InputError
 
 #: slack used by admissibility checks so a speed exactly at the limit passes
 ADMISSIBLE_TOL = 1e-12
@@ -49,10 +49,10 @@ class LimitQuery:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.robot_mass) and self.robot_mass > 0):
-            raise DomainError(
+            raise InputError(
                 f"robot_mass must be finite and > 0, got {self.robot_mass!r}")
         if not (math.isfinite(self.contact_area) and self.contact_area > 0):
-            raise DomainError(
+            raise InputError(
                 f"contact_area must be > 0, got {self.contact_area!r}")
 
 
@@ -77,9 +77,9 @@ def v0_max(u_s_max: float, m_r, m_h: float):
     _check_energy(u_s_max)
     masses = np.asarray(m_r, dtype=float)
     if not np.all(masses > 0):
-        raise DomainError(f"m_r must be > 0, got {m_r!r}")
+        raise InputError(f"m_r must be > 0, got {m_r!r}")
     if not m_h > 0:
-        raise DomainError(f"m_h must be > 0, got {m_h!r}")
+        raise InputError(f"m_h must be > 0, got {m_h!r}")
     v = np.sqrt(2.0 * u_s_max * (1.0 / masses + 1.0 / m_h))
     return float(v) if v.ndim == 0 else v
 
@@ -92,7 +92,7 @@ def body_part_mass(params: BodyRegionParams, mode: ContactMode) -> float:
 def v0_max_free(u_s_max: float, m_r: float, m_h: float) -> float:
     """Speed limit for a free impact on a body part of finite mass m_h."""
     if math.isinf(m_h):
-        raise DomainError(
+        raise InputError(
             "m_h is infinite: a non-recoiling body part is a clamped "
             "contact; use v0_max_clamped")
     return v0_max(u_s_max, m_r, m_h)
@@ -126,7 +126,7 @@ def compute_limit(query: LimitQuery, table: BodyRegionTable) -> SpeedLimit:
     mode = query.mode
     u_s_max = max_elastic_energy(params, mode, query.contact_area)
     if params.clamped_only and mode is not ContactMode.QUASI_STATIC_CLAMPED:
-        raise DomainError(
+        raise InputError(
             f"{params.label}: effective mass is infinite (cannot recoil); "
             f"evaluate this region in "
             f"{ContactMode.QUASI_STATIC_CLAMPED.value} mode")
@@ -148,9 +148,9 @@ def is_admissible(v0: float, limit: SpeedLimit,
 
 def _check_energy(u_s_max: float) -> None:
     if not (math.isfinite(u_s_max) and u_s_max > 0):
-        raise DomainError(f"u_s_max must be finite and > 0, got {u_s_max!r}")
+        raise InputError(f"u_s_max must be finite and > 0, got {u_s_max!r}")
 
 
 def _check_mass(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        raise InputError(f"{name} must be finite and > 0, got {value!r}")

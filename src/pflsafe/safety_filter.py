@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import InputError
 from .limits import SpeedLimit
 
 #: most control periods one loop may run (the default scenario runs 2,000)
@@ -46,9 +46,9 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.period) and self.period > 0):
-            raise DomainError(f"period must be > 0, got {self.period!r}")
+            raise InputError(f"period must be > 0, got {self.period!r}")
         if self.power_cap is not None and not self.power_cap > 0:
-            raise DomainError(f"power_cap must be > 0, got {self.power_cap!r}")
+            raise InputError(f"power_cap must be > 0, got {self.power_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class TankState:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.initial_budget) and self.initial_budget >= 0):
-            raise ValidationError(
+            raise InputError(
                 f"initial_budget must be finite and >= 0, got {self.initial_budget!r}")
         if self.energy < 0 or not math.isfinite(self.energy):
-            raise ValidationError(f"energy must be finite and >= 0, got {self.energy!r}")
+            raise InputError(f"energy must be finite and >= 0, got {self.energy!r}")
 
 
 def tank_init(budget: float, recycling_enabled: bool = False) -> TankState:
@@ -90,9 +90,9 @@ def tank_step(state: TankState, requested_power: float, dt: float,
     the dissipated energy refills the tank up to the initial budget.
     """
     if not (math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be > 0, got {dt!r}")
+        raise InputError(f"dt must be > 0, got {dt!r}")
     if not math.isfinite(requested_power):
-        raise DomainError(f"requested_power must be finite, got {requested_power!r}")
+        raise InputError(f"requested_power must be finite, got {requested_power!r}")
 
     if requested_power <= 0.0:
         if state.recycling_enabled and requested_power < 0.0:
@@ -143,11 +143,10 @@ class PlantState:
 
     mass: float
     velocity: float = 0.0
-    position: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValidationError(f"mass must be finite and > 0, got {self.mass!r}")
+            raise InputError(f"mass must be finite and > 0, got {self.mass!r}")
 
 
 @dataclass(eq=False)
@@ -186,17 +185,17 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
     the trajectory is in the returned log.
     """
     if not (math.isfinite(duration) and duration > 0):
-        raise DomainError(f"duration must be > 0, got {duration!r}")
+        raise InputError(f"duration must be > 0, got {duration!r}")
     dt = cfg.period
     if gain is None:
         gain = 20.0 * plant.mass  # closed-loop time constant 1/20 s
     elif not gain > 0:
-        raise DomainError(f"gain must be > 0, got {gain!r}")
+        raise InputError(f"gain must be > 0, got {gain!r}")
 
     steps = duration / dt
     if not steps < MAX_FILTER_STEPS:
-        raise DomainError(f"duration / period = {steps:.4g} steps: over the cap "
-                          f"of {MAX_FILTER_STEPS:,}")
+        raise InputError(f"duration / period = {steps:.4g} steps: over the cap "
+                         f"of {MAX_FILTER_STEPS:,}")
     n = int(round(steps)) + 1
     log = LoopLog(
         t=np.arange(n) * dt,
@@ -215,7 +214,7 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
         v_next = v + force / m * dt
         work = 0.5 * m * (v_next * v_next - v * v)
         if not math.isfinite(work):
-            raise DomainError(
+            raise InputError(
                 f"gain {gain!r} N s/m on a speed error of {v_cmd - v!r} m/s "
                 f"asks for non-finite work at t = {t!r} s")
         granted, tank = tank_step(tank, work / dt, dt, power_cap=cfg.power_cap)

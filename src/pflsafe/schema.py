@@ -1,9 +1,9 @@
 """Input formats: one text reader, one YAML reader, one rule per kind of value.
 
 YAML numbers follow YAML 1.2 (``1e-3`` is a float), an empty file is an empty
-mapping and an unknown key is an error.  A malformed value raises
-``SchemaError``, a non-finite one ``ValidationError`` and one outside its
-key's bound ``DomainError``: the CLI exits 3 on each.
+mapping and an unknown key is an error.  A malformed, non-finite or
+out-of-bound value raises ``InputError`` naming the file and the key: the
+CLI exits 3.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import IO, Iterable, Union
 import numpy as np
 import yaml
 
-from .errors import DomainError, SchemaError, ValidationError
+from .errors import InputError
 
 Source = Union[str, Path, bytes, IO[str], IO[bytes]]
 
@@ -33,7 +33,7 @@ def read_text(source: Source) -> tuple[str, str]:
     try:
         return (data.decode("utf-8") if isinstance(data, bytes) else data), label
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{label}: not UTF-8 text: {exc}") from None
+        raise InputError(f"{label}: not UTF-8 text: {exc}") from None
 
 
 class _Loader(yaml.SafeLoader):
@@ -52,17 +52,17 @@ def read_mapping(source: Source, what: str, known: Iterable[str]) -> dict:
     try:
         raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise SchemaError(f"{what}: invalid YAML: {exc}") from None
+        raise InputError(f"{what}: invalid YAML: {exc}") from None
     return mapping(what, {} if raw is None else raw, known)
 
 
 def mapping(what: str, value, known: Iterable[str]) -> dict:
     """``value`` as a mapping whose keys all come from ``known``."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{what} must be a mapping, got {value!r}")
+        raise InputError(f"{what} must be a mapping, got {value!r}")
     unknown = set(value) - set(known)
     if unknown:
-        raise SchemaError(f"{what}: unknown keys {sorted(unknown, key=str)}")
+        raise InputError(f"{what}: unknown keys {sorted(unknown, key=str)}")
     return value
 
 
@@ -72,41 +72,41 @@ def number(what: str, key: str, value, *, integral: bool = False,
     """``value`` as a float (an int if ``integral``): never a bool or NaN."""
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise SchemaError(f"{what}: {key} must be "
-                          f"{'an integer' if integral else 'a number'}, "
-                          f"got {value!r}")
+        raise InputError(f"{what}: {key} must be "
+                         f"{'an integer' if integral else 'a number'}, "
+                         f"got {value!r}")
     try:
         value = int(value) if integral else float(value)
     except OverflowError:  # an int beyond the float range
         value = math.inf if value > 0 else -math.inf
     if not integral and (math.isnan(value)
                          or (math.isinf(value) and not allow_inf)):
-        raise ValidationError(f"{what}: {key} must be finite, got {value!r}")
+        raise InputError(f"{what}: {key} must be finite, got {value!r}")
     if gt is not None and not value > gt:
-        raise DomainError(f"{what}: {key} must be > {gt}, got {value!r}")
+        raise InputError(f"{what}: {key} must be > {gt}, got {value!r}")
     if ge is not None and not value >= ge:
-        raise DomainError(f"{what}: {key} must be >= {ge}, got {value!r}")
+        raise InputError(f"{what}: {key} must be >= {ge}, got {value!r}")
     return value
 
 
 def vector3(what: str, key: str, value) -> np.ndarray:
     """Three finite numbers as a float array, or an error naming ``key``."""
     if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3:
-        raise SchemaError(f"{what}: {key} must be three numbers, got {value!r}")
+        raise InputError(f"{what}: {key} must be three numbers, got {value!r}")
     return np.array([number(what, key, v) for v in value])
 
 
 def text(what: str, key: str, value) -> str:
     """A YAML string; a number, list or null is not one."""
     if not isinstance(value, str):
-        raise SchemaError(f"{what}: {key} must be a string, got {value!r}")
+        raise InputError(f"{what}: {key} must be a string, got {value!r}")
     return value
 
 
 def flag(what: str, key: str, value) -> bool:
     """A YAML boolean; a quoted ``"false"`` is not one."""
     if not isinstance(value, bool):
-        raise SchemaError(f"{what}: {key} must be true or false, got {value!r}")
+        raise InputError(f"{what}: {key} must be true or false, got {value!r}")
     return value
 
 

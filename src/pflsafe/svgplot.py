@@ -166,11 +166,11 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
 
 
 def grouped_boxplot(groups: Sequence[str],
-                    boxes: Mapping[str, Sequence[BoxStats | None]],
-                    stars: Mapping[str, Sequence[float | None]] | None = None,
+                    boxes: Mapping[str, Sequence[BoxStats]],
+                    stars: Mapping[str, Sequence[float]],
                     title: str = "", ylabel: str = "",
                     width: int = 1000, height: int = 520) -> str:
-    """Grouped box-and-whisker plot with optional per-group star markers.
+    """Grouped box-and-whisker plot with a star marker per group and series.
 
     ``boxes`` maps a series label to one BoxStats per group; ``stars`` maps
     a series label to one scalar per group (drawn as a star).
@@ -182,12 +182,10 @@ def grouped_boxplot(groups: Sequence[str],
     values: list[float] = []
     for stats_row in boxes.values():
         for st in stats_row:
-            if st is not None:
-                values.extend([st.whisker_lo, st.whisker_hi, st.minimum,
-                               st.maximum])
-    if stars:
-        for row in stars.values():
-            values.extend(float(v) for v in row if v is not None)
+            values.extend([st.whisker_lo, st.whisker_hi, st.minimum,
+                           st.maximum])
+    for row in stars.values():
+        values.extend(float(v) for v in row)
     if not values:
         raise ValueError("grouped_boxplot: no data")
     y_lo = 0.0
@@ -213,10 +211,8 @@ def grouped_boxplot(groups: Sequence[str],
                rotate=-40)
         offsets = [(s_idx - (n_series - 1) / 2) * (box_w + 4)
                    for s_idx in range(n_series)]
-        for s_idx, (label, stats_row) in enumerate(boxes.items()):
+        for s_idx, stats_row in enumerate(boxes.values()):
             st = stats_row[g_idx]
-            if st is None:
-                continue
             x = center + offsets[s_idx]
             color = _PALETTE[s_idx % len(_PALETTE)]
             c.line(x, sy(st.whisker_lo), x, sy(st.q1), color)
@@ -229,14 +225,10 @@ def grouped_boxplot(groups: Sequence[str],
                    fill="#fff", stroke=color, width=1.4)
             c.line(x - box_w / 2, sy(st.median), x + box_w / 2, sy(st.median),
                    color, 1.6)
-        if stars:
-            for s_idx, (label, row) in enumerate(stars.items()):
-                value = row[g_idx]
-                if value is None:
-                    continue
-                x = center + offsets[s_idx % max(n_series, 1)]
-                c.star(x, sy(float(value)), 5.0,
-                       _PALETTE[s_idx % len(_PALETTE)])
+        for s_idx, row in enumerate(stars.values()):
+            x = center + offsets[s_idx % max(n_series, 1)]
+            c.star(x, sy(float(row[g_idx])), 5.0,
+                   _PALETTE[s_idx % len(_PALETTE)])
 
     for s_idx, label in enumerate(boxes):
         color = _PALETTE[s_idx % len(_PALETTE)]

@@ -33,7 +33,7 @@ from .body import BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS, \
 from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        inverse_kinematics, iso_effective_mass, manipulability,
                        reflected_mass)
-from .errors import DomainError, ReportError, SweepError
+from .errors import InputError, NumericalError
 from .limits import body_part_mass, v0_max
 from .schema import number, vector3, write_json
 from .svgplot import BoxStats
@@ -81,8 +81,8 @@ class SweepConfig:
             corner = vector3(what, name, getattr(self, name))
             object.__setattr__(self, name, tuple(float(v) for v in corner))
         if not all(lo <= hi for lo, hi in zip(self.box_min, self.box_max)):
-            raise DomainError(f"box_min must be <= box_max, got "
-                              f"{self.box_min} / {self.box_max}")
+            raise InputError(f"box_min must be <= box_max, got "
+                             f"{self.box_min} / {self.box_max}")
         number(what, "grid_spacing", self.grid_spacing, gt=0)
         number(what, "n_directions", self.n_directions, integral=True, ge=1)
         _direction_generator(self.direction_style)
@@ -94,7 +94,7 @@ class SweepConfig:
 def sphere_directions(n: int) -> np.ndarray:
     """n unit vectors spread over the sphere (Fibonacci lattice), (n, 3)."""
     if n < 1:
-        raise DomainError(f"need at least one direction, got {n}")
+        raise InputError(f"need at least one direction, got {n}")
     i = np.arange(n, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / n
     golden_angle = math.pi * (3.0 - math.sqrt(5.0))
@@ -112,7 +112,7 @@ def horizontal_directions(n: int) -> np.ndarray:
     case covered by the clamped contact mode, not by a free strike.
     """
     if n < 1:
-        raise DomainError(f"need at least one direction, got {n}")
+        raise InputError(f"need at least one direction, got {n}")
     theta = 2.0 * math.pi * np.arange(n, dtype=float) / n
     return np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
 
@@ -125,7 +125,7 @@ _DIRECTION_STYLES = {
 
 def _direction_generator(style: str):
     if not isinstance(style, str) or style not in _DIRECTION_STYLES:
-        raise DomainError(
+        raise InputError(
             f"unknown direction style {style!r}; valid: "
             + ", ".join(sorted(_DIRECTION_STYLES)))
     return _DIRECTION_STYLES[style]
@@ -139,7 +139,7 @@ def direction_set(n: int, style: str = "horizontal") -> np.ndarray:
 def summary_stats(samples: np.ndarray) -> BoxStats:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
-        raise DomainError("summary_stats: empty sample set")
+        raise InputError("summary_stats: empty sample set")
     q1, med, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     lo_cut, hi_cut = q1 - 1.5 * iqr, q3 + 1.5 * iqr
@@ -207,7 +207,7 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
                       / config.grid_spacing + 1e-9) + 1
     n_points = float(np.prod(counts))
     if not config.n_directions <= MAX_SWEEP_EVALUATIONS / n_points:
-        raise DomainError(
+        raise InputError(
             f"sweep of {n_points:.4g} grid points x {config.n_directions} "
             f"directions exceeds the cap of {MAX_SWEEP_EVALUATIONS:,} "
             f"evaluations")
@@ -218,13 +218,13 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
 
     for params in table:
         if params.clamped_only:
-            raise DomainError(
+            raise InputError(
                 f"{params.label}: infinite effective mass (m_h_kg = inf) "
                 f"cannot be swept, because a sweep also evaluates the "
                 f"free-impact modes (transient, quasi-static free)")
     iso_mass = iso_effective_mass(model, config.payload)
     if not iso_mass > 0:
-        raise DomainError(
+        raise InputError(
             f"constant effective mass (half the moving link mass + payload) "
             f"is {iso_mass!r} kg with payload {config.payload!r} kg; it must "
             f"be > 0: mark a link as moving or set a payload")
@@ -263,7 +263,7 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
 
     n_grid = len(xs) * len(ys) * len(zs)
     if not mass_rows:
-        raise SweepError("no reachable grid points in the configured box")
+        raise NumericalError("no reachable grid points in the configured box")
     reflected = np.vstack(mass_rows)
     flat_masses = reflected.reshape(-1)
 
@@ -326,7 +326,7 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
                     f"{result.config.payload:g} kg) is too light against "
                     f"the arm's reflected masses, the smallest "
                     f"{float(np.min(result.reflected_masses)):.6g} kg")
-                raise ReportError(
+                raise InputError(
                     f"{REGION_LABELS[rid]} {mode.value}/{source.value}: "
                     f"scaling {pct:.2f}% outside (0, 100]; variant is not "
                     f"conservative w.r.t. the baseline{cause}")

@@ -128,6 +128,16 @@ def test_limits_exit_codes(tmp_path, capsys):
                "--mass", 5, "--out", out) == 3
 
 
+def test_an_internal_key_error_is_not_bad_input(tmp_path, monkeypatch):
+    # exit 3 means a bad input; a bug must surface as a traceback
+    def buggy_limit(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("pflsafe.cli.compute_limit", buggy_limit)
+    with pytest.raises(KeyError, match="bug"):
+        main(["limits", "--mass", "5", "--out", str(tmp_path / "o")])
+
+
 def test_sweep_with_config(tmp_path):
     config = tmp_path / "sweep.yaml"
     config.write_text(yaml.safe_dump({
@@ -219,6 +229,9 @@ SWEEP_BOX = {"box_min": [0.35, -0.05, 0.40], "box_max": [0.45, 0.05, 0.50],
              "grid_spacing": 0.05, "n_directions": 2}
 FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
                    "duration": 0.01}
+#: a contact area at which a force limit of 1e200 N binds, so that the
+#: elastic energy budget F^2 / 2k overflows to inf
+HUGE_AREA = 1.0e+300
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -240,6 +253,9 @@ FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
     ("filter", "gain", 1.0e+300),
     ("sweep", "contact_area", 1.0e-300),
     ("filter", "contact_area", 1.0e-300),
+    ("limits", "contact_area", HUGE_AREA),
+    ("filter", "contact_area", HUGE_AREA),
+    ("sweep", "contact_area", HUGE_AREA),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -247,14 +263,26 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
         raise AssertionError("inverse kinematics ran before input checks")
 
     monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", no_ik)
-    base = SWEEP_BOX if command == "sweep" else FILTER_SCENARIO
-    path = tmp_path / "input.yaml"
-    path.write_text(yaml.safe_dump(dict(base, **{key: value})))
-    flag = "--config" if command == "sweep" else "--scenario"
-    assert run(command, flag, path, "--out", tmp_path / "o") == 3
+    if command == "limits":
+        argv = ["--area", value]
+    else:
+        base = SWEEP_BOX if command == "sweep" else FILTER_SCENARIO
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(dict(base, **{key: value})))
+        argv = ["--config" if command == "sweep" else "--scenario", path]
+    overflow = (key, value) == ("contact_area", HUGE_AREA)
+    if overflow:
+        # the packaged table, with a Chest force limit whose square
+        # overflows at HUGE_AREA (the filter scenario contacts the chest)
+        table = tmp_path / "table.csv"
+        table.write_text(table_text(chest="Chest,1e200,170,25,40,2\n"))
+        argv += ["--body-table", table]
+    assert run(command, *argv, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert key in err
+    if overflow:
+        assert err.startswith("error: Chest transient: f_max_qs_N = 1e+200")
 
 
 @pytest.mark.parametrize("flag, value", [("--dt", "nan"),

@@ -11,7 +11,7 @@ import pytest
 from pflsafe.collision import (CollisionScenario, common_velocity,
                                energy_transfer, natural_period,
                                peak_contact_state, simulate, total_energy)
-from pflsafe.errors import DomainError, StepSizeError, ValidationError
+from pflsafe.errors import InputError, NumericalError
 
 # hand-evaluated closed forms for (m_r=3, m_h=1, k=5, v0=1):
 #   mu = 3/4, dx = sqrt(0.75/5), f = k*dx, t* = (pi/2)*sqrt(0.75/5)
@@ -113,7 +113,7 @@ def test_degenerate_zero_speed():
 
 
 def test_coarse_step_rejected():
-    with pytest.raises(StepSizeError, match="period"):
+    with pytest.raises(NumericalError, match="period"):
         simulate(FREE, dt=natural_period(FREE) / 10.0)
 
 
@@ -123,12 +123,13 @@ def test_coarse_step_rejected():
                                     dict(horizon=math.nan),
                                     dict(horizon=math.inf)])
 def test_bad_step_or_horizon_rejected(kwargs):
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match=f"{next(iter(kwargs))} must be "
+                                         f"finite and > 0"):
         simulate(FREE, **kwargs)
 
 
 def test_unbracketed_peak_rejected():
-    with pytest.raises(DomainError, match="horizon"):
+    with pytest.raises(InputError, match="horizon"):
         simulate(FREE, horizon=0.1 * natural_period(FREE))
 
 
@@ -141,7 +142,9 @@ def test_unbracketed_peak_rejected():
     dict(m_r=3.0, m_h=math.nan, k=5.0, v0=1.0),
 ])
 def test_invalid_scenarios_rejected(kwargs):
-    with pytest.raises(ValidationError):
+    # the one argument that differs from the valid FREE scenario
+    key, = [key for key, value in kwargs.items() if value != getattr(FREE, key)]
+    with pytest.raises(InputError, match=f"^{key} must be "):
         CollisionScenario(**kwargs)
 
 

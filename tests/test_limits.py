@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pflsafe.body import ContactMode, load_body_table
-from pflsafe.errors import DomainError
+from pflsafe.errors import InputError
 from pflsafe.limits import (LimitQuery, compute_limit, is_admissible, v0_max,
                             v0_max_clamped, v0_max_free, velocity_bounds)
 from test_body import table_text
@@ -23,7 +23,7 @@ def test_clamped_limit_hand_value():
 
 
 def test_free_limit_rejects_infinite_human_mass():
-    with pytest.raises(DomainError, match="clamped"):
+    with pytest.raises(InputError, match="clamped"):
         v0_max_free(0.5, 3.0, math.inf)
 
 
@@ -67,9 +67,9 @@ def test_constrained_direction_limits():
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
 def test_array_with_bad_mass_rejected(bad):
-    with pytest.raises(DomainError, match="m_r"):
+    with pytest.raises(InputError, match="m_r"):
         v0_max(0.5, np.array([3.0, bad, 4.0]), math.inf)
-    with pytest.raises(DomainError, match="m_h"):
+    with pytest.raises(InputError, match="m_h"):
         v0_max(0.5, np.array([3.0, 4.0]), bad)
 
 
@@ -137,7 +137,7 @@ def test_pressure_criterion_binds_small_area(body_table):
 def test_clamped_only_region_requires_clamped_mode():
     table = load_body_table(table_text(
         back_shoulders="Back/Shoulders,210,210,35,inf,2\n").encode())
-    with pytest.raises(DomainError, match="quasi_static_clamped"):
+    with pytest.raises(InputError, match="quasi_static_clamped"):
         compute_limit(LimitQuery("back_shoulders", ContactMode.TRANSIENT, 5.0),
                       table)
     limit = compute_limit(
@@ -158,12 +158,15 @@ def test_is_admissible_inclusive_at_limit(body_table):
                                        (math.inf, 1.0), (5.0, 0.0),
                                        (5.0, -1.0)])
 def test_bad_query_rejected(mass, area):
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match=("robot_mass" if area > 0
+                                          else "contact_area")
+                       + " must be "):
         LimitQuery("face", ContactMode.TRANSIENT, mass, area)
 
 
 @pytest.mark.parametrize("u,m", [(0.0, 3.0), (-1.0, 3.0), (0.5, 0.0),
                                  (0.5, -3.0), (math.nan, 3.0)])
 def test_bad_energy_or_mass_rejected(u, m):
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match=("m_r" if u > 0 else "u_s_max")
+                       + " must be .*> 0"):
         v0_max_clamped(u, m)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pflsafe.body import ContactMode
-from pflsafe.errors import DomainError, ValidationError
+from pflsafe.errors import InputError
 from pflsafe.limits import LimitQuery, compute_limit, v0_max_clamped
 from pflsafe.safety_filter import (FilterConfig, PlantState, TankState,
                                    filter_velocity, simulate_loop, tank_init,
@@ -132,16 +132,16 @@ def test_tank_recycling_invariants_random_sequences(rng):
 
 
 def test_tank_validation():
-    with pytest.raises(ValidationError, match="initial_budget"):
+    with pytest.raises(InputError, match="initial_budget"):
         tank_init(-1.0)
-    with pytest.raises(ValidationError, match="initial_budget"):
+    with pytest.raises(InputError, match="initial_budget"):
         tank_init(math.inf)
-    with pytest.raises(ValidationError, match="energy"):
+    with pytest.raises(InputError, match="energy"):
         TankState(energy=-0.1, initial_budget=1.0)
     tank = tank_init(1.0)
-    with pytest.raises(DomainError, match="dt"):
+    with pytest.raises(InputError, match="dt"):
         tank_step(tank, 1.0, 0.0)
-    with pytest.raises(DomainError, match="requested_power"):
+    with pytest.raises(InputError, match="requested_power"):
         tank_step(tank, math.nan, 0.01)
 
 
@@ -157,14 +157,14 @@ def test_filter_velocity_clamps_and_is_idempotent(face_limit):
 
 
 def test_filter_config_validation(face_limit):
-    with pytest.raises(DomainError, match="period"):
+    with pytest.raises(InputError, match="period"):
         FilterConfig(speed_limit=face_limit, period=0.0)
-    with pytest.raises(DomainError, match="power_cap"):
+    with pytest.raises(InputError, match="power_cap"):
         FilterConfig(speed_limit=face_limit, period=PERIOD, power_cap=-1.0)
 
 
 def test_plant_validation():
-    with pytest.raises(ValidationError, match="mass"):
+    with pytest.raises(InputError, match="mass"):
         PlantState(mass=0.0)
 
 
@@ -186,11 +186,11 @@ def test_loop_leaves_the_plant_state_unchanged(face_limit):
     # the caller's state is the initial condition only: a second run from
     # the same object repeats the first, and both equal a run from a copy
     cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    plant = PlantState(mass=MASS, velocity=0.05, position=0.2)
+    plant = PlantState(mass=MASS, velocity=0.05)
     runs = [simulate_loop(state, lambda t: 10.0, cfg, tank_init(1.0),
                           duration=0.5)
-            for state in (plant, plant, PlantState(MASS, 0.05, 0.2))]
-    assert plant == PlantState(mass=MASS, velocity=0.05, position=0.2)
+            for state in (plant, plant, PlantState(MASS, 0.05))]
+    assert plant == PlantState(mass=MASS, velocity=0.05)
     assert runs[0].velocity[-1] > 0.05
     for log in runs[1:]:
         for name in ("t", "v_nominal", "v_commanded", "velocity", "ke",
@@ -267,10 +267,10 @@ def test_loop_custom_gain_and_validation(face_limit):
     log = simulate_loop(PlantState(mass=MASS), lambda t: 1.0, cfg,
                         tank_init(1.0), duration=0.5, gain=5.0 * MASS)
     assert np.max(np.abs(log.velocity)) <= face_limit.v0_max + 1e-12
-    with pytest.raises(DomainError, match="duration"):
+    with pytest.raises(InputError, match="duration"):
         simulate_loop(PlantState(mass=MASS), lambda t: 1.0, cfg,
                       tank_init(1.0), duration=0.0)
-    with pytest.raises(DomainError, match="gain"):
+    with pytest.raises(InputError, match="gain"):
         simulate_loop(PlantState(mass=MASS), lambda t: 1.0, cfg,
                       tank_init(1.0), duration=1.0, gain=-2.0)
 

@@ -70,25 +70,27 @@ def _stats(scale: float) -> BoxStats:
 def test_grouped_boxplot_basic():
     svg = grouped_boxplot(
         ["Head", "Chest"],
-        {"directional": [_stats(1.0), _stats(2.0)],
-         "constant": [_stats(1.2), None]},
-        stars={"constant": [1.1, 1.9]},
+        {"transient": [_stats(1.0), _stats(2.0)],
+         "clamped": [_stats(1.2), _stats(0.9)]},
+        {"transient": [1.1, 1.9], "clamped": [0.4, 0.3]},
         title="limits", ylabel="v [m/s]")
     assert svg.startswith("<?xml")
     assert "Head" in svg and "Chest" in svg
-    assert "<polygon" in svg           # the star markers
-    assert svg.count("<polygon") == 2
+    # one star marker per series and group
+    assert svg.count("<polygon") == 2 * 2
     assert "limits" in svg
-    # one box skipped for the None entry: 3 rects beyond frame+legend+bg
-    assert svg.count("<rect") == 1 + 1 + 2 + 3
+    # background, frame, two legend keys and one box per series and group
+    assert svg.count("<rect") == 1 + 1 + 2 + 2 * 2
 
 
 def test_grouped_boxplot_deterministic():
     groups = ["A", "B", "C"]
     boxes = {"x": [_stats(1.0), _stats(1.5), _stats(0.7)]}
-    assert grouped_boxplot(groups, boxes) == grouped_boxplot(groups, boxes)
+    stars = {"x": [0.4, 0.6, 0.3]}
+    assert (grouped_boxplot(groups, boxes, stars)
+            == grouped_boxplot(groups, boxes, stars))
 
 
 def test_grouped_boxplot_rejects_empty():
     with pytest.raises(ValueError, match="no data"):
-        grouped_boxplot(["A"], {"x": [None]})
+        grouped_boxplot([], {"x": []}, {"x": []})

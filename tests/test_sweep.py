@@ -9,7 +9,7 @@ import pytest
 from pflsafe import dynamics, sweep
 from pflsafe.body import ContactMode, REGION_IDS, load_body_table
 from pflsafe.dynamics import IKResult, load_robot_model
-from pflsafe.errors import DomainError, SweepError
+from pflsafe.errors import InputError, NumericalError
 from pflsafe.sweep import (ALL_COMBOS, MassSource, SweepConfig,
                            SweepResult, boxstats_payload, direction_set,
                            horizontal_directions, render_sweep_svg, run_sweep,
@@ -56,22 +56,22 @@ def test_direction_set_dispatch():
     assert np.array_equal(direction_set(6, "horizontal"),
                           horizontal_directions(6))
     assert np.array_equal(direction_set(6, "sphere"), sphere_directions(6))
-    with pytest.raises(DomainError, match="direction style"):
+    with pytest.raises(InputError, match="direction style"):
         direction_set(6, "cube")
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="at least one direction, got 0"):
         direction_set(0)
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="grid_spacing must be > 0"):
         SweepConfig(grid_spacing=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="box_min must be <= box_max"):
         SweepConfig(box_min=(0.5, 0.0, 0.0), box_max=(0.4, 1.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="n_directions must be >= 1"):
         SweepConfig(n_directions=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="n_workers must be >= 1"):
         SweepConfig(n_workers=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="unknown direction style 'diagonal'"):
         SweepConfig(direction_style="diagonal")
 
 
@@ -226,14 +226,14 @@ def test_reach_ball_only_skips_points_that_fail(panda, body_table,
 def test_sweep_unreachable_box_raises(panda, body_table):
     config = SweepConfig(box_min=(2.0, 2.0, 2.0), box_max=(2.1, 2.1, 2.1),
                          grid_spacing=0.05, n_directions=4)
-    with pytest.raises(SweepError, match="reachable"):
+    with pytest.raises(NumericalError, match="reachable"):
         run_sweep(panda, body_table, config)
 
 
 def test_sweep_rejects_free_modes_for_pinned_region(panda):
     table = load_body_table(table_text(
         chest="Chest,140,170,25,inf,2\n").encode())
-    with pytest.raises(DomainError, match="Chest"):
+    with pytest.raises(InputError, match="Chest"):
         run_sweep(panda, table, SweepConfig(**TINY))
 
 
@@ -247,7 +247,7 @@ def test_summary_stats_against_numpy():
     assert st.whisker_hi == 7.0  # 100 is beyond q3 + 1.5 IQR
     assert st.whisker_lo == 1.0
     assert st.n == 8
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError, match="empty sample set"):
         summary_stats(np.array([]))
 
 
