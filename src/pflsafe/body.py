@@ -96,18 +96,9 @@ class BodyRegionParams:
                 f"unknown region id {self.region_id!r}; expected one of "
                 + ", ".join(REGION_IDS))
         for field in ("f_max_qs", "p_max_qs", "stiffness"):
-            value = getattr(self, field)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(
-                    f"{self.label}: {field} must be finite and > 0, got {value!r}")
-        if not (self.m_h > 0):  # inf allowed, nan rejected
-            raise InputError(
-                f"{self.label}: m_h must be > 0 (or inf), got {self.m_h!r}")
-        if not (math.isfinite(self.transient_multiplier)
-                and self.transient_multiplier >= 1.0):
-            raise InputError(
-                f"{self.label}: transient_mult must be >= 1, "
-                f"got {self.transient_multiplier!r}")
+            number(self.label, field, getattr(self, field), gt=0)
+        number(self.label, "m_h", self.m_h, gt=0, allow_inf=True)
+        number(self.label, "transient_mult", self.transient_multiplier, ge=1)
 
     @property
     def label(self) -> str:
@@ -238,8 +229,7 @@ def binding_criterion(params: BodyRegionParams, contact_area: float = 1.0) -> st
     Ties resolve to "force": at the nominal 1 cm^2 area the tabulated force
     limit is the operative number.
     """
-    if not (math.isfinite(contact_area) and contact_area > 0):
-        raise InputError(f"contact_area must be > 0, got {contact_area!r}")
+    number(params.label, "contact_area", contact_area, gt=0)
     return "pressure" if contact_area * params.p_max_qs < params.f_max_qs else "force"
 
 
@@ -252,8 +242,7 @@ def effective_force_limit(params: BodyRegionParams, mode: ContactMode,
     contacts always use quasi-static thresholds (a pinned body part keeps
     loading after the impact, so the short-duration elevation never applies).
     """
-    if not (math.isfinite(contact_area) and contact_area > 0):
-        raise InputError(f"contact_area must be > 0, got {contact_area!r}")
+    number(params.label, "contact_area", contact_area, gt=0)
     limit = min(params.f_max_qs, contact_area * params.p_max_qs)
     if mode is ContactMode.TRANSIENT:
         limit *= params.transient_multiplier

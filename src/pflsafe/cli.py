@@ -26,7 +26,7 @@ from .body import ContactMode, REGION_IDS, REGION_LABELS, load_body_table
 from .collision import CollisionScenario, simulate, total_energy
 from .dynamics import load_robot_model, iso_effective_mass
 from .errors import InputError, NumericalError
-from .limits import LimitQuery, compute_limit
+from .limits import compute_limit
 from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
 from .schema import flag, number, read_mapping, text, write_json
 from .svgplot import line_chart
@@ -147,9 +147,7 @@ def _cmd_limits(args) -> int:
         for mode in modes:
             if params.clamped_only and mode is not ContactMode.QUASI_STATIC_CLAMPED:
                 continue
-            limit = compute_limit(
-                LimitQuery(region=region, mode=mode, robot_mass=robot_mass,
-                           contact_area=args.area), table)
+            limit = compute_limit(table, region, mode, robot_mass, args.area)
             rows.append({
                 "region": params.region_id, "mode": mode.value,
                 "robot_mass_kg": robot_mass,
@@ -290,10 +288,8 @@ def _cmd_filter(args) -> int:
     else:
         robot_mass = scenario.robot_mass
 
-    limit = compute_limit(
-        LimitQuery(region=scenario.region, mode=mode, robot_mass=robot_mass,
-                   contact_area=scenario.contact_area),
-        table)
+    limit = compute_limit(table, scenario.region, mode, robot_mass,
+                          scenario.contact_area)
     region_id = table[scenario.region].region_id
 
     # a budget word names the limit's energy of that name

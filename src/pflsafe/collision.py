@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .schema import number
 
 #: most samples one trajectory may hold (the default horizon gives 751)
 MAX_SIMULATE_SAMPLES = 1_000_000
@@ -47,14 +48,10 @@ class CollisionScenario:
     v0: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m_r) and self.m_r > 0):
-            raise InputError(f"m_r must be finite and > 0, got {self.m_r!r}")
-        if not self.m_h > 0:
-            raise InputError(f"m_h must be > 0 (or inf), got {self.m_h!r}")
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise InputError(f"k must be finite and > 0, got {self.k!r}")
-        if not (math.isfinite(self.v0) and self.v0 >= 0):
-            raise InputError(f"v0 must be finite and >= 0, got {self.v0!r}")
+        number("CollisionScenario", "m_r", self.m_r, gt=0)
+        number("CollisionScenario", "m_h", self.m_h, gt=0, allow_inf=True)
+        number("CollisionScenario", "k", self.k, gt=0)
+        number("CollisionScenario", "v0", self.v0, ge=0)
         # v0 * v0 overflows to inf where v0 ** 2 raises OverflowError
         energy = 0.5 * self.m_r * (self.v0 * self.v0)
         if not (math.isfinite(self.m_r * self.v0) and math.isfinite(energy)):
@@ -182,18 +179,13 @@ def simulate(scenario: CollisionScenario, dt: float | None = None,
     which must not change the extracted peak quantities.
     """
     period = natural_period(scenario)
-    if dt is None:
-        dt = period / 1000.0
-    elif not (math.isfinite(dt) and dt > 0):
-        raise InputError(f"dt must be finite and > 0, got {dt!r}")
+    dt = period / 1000.0 if dt is None else number("simulate", "dt", dt, gt=0)
     if dt >= period / 10.0:
         raise NumericalError(
             f"dt = {dt:g} s too coarse for contact period {period:g} s; "
             f"need dt < period/10")
-    if horizon is None:
-        horizon = 0.75 * period
-    elif not (math.isfinite(horizon) and horizon > 0):
-        raise InputError(f"horizon must be finite and > 0, got {horizon!r}")
+    horizon = (0.75 * period if horizon is None
+               else number("simulate", "horizon", horizon, gt=0))
 
     steps = horizon / dt + 1e-9
     if not steps < MAX_SIMULATE_SAMPLES:

@@ -403,8 +403,7 @@ def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:
     "Moving" links are those whose mass can translate toward a person
     (links marked ``moving: false`` in the model file are excluded).
     """
-    if payload < 0 or not math.isfinite(payload):
-        raise InputError(f"payload must be finite and >= 0, got {payload!r}")
+    number("iso_effective_mass", "payload", payload, ge=0)
     total = sum(link.mass for link in model.links if link.moving)
     return 0.5 * total + payload
 

@@ -33,27 +33,10 @@ import numpy as np
 from .body import (BodyRegionParams, BodyRegionTable, ContactMode,
                    binding_criterion, max_elastic_energy)
 from .errors import InputError
+from .schema import number
 
 #: slack used by admissibility checks so a speed exactly at the limit passes
 ADMISSIBLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LimitQuery:
-    """One speed-limit evaluation request."""
-
-    region: str
-    mode: ContactMode
-    robot_mass: float        # kg, effective robot mass at the contact
-    contact_area: float = 1.0  # cm^2
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.robot_mass) and self.robot_mass > 0):
-            raise InputError(
-                f"robot_mass must be finite and > 0, got {self.robot_mass!r}")
-        if not (math.isfinite(self.contact_area) and self.contact_area > 0):
-            raise InputError(
-                f"contact_area must be > 0, got {self.contact_area!r}")
 
 
 @dataclass(frozen=True)
@@ -73,14 +56,19 @@ def v0_max(u_s_max: float, m_r, m_h: float):
     ``m_r`` is a float or an array of robot masses, and an infinite entry
     (a constrained direction) is allowed.  ``m_h = inf`` is the clamped
     contact.  A float ``m_r`` gives a float, an array gives an array.
+    A limit that overflows is an error, never ``inf``.
     """
-    _check_energy(u_s_max)
+    number("v0_max", "u_s_max", u_s_max, gt=0)
     masses = np.asarray(m_r, dtype=float)
     if not np.all(masses > 0):
-        raise InputError(f"m_r must be > 0, got {m_r!r}")
-    if not m_h > 0:
-        raise InputError(f"m_h must be > 0, got {m_h!r}")
-    v = np.sqrt(2.0 * u_s_max * (1.0 / masses + 1.0 / m_h))
+        raise InputError(f"v0_max: m_r must be > 0, got {m_r!r}")
+    number("v0_max", "m_h", m_h, gt=0, allow_inf=True)
+    with np.errstate(over="ignore"):
+        v = np.sqrt(2.0 * u_s_max * (1.0 / masses + 1.0 / m_h))
+    if not np.all(np.isfinite(v)):
+        raise InputError(f"v0_max: u_s_max = {u_s_max!r} J, m_r = "
+                         f"{float(masses.min())!r} kg and m_h = {m_h!r} kg "
+                         f"give an infinite speed limit; it must be finite")
     return float(v) if v.ndim == 0 else v
 
 
@@ -111,31 +99,39 @@ def velocity_bounds(u_s_max: float, m_r: float,
     The free limit lies strictly inside for m_r != m_h and equals the upper
     value for equal masses.
     """
-    _check_energy(u_s_max)
-    _check_mass("m_r", m_r)
-    if not math.isinf(m_h):
-        _check_mass("m_h", m_h)
+    number("velocity_bounds", "u_s_max", u_s_max, gt=0)
+    number("velocity_bounds", "m_r", m_r, gt=0)
+    number("velocity_bounds", "m_h", m_h, gt=0, allow_inf=True)
     lower = math.sqrt(2.0 * u_s_max / max(m_r, m_h))
     upper = math.sqrt(2.0) * math.sqrt(2.0 * u_s_max / min(m_r, m_h))
     return lower, upper
 
 
-def compute_limit(query: LimitQuery, table: BodyRegionTable) -> SpeedLimit:
-    """Speed limit for one query against a body-region table."""
-    params = table[query.region]
-    mode = query.mode
-    u_s_max = max_elastic_energy(params, mode, query.contact_area)
+def compute_limit(table: BodyRegionTable, region: str, mode: ContactMode,
+                  robot_mass: float, contact_area: float = 1.0) -> SpeedLimit:
+    """Speed limit of a region and contact mode for a robot mass [kg]."""
+    number("compute_limit", "robot_mass", robot_mass, gt=0)
+    params = table[region]
+    u_s_max = max_elastic_energy(params, mode, contact_area)
     if params.clamped_only and mode is not ContactMode.QUASI_STATIC_CLAMPED:
         raise InputError(
             f"{params.label}: effective mass is infinite (cannot recoil); "
             f"evaluate this region in "
             f"{ContactMode.QUASI_STATIC_CLAMPED.value} mode")
-    limit = v0_max(u_s_max, query.robot_mass, body_part_mass(params, mode))
+    where = f"{params.label} {mode.value}, robot_mass = {robot_mass!r} kg"
+    try:  # every input is checked: only an overflowing limit is left
+        limit = v0_max(u_s_max, robot_mass, body_part_mass(params, mode))
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    k0_max = 0.5 * robot_mass * limit ** 2
+    if not math.isfinite(k0_max):
+        raise InputError(f"{where}: k0_max = m_r v0_max^2 / 2 overflows at "
+                         f"u_s_max = {u_s_max!r} J; it must be finite")
     return SpeedLimit(
         v0_max=limit,
-        k0_max=0.5 * query.robot_mass * limit ** 2,
+        k0_max=k0_max,
         u_s_max=u_s_max,
-        binding_criterion=binding_criterion(params, query.contact_area),
+        binding_criterion=binding_criterion(params, contact_area),
         mode=mode,
     )
 
@@ -144,13 +140,3 @@ def is_admissible(v0: float, limit: SpeedLimit,
                   tol: float = ADMISSIBLE_TOL) -> bool:
     """True when |v0| does not exceed the limit (inclusive within tol)."""
     return abs(v0) <= limit.v0_max + tol
-
-
-def _check_energy(u_s_max: float) -> None:
-    if not (math.isfinite(u_s_max) and u_s_max > 0):
-        raise InputError(f"u_s_max must be finite and > 0, got {u_s_max!r}")
-
-
-def _check_mass(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be finite and > 0, got {value!r}")

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .limits import SpeedLimit
+from .schema import number
 
 #: most control periods one loop may run (the default scenario runs 2,000)
 MAX_FILTER_STEPS = 1_000_000
@@ -45,10 +46,9 @@ class FilterConfig:
     power_cap: float | None = None  # W, optional actuator power valve
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise InputError(f"period must be > 0, got {self.period!r}")
-        if self.power_cap is not None and not self.power_cap > 0:
-            raise InputError(f"power_cap must be > 0, got {self.power_cap!r}")
+        number("FilterConfig", "period", self.period, gt=0)
+        if self.power_cap is not None:
+            number("FilterConfig", "power_cap", self.power_cap, gt=0)
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,8 @@ class TankState:
     recycling_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.initial_budget) and self.initial_budget >= 0):
-            raise InputError(
-                f"initial_budget must be finite and >= 0, got {self.initial_budget!r}")
-        if self.energy < 0 or not math.isfinite(self.energy):
-            raise InputError(f"energy must be finite and >= 0, got {self.energy!r}")
+        number("TankState", "initial_budget", self.initial_budget, ge=0)
+        number("TankState", "energy", self.energy, ge=0)
 
 
 def tank_init(budget: float, recycling_enabled: bool = False) -> TankState:
@@ -89,10 +86,10 @@ def tank_step(state: TankState, requested_power: float, dt: float,
     requests (dissipation) pass through unchanged; with recycling enabled
     the dissipated energy refills the tank up to the initial budget.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise InputError(f"dt must be > 0, got {dt!r}")
-    if not math.isfinite(requested_power):
-        raise InputError(f"requested_power must be finite, got {requested_power!r}")
+    number("tank_step", "dt", dt, gt=0)
+    number("tank_step", "requested_power", requested_power)
+    if power_cap is not None:
+        number("tank_step", "power_cap", power_cap, gt=0)
 
     if requested_power <= 0.0:
         if state.recycling_enabled and requested_power < 0.0:
@@ -145,8 +142,8 @@ class PlantState:
     velocity: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise InputError(f"mass must be finite and > 0, got {self.mass!r}")
+        number("PlantState", "mass", self.mass, gt=0)
+        number("PlantState", "velocity", self.velocity)
 
 
 @dataclass(eq=False)
@@ -184,13 +181,11 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
     may refill it.  ``plant`` is the initial state and is left unchanged;
     the trajectory is in the returned log.
     """
-    if not (math.isfinite(duration) and duration > 0):
-        raise InputError(f"duration must be > 0, got {duration!r}")
+    number("simulate_loop", "duration", duration, gt=0)
     dt = cfg.period
-    if gain is None:
-        gain = 20.0 * plant.mass  # closed-loop time constant 1/20 s
-    elif not gain > 0:
-        raise InputError(f"gain must be > 0, got {gain!r}")
+    # the default gain gives a closed-loop time constant of 1/20 s
+    gain = (20.0 * plant.mass if gain is None
+            else number("simulate_loop", "gain", gain, gt=0))
 
     steps = duration / dt
     if not steps < MAX_FILTER_STEPS:

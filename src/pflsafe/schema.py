@@ -2,8 +2,8 @@
 
 YAML numbers follow YAML 1.2 (``1e-3`` is a float), an empty file is an empty
 mapping and an unknown key is an error.  A malformed, non-finite or
-out-of-bound value raises ``InputError`` naming the file and the key: the
-CLI exits 3.
+out-of-bound value, in a file or a library argument (``number``), raises
+``InputError`` reading ``{what}: {key} must be ...``: the CLI exits 3.
 """
 from __future__ import annotations
 
@@ -70,17 +70,18 @@ def number(what: str, key: str, value, *, integral: bool = False,
            allow_inf: bool = False, gt: float | None = None,
            ge: float | None = None) -> float:
     """``value`` as a float (an int if ``integral``): never a bool or NaN."""
-    kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InputError(f"{what}: {key} must be "
-                         f"{'an integer' if integral else 'a number'}, "
-                         f"got {value!r}")
-    try:
-        value = int(value) if integral else float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf if value > 0 else -math.inf
-    if not integral and (math.isnan(value)
-                         or (math.isinf(value) and not allow_inf)):
+    if integral or type(value) is not float:  # a float needs no conversion
+        kind = numbers.Integral if integral else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InputError(f"{what}: {key} must be "
+                             f"{'an integer' if integral else 'a number'}, "
+                             f"got {value!r}")
+        try:
+            value = int(value) if integral else float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf if value > 0 else -math.inf
+    if not (integral or math.isfinite(value)) and (math.isnan(value)
+                                                   or not allow_inf):
         raise InputError(f"{what}: {key} must be finite, got {value!r}")
     if gt is not None and not value > gt:
         raise InputError(f"{what}: {key} must be > {gt}, got {value!r}")

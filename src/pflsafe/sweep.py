@@ -93,8 +93,7 @@ class SweepConfig:
 
 def sphere_directions(n: int) -> np.ndarray:
     """n unit vectors spread over the sphere (Fibonacci lattice), (n, 3)."""
-    if n < 1:
-        raise InputError(f"need at least one direction, got {n}")
+    number("sphere_directions", "n", n, integral=True, ge=1)
     i = np.arange(n, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / n
     golden_angle = math.pi * (3.0 - math.sqrt(5.0))
@@ -111,8 +110,7 @@ def horizontal_directions(n: int) -> np.ndarray:
     in the horizontal plane.  Vertical (downward) loading is the pressing
     case covered by the clamped contact mode, not by a free strike.
     """
-    if n < 1:
-        raise InputError(f"need at least one direction, got {n}")
+    number("horizontal_directions", "n", n, integral=True, ge=1)
     theta = 2.0 * math.pi * np.arange(n, dtype=float) / n
     return np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
 

@@ -21,7 +21,7 @@ from pflsafe.collision import (CollisionScenario, energy_transfer,
 from pflsafe.dynamics import (ReflectedMassQuery, iso_effective_mass,
                               mass_matrix, point_jacobian, forward_kinematics,
                               reflected_mass)
-from pflsafe.limits import (LimitQuery, compute_limit, v0_max_clamped,
+from pflsafe.limits import (compute_limit, v0_max_clamped,
                             v0_max_free, velocity_bounds)
 from pflsafe.safety_filter import (FilterConfig, PlantState, simulate_loop,
                                    tank_init, tank_step)
@@ -96,9 +96,8 @@ def test_a03_simulated_peak_force_hits_the_limit(body_table):
             clamped = mode is ContactMode.QUASI_STATIC_CLAMPED
             if params.clamped_only and not clamped:
                 continue
-            limit = compute_limit(
-                LimitQuery(region=params.region_id, mode=mode,
-                           robot_mass=CONSTANT_MASS), body_table)
+            limit = compute_limit(body_table, params.region_id, mode,
+                                  CONSTANT_MASS)
             scenario = CollisionScenario(
                 m_r=CONSTANT_MASS,
                 m_h=math.inf if clamped else params.m_h,
@@ -130,12 +129,12 @@ def test_a04_limit_ordering_and_bounds(body_table, rng):
     for params in body_table:
         if params.clamped_only:
             continue
-        v_transient = compute_limit(
-            LimitQuery(params.region_id, ContactMode.TRANSIENT,
-                       CONSTANT_MASS), body_table).v0_max
-        v_qs = compute_limit(
-            LimitQuery(params.region_id, ContactMode.QUASI_STATIC_FREE,
-                       CONSTANT_MASS), body_table).v0_max
+        v_transient = compute_limit(body_table, params.region_id,
+                                    ContactMode.TRANSIENT,
+                                    CONSTANT_MASS).v0_max
+        v_qs = compute_limit(body_table, params.region_id,
+                             ContactMode.QUASI_STATIC_FREE,
+                             CONSTANT_MASS).v0_max
         # doubling the force threshold doubles the speed limit bit-exactly
         assert v_transient == params.transient_multiplier * v_qs
     print(f"[acceptance a04] PASS ordering/bounds on {n} draws: "
@@ -156,12 +155,12 @@ def test_a06_clamped_to_transient_ratio(body_table):
     for params in body_table:
         if params.clamped_only:
             continue
-        v_transient = compute_limit(
-            LimitQuery(params.region_id, ContactMode.TRANSIENT,
-                       CONSTANT_MASS), body_table).v0_max
+        v_transient = compute_limit(body_table, params.region_id,
+                                    ContactMode.TRANSIENT,
+                                    CONSTANT_MASS).v0_max
         v_clamped = compute_limit(
-            LimitQuery(params.region_id, ContactMode.QUASI_STATIC_CLAMPED,
-                       CONSTANT_MASS), body_table).v0_max
+            body_table, params.region_id, ContactMode.QUASI_STATIC_CLAMPED,
+            CONSTANT_MASS).v0_max
         ratio = v_clamped / v_transient
         expected = (math.sqrt(params.m_h / (CONSTANT_MASS + params.m_h))
                     / params.transient_multiplier)
@@ -217,8 +216,7 @@ def test_a08_face_demo_speed_limits(body_table):
     peaks = {}
     for mode, target in ((ContactMode.TRANSIENT, 0.15),
                          (ContactMode.QUASI_STATIC_CLAMPED, 0.10)):
-        limit = compute_limit(
-            LimitQuery("face", mode, CONSTANT_MASS), body_table)
+        limit = compute_limit(body_table, "face", mode, CONSTANT_MASS)
         cfg = FilterConfig(speed_limit=limit, period=1e-3)
         log = simulate_loop(PlantState(mass=CONSTANT_MASS),
                             lambda t: 2.0 * limit.v0_max, cfg,
@@ -243,8 +241,8 @@ def test_a09_tank_ledger_and_counterexample(body_table, rng):
             assert tank.cumulative_injected == budget - tank.energy
             assert tank.cumulative_injected <= budget
 
-    limit = compute_limit(
-        LimitQuery("face", ContactMode.TRANSIENT, CONSTANT_MASS), body_table)
+    limit = compute_limit(body_table, "face", ContactMode.TRANSIENT,
+                          CONSTANT_MASS)
     cfg = FilterConfig(speed_limit=limit, period=1e-3)
     budget = 1e6
     log = simulate_loop(PlantState(mass=CONSTANT_MASS), lambda t: 5.0, cfg,

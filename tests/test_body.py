@@ -123,7 +123,8 @@ def test_an_overflowing_energy_budget_names_the_binding_column(row, area,
 
 @pytest.mark.parametrize("area", [0.0, -1.0, math.inf, math.nan])
 def test_bad_contact_area_rejected(body_table, area):
-    with pytest.raises(InputError, match="contact_area must be > 0"):
+    bound = "> 0" if area <= 0 else "finite"
+    with pytest.raises(InputError, match="Face: contact_area must be " + bound):
         effective_force_limit(body_table["face"], ContactMode.TRANSIENT, area)
 
 
@@ -200,7 +201,7 @@ def test_wrong_multiplier_for_torso_rejected():
 
 
 def test_params_reject_nonpositive_values():
-    with pytest.raises(InputError, match="Face: f_max_qs must be finite"):
+    with pytest.raises(InputError, match="Face: f_max_qs must be > 0"):
         BodyRegionParams("face", f_max_qs=0.0, p_max_qs=110.0,
                          stiffness=75000.0, m_h=4.4, transient_multiplier=1.0)
     with pytest.raises(InputError, match="unknown region id 'nose'"):

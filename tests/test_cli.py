@@ -13,7 +13,7 @@ from pflsafe.body import ContactMode
 from pflsafe.cli import FilterScenario, main
 from pflsafe.collision import CollisionScenario, peak_contact_state
 from pflsafe.dynamics import MODEL_KEYS
-from pflsafe.limits import LimitQuery, compute_limit
+from pflsafe.limits import compute_limit
 from test_body import table_text
 
 
@@ -82,9 +82,7 @@ def test_limits_explicit_mass(tmp_path, body_table):
     assert lines[0].startswith("region,mode,")
     assert len(lines) == 2
     cells = dict(zip(lines[0].split(","), lines[1].split(",")))
-    expected = compute_limit(
-        LimitQuery(region="face", mode=ContactMode.TRANSIENT, robot_mass=5.0),
-        body_table)
+    expected = compute_limit(body_table, "face", ContactMode.TRANSIENT, 5.0)
     assert cells["region"] == "face"
     assert float(cells["v0_max_mps"]) == pytest.approx(expected.v0_max)
     assert float(cells["u_s_max_J"]) == pytest.approx(expected.u_s_max)
@@ -182,9 +180,8 @@ def test_filter_scenario(tmp_path, body_table):
     assert run("filter", "--scenario", scenario, "--out", out) == 0
 
     summary = json.loads((out / "filter_summary.json").read_text())
-    limit = compute_limit(
-        LimitQuery(region="face", mode=ContactMode.QUASI_STATIC_CLAMPED,
-                   robot_mass=summary["robot_mass_kg"]), body_table)
+    limit = compute_limit(body_table, "face", ContactMode.QUASI_STATIC_CLAMPED,
+                          summary["robot_mass_kg"])
     # the tank budget equals the elastic limit, so even unfiltered the
     # plant cannot exceed the clamped speed limit
     assert summary["budget_J"] == pytest.approx(limit.u_s_max)
@@ -232,6 +229,9 @@ FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
 #: a contact area at which a force limit of 1e200 N binds, so that the
 #: elastic energy budget F^2 / 2k overflows to inf
 HUGE_AREA = 1.0e+300
+#: a robot mass at which the speed limit on a Face of stiffness 2.1e-307
+#: N/mm overflows, although its budget F^2 / 2k is finite
+TINY_MASS = 1.0e-3
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -256,6 +256,7 @@ HUGE_AREA = 1.0e+300
     ("limits", "contact_area", HUGE_AREA),
     ("filter", "contact_area", HUGE_AREA),
     ("sweep", "contact_area", HUGE_AREA),
+    ("limits", "robot_mass", TINY_MASS),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -264,25 +265,31 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
 
     monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", no_ik)
     if command == "limits":
-        argv = ["--area", value]
+        argv = ["--mass" if key == "robot_mass" else "--area", value]
     else:
         base = SWEEP_BOX if command == "sweep" else FILTER_SCENARIO
         path = tmp_path / "input.yaml"
         path.write_text(yaml.safe_dump(dict(base, **{key: value})))
         argv = ["--config" if command == "sweep" else "--scenario", path]
     overflow = (key, value) == ("contact_area", HUGE_AREA)
+    table = tmp_path / "table.csv"
     if overflow:
         # the packaged table, with a Chest force limit whose square
         # overflows at HUGE_AREA (the filter scenario contacts the chest)
-        table = tmp_path / "table.csv"
         table.write_text(table_text(chest="Chest,1e200,170,25,40,2\n"))
         argv += ["--body-table", table]
+    if key == "robot_mass":
+        table.write_text(table_text(face="Face,65,110,2.1e-307,4.4,1\n"))
+        argv += ["--body-table", table, "--format", "json"]
     assert run(command, *argv, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert key in err
     if overflow:
         assert err.startswith("error: Chest transient: f_max_qs_N = 1e+200")
+    if key == "robot_mass":
+        assert err.startswith("error: Face transient, robot_mass = 0.001 kg: ")
+        assert "u_s_max = " in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--dt", "nan"),

@@ -123,8 +123,9 @@ def test_coarse_step_rejected():
                                     dict(horizon=math.nan),
                                     dict(horizon=math.inf)])
 def test_bad_step_or_horizon_rejected(kwargs):
-    with pytest.raises(InputError, match=f"{next(iter(kwargs))} must be "
-                                         f"finite and > 0"):
+    (key, value), = kwargs.items()
+    bound = "> 0" if math.isfinite(value) else "finite"
+    with pytest.raises(InputError, match=f"^simulate: {key} must be {bound}"):
         simulate(FREE, **kwargs)
 
 
@@ -144,7 +145,11 @@ def test_unbracketed_peak_rejected():
 def test_invalid_scenarios_rejected(kwargs):
     # the one argument that differs from the valid FREE scenario
     key, = [key for key, value in kwargs.items() if value != getattr(FREE, key)]
-    with pytest.raises(InputError, match=f"^{key} must be "):
+    value = kwargs[key]
+    bound = ("finite" if not math.isfinite(value)
+             else ">= 0" if key == "v0" else "> 0")
+    with pytest.raises(InputError,
+                       match=f"^CollisionScenario: {key} must be {bound}"):
         CollisionScenario(**kwargs)
 
 

@@ -450,7 +450,7 @@ def test_iso_effective_mass_reference_value(panda):
     assert iso_effective_mass(panda) == pytest.approx(5.545724, abs=1e-9)
     assert iso_effective_mass(panda, payload=2.0) == pytest.approx(
         7.545724, abs=1e-9)
-    with pytest.raises(InputError, match="payload must be finite and >= 0"):
+    with pytest.raises(InputError, match="iso_effective_mass: payload must be >= 0"):
         iso_effective_mass(panda, payload=-1.0)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from pflsafe.body import ContactMode, load_body_table
 from pflsafe.errors import InputError
-from pflsafe.limits import (LimitQuery, compute_limit, is_admissible, v0_max,
+from pflsafe.limits import (compute_limit, is_admissible, v0_max,
                             v0_max_clamped, v0_max_free, velocity_bounds)
 from test_body import table_text
 
@@ -93,32 +93,29 @@ def test_velocity_bounds_tight_for_equal_masses():
 
 def test_compute_limit_face_with_constant_mass(body_table):
     # frozen oracle: m = 5.545724 kg, u = 65^2/(2*75000) J
-    limit = compute_limit(LimitQuery("face", ContactMode.TRANSIENT, 5.545724),
-                          body_table)
+    limit = compute_limit(body_table, "face", ContactMode.TRANSIENT, 5.545724)
     assert limit.v0_max == pytest.approx(0.15152889714720605, rel=1e-12)
     assert limit.u_s_max == pytest.approx(0.028166666666666666, rel=1e-12)
     assert limit.binding_criterion == "force"
 
-    clamped = compute_limit(
-        LimitQuery("face", ContactMode.QUASI_STATIC_CLAMPED, 5.545724),
-        body_table)
+    clamped = compute_limit(body_table, "face",
+                            ContactMode.QUASI_STATIC_CLAMPED, 5.545724)
     assert clamped.v0_max == pytest.approx(0.10078678667175696, rel=1e-12)
 
 
 def test_transient_scales_by_multiplier(body_table):
     for region in ("chest", "face", "hands_fingers"):
         params = body_table[region]
-        qs = compute_limit(
-            LimitQuery(region, ContactMode.QUASI_STATIC_FREE, 4.0), body_table)
-        tr = compute_limit(
-            LimitQuery(region, ContactMode.TRANSIENT, 4.0), body_table)
+        qs = compute_limit(body_table, region, ContactMode.QUASI_STATIC_FREE,
+                           4.0)
+        tr = compute_limit(body_table, region, ContactMode.TRANSIENT, 4.0)
         assert tr.v0_max == pytest.approx(
             params.transient_multiplier * qs.v0_max, rel=1e-12)
 
 
 def test_k0_max_consistent_with_v0_max(body_table):
-    limit = compute_limit(
-        LimitQuery("chest", ContactMode.QUASI_STATIC_CLAMPED, 5.0), body_table)
+    limit = compute_limit(body_table, "chest",
+                          ContactMode.QUASI_STATIC_CLAMPED, 5.0)
     assert limit.k0_max == pytest.approx(
         0.5 * 5.0 * limit.v0_max ** 2, rel=1e-12)
     # clamped mode: the robot kinetic-energy budget equals the elastic budget
@@ -126,9 +123,8 @@ def test_k0_max_consistent_with_v0_max(body_table):
 
 
 def test_pressure_criterion_binds_small_area(body_table):
-    limit = compute_limit(
-        LimitQuery("chest", ContactMode.TRANSIENT, 5.0, contact_area=0.5),
-        body_table)
+    limit = compute_limit(body_table, "chest", ContactMode.TRANSIENT, 5.0,
+                          contact_area=0.5)
     assert limit.binding_criterion == "pressure"
     # 0.5 cm^2 * 170 N/cm^2 * 2 = 170 N -> u = 170^2/(2*25000)
     assert limit.u_s_max == pytest.approx(170.0 ** 2 / 50_000.0, rel=1e-12)
@@ -138,17 +134,14 @@ def test_clamped_only_region_requires_clamped_mode():
     table = load_body_table(table_text(
         back_shoulders="Back/Shoulders,210,210,35,inf,2\n").encode())
     with pytest.raises(InputError, match="quasi_static_clamped"):
-        compute_limit(LimitQuery("back_shoulders", ContactMode.TRANSIENT, 5.0),
-                      table)
-    limit = compute_limit(
-        LimitQuery("back_shoulders", ContactMode.QUASI_STATIC_CLAMPED, 5.0),
-        table)
+        compute_limit(table, "back_shoulders", ContactMode.TRANSIENT, 5.0)
+    limit = compute_limit(table, "back_shoulders",
+                          ContactMode.QUASI_STATIC_CLAMPED, 5.0)
     assert limit.v0_max > 0.0
 
 
 def test_is_admissible_inclusive_at_limit(body_table):
-    limit = compute_limit(
-        LimitQuery("face", ContactMode.TRANSIENT, 5.545724), body_table)
+    limit = compute_limit(body_table, "face", ContactMode.TRANSIENT, 5.545724)
     assert is_admissible(limit.v0_max, limit)
     assert is_admissible(-limit.v0_max, limit)
     assert not is_admissible(limit.v0_max * 1.001, limit)
@@ -157,16 +150,38 @@ def test_is_admissible_inclusive_at_limit(body_table):
 @pytest.mark.parametrize("mass,area", [(0.0, 1.0), (-2.0, 1.0),
                                        (math.inf, 1.0), (5.0, 0.0),
                                        (5.0, -1.0)])
-def test_bad_query_rejected(mass, area):
+def test_bad_query_rejected(body_table, mass, area):
+    bound = "finite" if math.isinf(mass) else "> 0"
     with pytest.raises(InputError, match=("robot_mass" if area > 0
                                           else "contact_area")
-                       + " must be "):
-        LimitQuery("face", ContactMode.TRANSIENT, mass, area)
+                       + " must be " + bound):
+        compute_limit(body_table, "face", ContactMode.TRANSIENT, mass, area)
 
 
 @pytest.mark.parametrize("u,m", [(0.0, 3.0), (-1.0, 3.0), (0.5, 0.0),
                                  (0.5, -3.0), (math.nan, 3.0)])
 def test_bad_energy_or_mass_rejected(u, m):
     with pytest.raises(InputError, match=("m_r" if u > 0 else "u_s_max")
-                       + " must be .*> 0"):
+                       + " must be " + ("finite" if math.isnan(u) else "> 0")):
         v0_max_clamped(u, m)
+
+
+def test_an_overflowing_limit_is_an_error_not_inf(recwarn):
+    # u_s_max and m_r are finite, but 2 * u_s_max / m_r is not
+    with pytest.raises(InputError, match="give an infinite speed limit"):
+        v0_max(1e307, 1e-3, 4.4)
+    with pytest.raises(InputError, match=r"m_r = 0\.001 kg"):
+        v0_max(1e307, np.array([5.0, 1e-3, math.inf]), math.inf)
+    # a Face stiffness of 2.1e-307 N/mm leaves F^2 / 2k finite
+    table = load_body_table(table_text(
+        face="Face,65,110,2.1e-307,4.4,1\n").encode())
+    with pytest.raises(InputError, match=r"^Face transient, robot_mass = "
+                                         r"0\.001 kg: v0_max: u_s_max = "):
+        compute_limit(table, "face", ContactMode.TRANSIENT, 1e-3)
+    # the speed limit is finite, its kinetic energy at 1e300 kg is not
+    table = load_body_table(table_text(
+        face="Face,65,110,1e-290,4.4,1\n").encode())
+    with pytest.raises(InputError, match=r"^Face transient, robot_mass = "
+                                         r"1e\+300 kg: k0_max = .* u_s_max"):
+        compute_limit(table, "face", ContactMode.TRANSIENT, 1e300)
+    assert len(recwarn) == 0

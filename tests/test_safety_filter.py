@@ -6,7 +6,7 @@ import pytest
 
 from pflsafe.body import ContactMode
 from pflsafe.errors import InputError
-from pflsafe.limits import LimitQuery, compute_limit, v0_max_clamped
+from pflsafe.limits import compute_limit, v0_max_clamped
 from pflsafe.safety_filter import (FilterConfig, PlantState, TankState,
                                    filter_velocity, simulate_loop, tank_init,
                                    tank_step)
@@ -17,16 +17,13 @@ PERIOD = 1e-3
 
 @pytest.fixture(scope="module")
 def face_limit(body_table):
-    return compute_limit(
-        LimitQuery(region="face", mode=ContactMode.TRANSIENT, robot_mass=MASS),
-        body_table)
+    return compute_limit(body_table, "face", ContactMode.TRANSIENT, MASS)
 
 
 @pytest.fixture(scope="module")
 def face_clamped(body_table):
-    return compute_limit(
-        LimitQuery(region="face", mode=ContactMode.QUASI_STATIC_CLAMPED,
-                   robot_mass=MASS), body_table)
+    return compute_limit(body_table, "face", ContactMode.QUASI_STATIC_CLAMPED,
+                         MASS)
 
 
 # ----------------------------------------------------------------- tank

@@ -58,7 +58,7 @@ def test_direction_set_dispatch():
     assert np.array_equal(direction_set(6, "sphere"), sphere_directions(6))
     with pytest.raises(InputError, match="direction style"):
         direction_set(6, "cube")
-    with pytest.raises(InputError, match="at least one direction, got 0"):
+    with pytest.raises(InputError, match="n must be >= 1, got 0"):
         direction_set(0)
 
 
