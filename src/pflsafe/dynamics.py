@@ -21,8 +21,7 @@ Angular quantities use the world frame, and Jacobian rows are ordered
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -43,71 +42,44 @@ FLANGE_DOWN = np.array([[1.0, 0.0, 0.0],
 
 
 @dataclass(frozen=True, eq=False)
-class Joint:
-    kind: str                 # "revolute" | "prismatic"
-    origin: np.ndarray        # 4x4 fixed transform, parent link -> joint frame
-    axis: np.ndarray          # unit vector in the joint frame
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True, eq=False)
-class Link:
-    name: str
-    joint: Joint
-    mass: float
-    com: np.ndarray           # 3, in link frame
-    inertia: np.ndarray       # 3x3 about COM, in link frame
-    moving: bool = True       # counts toward the moving-mass total
-
-
-@dataclass(frozen=True, eq=False)
 class ManipulatorModel:
-    name: str
-    links: tuple[Link, ...]
-    ee_offset: np.ndarray     # 4x4, last link frame -> tool/contact frame
+    """The chain as read-only arrays, one row per link in chain order, and
+    derived from them the kernels' Rodrigues constants of the revolute
+    joints (``skews @ w`` is ``axis x w``) and the ``_chain_reach`` ball."""
 
-    @property
-    def n(self) -> int:
-        return len(self.links)
+    origins: np.ndarray        # (n, 4, 4) parent link frame -> joint frame
+    axes: np.ndarray           # (n, 3) unit joint axes, in the joint frames
+    prismatic: np.ndarray      # indices of the prismatic joints
+    lower_limits: np.ndarray   # (n,) joint limits [rad or m], may be -inf
+    upper_limits: np.ndarray   # (n,), may be inf
+    masses: np.ndarray         # (n,)
+    coms: np.ndarray           # (n, 3) centres of mass, in the link frames
+    inertias: np.ndarray       # (n, 3, 3) about the COMs, in the link frames
+    moving: np.ndarray         # (n,) bool: counts toward the moving mass
+    ee_offset: np.ndarray      # (4, 4) last link frame -> tool frame
+    n: int = field(init=False)
+    revolute: slice | np.ndarray = field(init=False)  # a slice if all turn
+    turns: np.ndarray = field(init=False)
+    skews: np.ndarray = field(init=False)
+    outers: np.ndarray = field(init=False)
+    reach: tuple[np.ndarray, float] = field(init=False)
 
-    @property
-    def lower_limits(self) -> np.ndarray:
-        return np.array([ln.joint.lower for ln in self.links])
-
-    @property
-    def upper_limits(self) -> np.ndarray:
-        return np.array([ln.joint.upper for ln in self.links])
-
-    @cached_property
-    def chain(self) -> Chain:
-        return Chain(self)
-
-
-class Chain:
-    """A model's per-link constants stacked along the chain, and its reach
-    ball (``_chain_reach``), built once per model for the kernels batched
-    over configurations.  The joint-rotation constants carry a unit axis
-    for the configurations."""
-
-    def __init__(self, model: ManipulatorModel):
-        links = model.links
-        joints = [link.joint for link in links]
-        self.origins = np.array([joint.origin for joint in joints])
-        self.axes = np.array([joint.axis for joint in joints])
-        kinds = np.array([joint.kind for joint in joints])
-        self.prismatic = np.flatnonzero(kinds == "prismatic")
-        # a slice, not an index array, when every joint turns: cheaper
-        self.revolute = (slice(None) if not self.prismatic.size
-                         else np.flatnonzero(kinds == "revolute"))
-        self.turns = self.origins[self.revolute, None, :3, :3]
-        axes = self.axes[self.revolute]
-        self.skews = np.array([_skew(axis) for axis in axes]).reshape(-1, 1, 3, 3)
-        self.outers = (axes[:, :, None] * axes[:, None, :])[:, None]
-        self.coms = np.array([link.com for link in links])
-        self.masses = np.array([link.mass for link in links])
-        self.inertias = np.array([link.inertia for link in links])
-        self.reach = _chain_reach(model)
+    def __post_init__(self) -> None:
+        n = len(self.masses)
+        revolute = (slice(None) if not self.prismatic.size
+                    else np.setdiff1d(np.arange(n), self.prismatic))
+        axes = self.axes[revolute][:, None]
+        skews = np.zeros((len(axes), 1, 3, 3))
+        skews[..., _LAST, _NEXT], skews[..., _NEXT, _LAST] = axes, -axes
+        for name, value in dict(
+                n=n, revolute=revolute, skews=skews,
+                turns=self.origins[revolute, None, :3, :3],
+                outers=axes[..., :, None] * axes[..., None, :]).items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "reach", _chain_reach(self))
+        for value in (*vars(self).values(), self.reach[0]):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -133,12 +105,6 @@ _EYE3, _EYE4 = np.eye(3), np.eye(4)
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
 # ---------------------------------------------------------------- loading
 
 #: accepted keys at each level of the model file; any other key is an error
@@ -152,23 +118,27 @@ MODEL_KEYS = {
 
 
 def load_robot_model(source: Source) -> ManipulatorModel:
-    """Load and validate a manipulator description from YAML."""
+    """Load and validate a manipulator description from YAML; the model and
+    link names are validated, not kept."""
     raw = read_mapping(source, "robot model", MODEL_KEYS["model"])
     link_specs = raw.get("links")
     if not isinstance(link_specs, list) or not link_specs:
         raise InputError("robot model: 'links' must be a non-empty list")
-    links = tuple(_parse_link(idx, spec) for idx, spec in enumerate(link_specs))
+    rows = [_parse_link(idx, spec) for idx, spec in enumerate(link_specs)]
+    (prismatic, origins, axes, lower, upper, masses, coms, inertias,
+     moving) = map(np.array, zip(*rows))
     ee_spec = mapping("end_effector", raw.get("end_effector", {}),
                       MODEL_KEYS["end_effector"])
     ee_offset = make_transform(
         vector3("end_effector", "xyz", ee_spec.get("xyz", [0, 0, 0])),
         vector3("end_effector", "rpy", ee_spec.get("rpy", [0, 0, 0])))
-    return ManipulatorModel(name=text("robot model", "name",
-                                      raw.get("name", "robot")),
-                            links=links, ee_offset=ee_offset)
+    text("robot model", "name", raw.get("name", "robot"))
+    return ManipulatorModel(origins, axes, np.flatnonzero(prismatic), lower,
+                            upper, masses, coms, inertias, moving, ee_offset)
 
 
-def _parse_link(idx: int, spec) -> Link:
+def _parse_link(idx: int, spec) -> tuple:
+    """(prismatic, origin, axis, lower, upper, mass, com, inertia, moving)"""
     spec = mapping(f"link {idx}", spec, MODEL_KEYS["link"])
     name = text(f"link {idx}", "name", spec.get("name", f"link{idx + 1}"))
     where = f"link {idx} ({name})"
@@ -190,7 +160,6 @@ def _parse_link(idx: int, spec) -> Link:
     norm = math.hypot(*axis)  # no overflow for a huge component
     if norm < 1e-12:
         raise InputError(f"{where}: joint axis must be non-zero")
-    axis = axis / norm
     lower = number(where, "lower", jspec.get("lower", -math.inf), allow_inf=True)
     upper = number(where, "upper", jspec.get("upper", math.inf), allow_inf=True)
     if not lower < upper:
@@ -205,10 +174,8 @@ def _parse_link(idx: int, spec) -> Link:
 
     origin = make_transform(vector3(where, "xyz", jspec.get("xyz", [0, 0, 0])),
                             vector3(where, "rpy", jspec.get("rpy", [0, 0, 0])))
-    joint = Joint(kind=kind, origin=origin, axis=axis, lower=lower, upper=upper)
-    return Link(name=name, joint=joint,
-                mass=mass, com=com, inertia=inertia,
-                moving=flag(where, "moving", spec.get("moving", True)))
+    return (kind == "prismatic", origin, axis / norm, lower, upper, mass, com,
+            inertia, flag(where, "moving", spec.get("moving", True)))
 
 
 # ------------------------------------------------------------- kinematics
@@ -235,20 +202,19 @@ def _joint_transforms(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     stack q, chain-major (n, B, 4, 4): a revolute joint turns its fixed
     origin by the Rodrigues rotation about its axis, a prismatic joint
     slides it along the axis."""
-    chain = model.chain
     q_t = q.T
     t = np.empty(q_t.shape + (4, 4))
-    t[...] = chain.origins[:, None]
-    rev, pri = chain.revolute, chain.prismatic
-    if len(chain.turns):
+    t[...] = model.origins[:, None]
+    rev, pri = model.revolute, model.prismatic
+    if len(model.turns):
         angle = q_t[rev, :, None, None]
         c, s = np.cos(angle), np.sin(angle)
-        rot = _EYE3 * c + s * chain.skews + (1.0 - c) * chain.outers
-        t[rev, :, :3, :3] = chain.turns @ rot
+        rot = _EYE3 * c + s * model.skews + (1.0 - c) * model.outers
+        t[rev, :, :3, :3] = model.turns @ rot
     if pri.size:
-        slide = chain.axes[pri, None] * q_t[pri, :, None]
-        t[pri, :, :3, 3] = chain.origins[pri, None, :3, 3] + (
-            chain.origins[pri, None, :3, :3] @ slide[..., None])[..., 0]
+        slide = model.axes[pri, None] * q_t[pri, :, None]
+        t[pri, :, :3, 3] = model.origins[pri, None, :3, 3] + (
+            model.origins[pri, None, :3, :3] @ slide[..., None])[..., 0]
     return t
 
 
@@ -281,8 +247,7 @@ def _jacobians(model: ManipulatorModel, frames: np.ndarray,
     cross product is written out in ``np.cross``'s own order, so it rounds
     the same.
     """
-    chain = model.chain
-    axes = (frames[..., :3, :3] @ chain.axes[:, :, None])[..., None, :, :, 0]
+    axes = (frames[..., :3, :3] @ model.axes[:, :, None])[..., None, :, :, 0]
     lever = points[..., :, None, :] - frames[..., None, :, :3, 3]
     # component i is a[i+1] b[i+2] - a[i+2] b[i+1], as np.cross computes it
     cross = (axes[..., _NEXT] * lever[..., _LAST]
@@ -291,7 +256,7 @@ def _jacobians(model: ManipulatorModel, frames: np.ndarray,
     jac = np.empty(points.shape[:-1] + (6, model.n))
     jac[..., :3, :] = cross.mT
     jac[..., 3:, :] = axes_t
-    pri = chain.prismatic
+    pri = model.prismatic
     if pri.size:
         jac[..., :3, pri] = axes_t[..., pri]
         jac[..., 3:, pri] = 0.0
@@ -333,13 +298,12 @@ def manipulability(model: ManipulatorModel, q: np.ndarray) -> float:
 def _mass_matrix(model: ManipulatorModel, frames: np.ndarray) -> np.ndarray:
     """M = sum over links of m J_v^T J_v + J_w^T (R I R^T) J_w, with every
     link's Jacobian taken at its centre of mass in one kernel call."""
-    chain = model.chain
     rots = frames[..., :3, :3]
-    coms = (rots @ chain.coms[:, :, None])[..., 0] + frames[..., :3, 3]
+    coms = (rots @ model.coms[:, :, None])[..., 0] + frames[..., :3, 3]
     jac = _jacobians(model, frames, coms, range(model.n))
     inertia = np.zeros(frames.shape[:-2] + (6, 6))
-    inertia[..., :3, :3] = chain.masses[:, None, None] * np.eye(3)
-    inertia[..., 3:, 3:] = rots @ chain.inertias @ rots.mT
+    inertia[..., :3, :3] = model.masses[:, None, None] * np.eye(3)
+    inertia[..., 3:, 3:] = rots @ model.inertias @ rots.mT
     return np.sum(jac.mT @ inertia @ jac, axis=-3)
 
 
@@ -404,7 +368,7 @@ def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:
     (links marked ``moving: false`` in the model file are excluded).
     """
     number("iso_effective_mass", "payload", payload, ge=0)
-    total = sum(link.mass for link in model.links if link.moving)
+    total = sum(model.masses[model.moving].tolist())  # left to right
     return 0.5 * total + payload
 
 
@@ -480,16 +444,14 @@ def _chain_reach(model: ManipulatorModel) -> tuple[np.ndarray, float]:
     origin, so the ball is centred there; a prismatic joint 1 does, so the
     ball is centred on the base and joint 1 counts too.
     """
-    first = model.links[0].joint
-    revolute_base = first.kind == "revolute"
-    centre = first.origin[:3, 3] if revolute_base else np.zeros(3)
+    first_prismatic = 0 in model.prismatic
+    centre = np.zeros(3) if first_prismatic else model.origins[0, :3, 3]
     radius = 0.0
-    for link in model.links[1 if revolute_base else 0:]:
-        joint = link.joint
-        radius += math.hypot(*joint.origin[:3, 3])
-        if joint.kind == "prismatic":
-            radius += max(abs(joint.lower), abs(joint.upper))
-    return centre, radius
+    for k in range(0 if first_prismatic else 1, model.n):
+        radius += math.hypot(*model.origins[k, :3, 3])
+        if k in model.prismatic:
+            radius += max(abs(model.lower_limits[k]), abs(model.upper_limits[k]))
+    return centre, float(radius)
 
 
 def _outside_reach(model: ManipulatorModel, target: np.ndarray,
@@ -497,7 +459,7 @@ def _outside_reach(model: ManipulatorModel, target: np.ndarray,
                    ori_tol: float) -> bool:
     """True when no in-limit q brings the tool within IK's tolerances of
     the target pose (see ``inverse_kinematics``)."""
-    centre, radius = model.chain.reach
+    centre, radius = model.reach
     ee_xyz = model.ee_offset[:3, 3]
     ee_reach = math.hypot(*ee_xyz)
     if orientation is None:

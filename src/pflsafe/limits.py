@@ -104,6 +104,9 @@ def velocity_bounds(u_s_max: float, m_r: float,
     number("velocity_bounds", "m_h", m_h, gt=0, allow_inf=True)
     lower = math.sqrt(2.0 * u_s_max / max(m_r, m_h))
     upper = math.sqrt(2.0) * math.sqrt(2.0 * u_s_max / min(m_r, m_h))
+    if not np.isfinite(upper):  # float division overflows to inf silently
+        raise InputError(f"velocity_bounds: u_s_max = {u_s_max!r} J and min("
+                         f"m_r, m_h) = {min(m_r, m_h)!r} kg give an infinite bound")
     return lower, upper
 
 

@@ -28,13 +28,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .body import BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS, \
-    max_elastic_energy
+from .body import BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS
 from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        inverse_kinematics, iso_effective_mass, manipulability,
                        reflected_mass)
 from .errors import InputError, NumericalError
-from .limits import body_part_mass, v0_max
+from .limits import body_part_mass, compute_limit, v0_max
 from .schema import number, vector3, write_json
 from .svgplot import BoxStats
 
@@ -191,10 +190,10 @@ def _sweep_scanline(payload: tuple) -> list[tuple[bool, bool, int, np.ndarray | 
 
 
 def _default_seed(model: ManipulatorModel) -> np.ndarray:
+    """The middle of each bounded joint's range, 0 for an unbounded one."""
     lower, upper = model.lower_limits, model.upper_limits
-    seed = np.where(np.isfinite(lower) & np.isfinite(upper),
-                    0.5 * (lower + upper), 0.0)
-    return seed
+    bounded = np.isfinite(lower) & np.isfinite(upper)
+    return 0.5 * np.add(lower, upper, out=np.zeros(model.n), where=bounded)
 
 
 def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
@@ -226,9 +225,11 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             f"constant effective mass (half the moving link mass + payload) "
             f"is {iso_mass!r} kg with payload {config.payload!r} kg; it must "
             f"be > 0: mark a link as moving or set a payload")
-    budgets = {(params.region_id, mode):
-               max_elastic_energy(params, mode, config.contact_area)
-               for params in table for mode in ContactMode}
+    # every limit on the constant mass, and every budget, before any IK
+    constant = {(params.region_id, mode):
+                compute_limit(table, params.region_id, mode, iso_mass,
+                              config.contact_area)
+                for params in table for mode in ContactMode}
 
     # one scanline per (z, y): deterministic order, warm start along x
     payloads = []
@@ -268,11 +269,14 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     samples: dict[tuple[str, ContactMode, MassSource], np.ndarray] = {}
     for params in table:
         for mode, source in ALL_COMBOS:
-            masses = flat_masses if source is MassSource.REFLECTED \
-                else np.array([iso_mass])
-            samples[(params.region_id, mode, source)] = v0_max(
-                budgets[params.region_id, mode], masses,
-                body_part_mass(params, mode))
+            limit = constant[params.region_id, mode]
+            try:  # only a reflected-mass limit can overflow here
+                samples[(params.region_id, mode, source)] = (
+                    np.array([limit.v0_max]) if source is MassSource.CONSTANT
+                    else v0_max(limit.u_s_max, flat_masses,
+                                body_part_mass(params, mode)))
+            except InputError as exc:
+                raise InputError(f"{params.label} {mode.value}: {exc}") from None
 
     return SweepResult(
         config=config,

@@ -20,20 +20,20 @@ def _axis_rotation(axis, angle):
     return np.eye(3) * c + s * k + (1.0 - c) * np.outer(axis, axis)
 
 
-def joint_transform(link, qi):
-    t = link.joint.origin.copy()
-    if link.joint.kind == "revolute":
-        t[:3, :3] = t[:3, :3] @ _axis_rotation(link.joint.axis, qi)
+def joint_transform(model, j, qi):
+    t = model.origins[j].copy()
+    if j not in model.prismatic:
+        t[:3, :3] = t[:3, :3] @ _axis_rotation(model.axes[j], qi)
     else:
-        t[:3, 3] = t[:3, 3] + t[:3, :3] @ (link.joint.axis * qi)
+        t[:3, 3] = t[:3, 3] + t[:3, :3] @ (model.axes[j] * qi)
     return t
 
 
 def link_frames(model, q):
     frames = []
     t = np.eye(4)
-    for link, qi in zip(model.links, q):
-        t = t @ joint_transform(link, qi)
+    for j, qi in enumerate(q):
+        t = t @ joint_transform(model, j, qi)
         frames.append(t)
     return frames
 
@@ -41,14 +41,14 @@ def link_frames(model, q):
 def tool_kinematics(model, frames):
     """Tool pose and 6 x n Jacobian, rows (linear; angular)."""
     pose = frames[-1] @ model.ee_offset
-    axes = np.array([frame[:3, :3] @ link.joint.axis
-                     for frame, link in zip(frames, model.links)])
+    axes = np.array([frame[:3, :3] @ axis
+                     for frame, axis in zip(frames, model.axes)])
     lever = pose[:3, 3] - np.array([frame[:3, 3] for frame in frames])
     jac = np.empty((6, model.n))
     jac[:3] = np.cross(axes, lever).T
     jac[3:] = axes.T
-    for i, link in enumerate(model.links):
-        if link.joint.kind == "prismatic":
+    for i in range(model.n):
+        if i in model.prismatic:
             jac[:3, i] = axes[i]
             jac[3:, i] = 0.0
     return pose, jac

@@ -1,7 +1,8 @@
 """The benchmark's tracer (bench/tracing.py) wraps pflsafe functions by
 module and name; renaming or removing one makes ``bench/run.py --trace 1``
 fail in ``Tracer.install``.  These tests read its table without changing
-it."""
+it.  The pool builder (bench/make_pools.py) reads the loaded arm's
+attributes at import, so it is loaded too, without running it."""
 import importlib
 import importlib.util
 import math
@@ -68,3 +69,15 @@ def test_the_kernel_timings_run(tracing):
     timings = tracing.kernel_us(1, configs=3)
     assert len(timings) == 4
     assert all(math.isfinite(t) and t > 0 for t in timings.values())
+
+
+def test_the_pool_builder_loads_with_the_sweep_seed():
+    # a renamed model attribute fails here, not at the next pool rebuild;
+    # main() is the five-minute rebuild and does not run
+    from pflsafe.sweep import _default_seed
+
+    path = TRACING.with_name("make_pools.py")
+    spec = importlib.util.spec_from_file_location("bench_make_pools", path)
+    make_pools = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_pools)
+    assert np.array_equal(make_pools.SEED, _default_seed(make_pools.MODEL))

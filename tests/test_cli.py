@@ -232,6 +232,9 @@ HUGE_AREA = 1.0e+300
 #: a robot mass at which the speed limit on a Face of stiffness 2.1e-307
 #: N/mm overflows, although its budget F^2 / 2k is finite
 TINY_MASS = 1.0e-3
+#: a Face stiffness [N/mm] at which the budget F^2 / 2k is finite but twice
+#: it is not, so that every speed limit on the Face overflows
+OVERFLOW_K = 2.1e-308
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -257,6 +260,7 @@ TINY_MASS = 1.0e-3
     ("filter", "contact_area", HUGE_AREA),
     ("sweep", "contact_area", HUGE_AREA),
     ("limits", "robot_mass", TINY_MASS),
+    ("sweep", "u_s_max", OVERFLOW_K),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -264,12 +268,14 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
         raise AssertionError("inverse kinematics ran before input checks")
 
     monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", no_ik)
+    face_k = key == "u_s_max"  # the value is Face's stiffness, not an input
     if command == "limits":
         argv = ["--mass" if key == "robot_mass" else "--area", value]
     else:
         base = SWEEP_BOX if command == "sweep" else FILTER_SCENARIO
         path = tmp_path / "input.yaml"
-        path.write_text(yaml.safe_dump(dict(base, **{key: value})))
+        path.write_text(yaml.safe_dump(
+            base if face_k else dict(base, **{key: value})))
         argv = ["--config" if command == "sweep" else "--scenario", path]
     overflow = (key, value) == ("contact_area", HUGE_AREA)
     table = tmp_path / "table.csv"
@@ -281,6 +287,9 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
     if key == "robot_mass":
         table.write_text(table_text(face="Face,65,110,2.1e-307,4.4,1\n"))
         argv += ["--body-table", table, "--format", "json"]
+    if face_k:
+        table.write_text(table_text(face=f"Face,65,110,{value},4.4,1\n"))
+        argv += ["--body-table", table]
     assert run(command, *argv, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -290,6 +299,10 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
     if key == "robot_mass":
         assert err.startswith("error: Face transient, robot_mass = 0.001 kg: ")
         assert "u_s_max = " in err and not (tmp_path / "o").exists()
+    if face_k:
+        # the constant-mass limit, checked before any IK, names the region
+        assert err.startswith("error: Face transient, robot_mass = ")
+        assert "v0_max: u_s_max = " in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--dt", "nan"),

@@ -338,8 +338,8 @@ def link_frame_jacobian_oracle(model, frames, index, point=None):
     jac = np.zeros((6, model.n))
     for j in range(index + 1):
         rot = frames[j][:3, :3]
-        axis = rot @ model.links[j].joint.axis
-        if model.links[j].joint.kind == "revolute":
+        axis = rot @ model.axes[j]
+        if j not in model.prismatic:
             jac[:3, j] = np.cross(axis, origin - frames[j][:3, 3])
             jac[3:, j] = axis
         else:
@@ -355,13 +355,13 @@ def test_mass_matrix_kinetic_energy_oracle(panda, rng):
         ke_matrix = 0.5 * qd @ mass_matrix(panda, q) @ qd
         frames = link_frames(panda, q)
         ke_links = 0.0
-        for i, link in enumerate(panda.links):
+        for i in range(panda.n):
             twist = link_frame_jacobian_oracle(panda, frames, i) @ qd
             v_origin, omega = twist[:3], twist[3:]
             rot = frames[i][:3, :3]
-            v_com = v_origin + np.cross(omega, rot @ link.com)
-            inertia_world = rot @ link.inertia @ rot.T
-            ke_links += 0.5 * link.mass * (v_com @ v_com)
+            v_com = v_origin + np.cross(omega, rot @ panda.coms[i])
+            inertia_world = rot @ panda.inertias[i] @ rot.T
+            ke_links += 0.5 * panda.masses[i] * (v_com @ v_com)
             ke_links += 0.5 * omega @ inertia_world @ omega
         assert ke_matrix == pytest.approx(ke_links, rel=1e-10)
 
@@ -456,8 +456,9 @@ def test_iso_effective_mass_reference_value(panda):
 
 def test_base_link_excluded_from_moving_mass(panda):
     # the first link spins about the vertical axis without translating
-    assert not panda.links[0].moving
-    moving = sum(link.mass for link in panda.links if link.moving)
+    assert not panda.moving[0]
+    moving = sum(mass for mass, moves in zip(panda.masses, panda.moving)
+                 if moves)
     assert moving == pytest.approx(11.091448, abs=1e-9)
 
 
@@ -720,10 +721,22 @@ def test_rpy_matrix_orthonormal(rng):
         assert np.linalg.det(r) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_model_arrays_are_read_only(panda):
+    # every kernel shares these arrays: writing into one is an error
+    fields = {name: value for name, value in vars(panda).items()
+              if isinstance(value, np.ndarray)}
+    fields["reach centre"] = panda.reach[0]
+    assert len(fields) == 14
+    for name, array in fields.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+        assert not array.flags.writeable, name
+
+
 def test_joint_transform_zero_angle_is_fixed_origin(panda):
     transforms = dynamics._joint_transforms(panda, np.zeros((1, panda.n)))
-    for transform, link in zip(transforms[:, 0], panda.links):
-        assert np.allclose(transform, link.joint.origin, atol=1e-15)
+    for transform, origin in zip(transforms[:, 0], panda.origins):
+        assert np.allclose(transform, origin, atol=1e-15)
 
 
 # ------------------------------------------------------------ model loading

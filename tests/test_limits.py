@@ -185,3 +185,11 @@ def test_an_overflowing_limit_is_an_error_not_inf(recwarn):
                                          r"1e\+300 kg: k0_max = .* u_s_max"):
         compute_limit(table, "face", ContactMode.TRANSIENT, 1e300)
     assert len(recwarn) == 0
+
+
+def test_an_overflowing_velocity_bound_is_an_error_not_inf(recwarn):
+    # 2 * u_s_max / m_r overflows to inf in float division, without an error
+    with pytest.raises(InputError, match=r"^velocity_bounds: u_s_max = 1e\+307 "
+                                         r"J and min\(m_r, m_h\) = 0\.001 kg"):
+        velocity_bounds(1e307, 4.4, 1e-3)
+    assert len(recwarn) == 0

@@ -2,6 +2,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pflsafe.sweep import (ALL_COMBOS, MassSource, SweepConfig,
                            write_boxstats_json, write_scaling_csv,
                            write_sweep_csv)
 from test_body import table_text
-from test_dynamics import PENDULUM_YAML
+from test_dynamics import PENDULUM_YAML, TWO_R_YAML
 
 # small box well inside the reachable envelope: keeps unit tests fast
 TINY = dict(box_min=(0.35, -0.05, 0.40), box_max=(0.45, 0.05, 0.50),
@@ -181,6 +182,43 @@ def test_sweep_counts_singular_points_and_constrained_directions(
             (rid, ContactMode.QUASI_STATIC_CLAMPED, MassSource.REFLECTED)]
         assert np.all(clamped[np.isinf(masses)] == 0.0)
         assert np.all(clamped[np.isfinite(masses)] > 0.0)
+
+
+def test_reflected_overflow_names_its_region_and_mode(monkeypatch):
+    # a 0.2 kg pendulum with a 2 kg payload: on a Face whose budget is
+    # 4.2e307 J the constant mass's limits are finite, the reflected mass's
+    # are not
+    model = load_robot_model(io.StringIO(
+        PENDULUM_YAML.replace("mass: 2.5", "mass: 0.2")))
+    table = load_body_table(table_text(face="Face,65,110,5e-308,4.4,1\n")
+                            .encode())
+    monkeypatch.setattr(
+        sweep, "inverse_kinematics",
+        lambda model, target, seed, orientation: IKResult(
+            np.zeros(1), True, 0, 0.0, 0.0))
+    with pytest.raises(InputError, match=r"^Face transient: v0_max: u_s_max "
+                                         r"= .* infinite speed limit"):
+        run_sweep(model, table, SweepConfig(
+            box_min=(0.8, 0.0, 0.0), box_max=(0.8, 0.0, 0.0),
+            n_directions=4, payload=2.0))
+
+
+def test_sweep_of_an_unbounded_joint_raises_no_warning(body_table):
+    # the seed takes the middle of a joint's range only where it is bounded;
+    # the 2R arm with its tool turned upside down reaches flange-down poses
+    # where q1 + q2 = 0: (1.2, 0, 0) and (0.5, 0.7, 0) of this box
+    model = load_robot_model(io.StringIO(
+        TWO_R_YAML.replace("rpy: [0.0, 0.0, 0.0]", f"rpy: [{math.pi}, 0, 0]", 1)
+        .replace("lower: -3.14", "lower: -.inf")
+        .replace("upper: 3.14", "upper: .inf")))
+    assert np.isinf(model.lower_limits).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_sweep(model, body_table, SweepConfig(
+            box_min=(0.5, 0.0, 0.0), box_max=(1.2, 0.7, 0.0),
+            grid_spacing=0.7, n_directions=2))
+    assert (result.n_grid, result.n_reachable) == (4, 2)
+    assert np.array_equal(sweep._default_seed(model), np.zeros(2))
 
 
 # one a07 box on the reach boundary: 2 reachable points and 14 failing,
