@@ -17,8 +17,7 @@ from .dynamics import (ManipulatorModel, ReflectedMassQuery, forward_kinematics,
                        inverse_kinematics, iso_effective_mass, load_robot_model,
                        mass_matrix, point_jacobian, reflected_mass)
 from .errors import InputError, NumericalError, PflError
-from .limits import (SpeedLimit, compute_limit, is_admissible, v0_max,
-                     v0_max_clamped, v0_max_free, velocity_bounds)
+from .limits import SpeedLimit, compute_limit, v0_max, velocity_bounds
 from .safety_filter import (FilterConfig, PlantState, TankState, filter_velocity,
                             simulate_loop, tank_init, tank_step)
 from .sweep import (MassSource, SweepConfig, SweepResult, direction_set,

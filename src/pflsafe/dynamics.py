@@ -21,7 +21,7 @@ Angular quantities use the world frame, and Jacobian rows are ordered
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +80,11 @@ class ManipulatorModel:
         for value in (*vars(self).values(), self.reach[0]):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def __reduce__(self):
+        # numpy does not pickle the writeable flag: rebuild through __init__
+        return ManipulatorModel, tuple(getattr(self, f.name)
+                                       for f in fields(self) if f.init)
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -186,13 +191,11 @@ def _parse_link(idx: int, spec) -> tuple:
 # an unstacked one, and the elementwise steps are the same IEEE operations,
 # so each configuration of a stack rounds exactly as it does alone.
 
-def _check_q(model: ManipulatorModel, q: np.ndarray,
-             stack: bool = True) -> np.ndarray:
-    """q as floats, one configuration (n,) or, if ``stack``, also (B, n)."""
+def _check_q(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
+    """q as floats, one configuration (n,) or a stack (B, n)."""
     q = np.asarray(q, dtype=float)
-    if q.shape[-1:] != (model.n,) or q.ndim not in ((1, 2) if stack else (1,)):
-        allowed = f" or (B, {model.n})" if stack else ""
-        raise InputError(f"q must have shape ({model.n},){allowed}, "
+    if q.shape[-1:] != (model.n,) or q.ndim > 2:
+        raise InputError(f"q must have shape ({model.n},) or (B, {model.n}), "
                          f"got {q.shape}")
     return q
 
@@ -286,11 +289,13 @@ def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     return _contact_kinematics(model, link_frames(model, q))[1]
 
 
-def manipulability(model: ManipulatorModel, q: np.ndarray) -> float:
-    """Translational manipulability sqrt(det(J J^T)) at the tool point of
-    one configuration, q of shape (n,)."""
-    j = point_jacobian(model, _check_q(model, q, stack=False))
-    return math.sqrt(max(float(np.linalg.det(j @ j.T)), 0.0))
+def manipulability(model: ManipulatorModel,
+                   q: np.ndarray) -> float | np.ndarray:
+    """Translational manipulability sqrt(det(J J^T)) at the tool point: a
+    float for one configuration, (B,) for a (B, n) stack."""
+    j = point_jacobian(model, q)
+    w = np.sqrt(np.maximum(np.linalg.det(j @ j.mT), 0.0))
+    return w if w.ndim else float(w)
 
 
 # ------------------------------------------------------------ mass matrix
@@ -318,7 +323,7 @@ def mass_matrix(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 class ReflectedMassQuery:
     """Directional effective-mass request at the tool frame origin."""
 
-    q: np.ndarray
+    q: np.ndarray                        # (n,) or (B, n) stack
     u: np.ndarray                        # unit (3,) or (d, 3) stack, world frame
 
     def __post_init__(self) -> None:
@@ -341,24 +346,29 @@ def reflected_mass(model: ManipulatorModel,
     m_u = (u^T Lambda^-1 u)^-1 with Lambda^-1 = J M^-1 J^T the inverse
     operational-space inertia at the tool frame origin.  A direction with
     no feasible motion (u^T Lambda^-1 u below SINGULAR_GUARD) has infinite
-    mass.  One direction gives a float; for a (d, 3) stack the Jacobian, M
-    and Lambda^-1 are built once and the result is a (d,) array.  q is one
-    configuration, of shape (n,).
+    mass.  The Jacobian, M and Lambda^-1 are built once per configuration,
+    whatever the number of directions.  One configuration and one direction
+    give a float, a (d, 3) stack of directions a (d,) array; a (B, n) stack
+    of configurations puts B in front, (B,) or (B, d).
     """
-    frames = link_frames(model, _check_q(model, query.q, stack=False))
-    jac = _contact_kinematics(model, frames)[1][:3]
+    q = _check_q(model, query.q)
+    frames = link_frames(model, q)
+    jac = _contact_kinematics(model, frames)[1][..., :3, :]
     m = _mass_matrix(model, frames)
     try:
-        lam_inv = jac @ np.linalg.solve(m, jac.T)
+        lam_inv = jac @ np.linalg.solve(m, jac.mT)
     except np.linalg.LinAlgError:
+        # LAPACK's LU finds a zero pivot in solve exactly where slogdet does
+        bad = np.flatnonzero(np.linalg.slogdet(m).sign.reshape(-1) == 0)[0]
         raise InputError(f"mass matrix is singular at q = "
-                         f"{np.asarray(query.q).tolist()}") from None
+                         f"{q.reshape(-1, model.n)[bad].tolist()}") from None
     u = np.asarray(query.u, dtype=float)
     rows = u.reshape(-1, 1, 3)
-    s = (rows @ lam_inv @ rows.transpose(0, 2, 1))[:, 0, 0]
+    s = (rows @ lam_inv[..., None, :, :] @ rows.mT)[..., 0, 0]
     masses = np.divide(1.0, s, out=np.full(s.shape, math.inf),
                        where=s >= SINGULAR_GUARD)
-    return masses if u.ndim == 2 else float(masses[0])
+    masses = masses if u.ndim == 2 else masses[..., 0]
+    return masses if masses.ndim else float(masses)
 
 
 def iso_effective_mass(model: ManipulatorModel, payload: float = 0.0) -> float:

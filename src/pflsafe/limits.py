@@ -35,9 +35,6 @@ from .body import (BodyRegionParams, BodyRegionTable, ContactMode,
 from .errors import InputError
 from .schema import number
 
-#: slack used by admissibility checks so a speed exactly at the limit passes
-ADMISSIBLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SpeedLimit:
@@ -47,7 +44,6 @@ class SpeedLimit:
     k0_max: float            # J, robot kinetic energy at v0_max
     u_s_max: float           # J, elastic energy budget of the contact
     binding_criterion: str   # "force" or "pressure"
-    mode: ContactMode
 
 
 def v0_max(u_s_max: float, m_r, m_h: float):
@@ -75,20 +71,6 @@ def v0_max(u_s_max: float, m_r, m_h: float):
 def body_part_mass(params: BodyRegionParams, mode: ContactMode) -> float:
     """The body part's effective mass m_h in a contact mode: inf if clamped."""
     return math.inf if mode is ContactMode.QUASI_STATIC_CLAMPED else params.m_h
-
-
-def v0_max_free(u_s_max: float, m_r: float, m_h: float) -> float:
-    """Speed limit for a free impact on a body part of finite mass m_h."""
-    if math.isinf(m_h):
-        raise InputError(
-            "m_h is infinite: a non-recoiling body part is a clamped "
-            "contact; use v0_max_clamped")
-    return v0_max(u_s_max, m_r, m_h)
-
-
-def v0_max_clamped(u_s_max: float, m_r: float) -> float:
-    """Speed limit for a clamped contact: all robot kinetic energy stores."""
-    return v0_max(u_s_max, m_r, math.inf)
 
 
 def velocity_bounds(u_s_max: float, m_r: float,
@@ -135,11 +117,4 @@ def compute_limit(table: BodyRegionTable, region: str, mode: ContactMode,
         k0_max=k0_max,
         u_s_max=u_s_max,
         binding_criterion=binding_criterion(params, contact_area),
-        mode=mode,
     )
-
-
-def is_admissible(v0: float, limit: SpeedLimit,
-                  tol: float = ADMISSIBLE_TOL) -> bool:
-    """True when |v0| does not exceed the limit (inclusive within tol)."""
-    return abs(v0) <= limit.v0_max + tol

@@ -171,29 +171,33 @@ class SweepResult:
 
 # ---------------------------------------------------------------- workers
 
-def _sweep_scanline(payload: tuple) -> list[tuple[bool, bool, int, np.ndarray | None]]:
-    """Evaluate one scanline (fixed y, z; x ascending) of grid points."""
+def _sweep_scanline(payload: tuple) -> tuple[int, np.ndarray]:
+    """Solve one scanline (fixed y, z; x ascending) of grid points, then
+    evaluate its reachable points in one call per kernel: the number of
+    near-singular points and their (k, d) reflected masses."""
     model, targets, seed, directions = payload
-    out = []
+    solved = []
     q_seed = seed
     for target in targets:
         ik = inverse_kinematics(model, target, q_seed, orientation=FLANGE_DOWN)
-        if not ik.success:
-            out.append((False, False, 0, None))
-            continue
-        q_seed = ik.q  # warm start for the next point on this line
-        singular = manipulability(model, ik.q) < SINGULAR_FLAG_THRESHOLD
-        masses = reflected_mass(model, ReflectedMassQuery(q=ik.q, u=directions))
-        constrained = int(np.count_nonzero(np.isinf(masses)))
-        out.append((True, singular, constrained, masses))
-    return out
+        if ik.success:
+            q_seed = ik.q  # warm start for the next point on this line
+            solved.append(ik.q)
+    if not solved:
+        return 0, np.empty((0, len(directions)))
+    qs = np.array(solved)
+    singular = manipulability(model, qs) < SINGULAR_FLAG_THRESHOLD
+    return (int(np.count_nonzero(singular)),
+            reflected_mass(model, ReflectedMassQuery(q=qs, u=directions)))
 
 
 def _default_seed(model: ManipulatorModel) -> np.ndarray:
     """The middle of each bounded joint's range, 0 for an unbounded one."""
     lower, upper = model.lower_limits, model.upper_limits
     bounded = np.isfinite(lower) & np.isfinite(upper)
-    return 0.5 * np.add(lower, upper, out=np.zeros(model.n), where=bounded)
+    # halved first, so that no sum of two huge limits overflows
+    return np.add(0.5 * lower, 0.5 * upper, out=np.zeros(model.n),
+                  where=bounded)
 
 
 def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
@@ -249,21 +253,10 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     else:
         scanlines = [_sweep_scanline(p) for p in payloads]
 
-    mass_rows: list[np.ndarray] = []
-    n_singular = 0
-    n_constrained = 0
-    for scanline in scanlines:
-        for reachable, singular, constrained, masses in scanline:
-            if not reachable:
-                continue
-            n_singular += int(singular)
-            n_constrained += constrained
-            mass_rows.append(masses)
-
     n_grid = len(xs) * len(ys) * len(zs)
-    if not mass_rows:
+    reflected = np.vstack([masses for _, masses in scanlines])
+    if not len(reflected):
         raise NumericalError("no reachable grid points in the configured box")
-    reflected = np.vstack(mass_rows)
     flat_masses = reflected.reshape(-1)
 
     samples: dict[tuple[str, ContactMode, MassSource], np.ndarray] = {}
@@ -284,10 +277,10 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         samples=samples,
         reflected_masses=reflected,
         n_grid=n_grid,
-        n_reachable=len(mass_rows),
-        n_unreachable=n_grid - len(mass_rows),
-        n_singular=n_singular,
-        n_constrained_directions=n_constrained,
+        n_reachable=len(reflected),
+        n_unreachable=n_grid - len(reflected),
+        n_singular=sum(singular for singular, _ in scanlines),
+        n_constrained_directions=int(np.count_nonzero(np.isinf(reflected))),
     )
 
 

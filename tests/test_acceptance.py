@@ -21,8 +21,7 @@ from pflsafe.collision import (CollisionScenario, energy_transfer,
 from pflsafe.dynamics import (ReflectedMassQuery, iso_effective_mass,
                               mass_matrix, point_jacobian, forward_kinematics,
                               reflected_mass)
-from pflsafe.limits import (compute_limit, v0_max_clamped,
-                            v0_max_free, velocity_bounds)
+from pflsafe.limits import compute_limit, v0_max, velocity_bounds
 from pflsafe.safety_filter import (FilterConfig, PlantState, simulate_loop,
                                    tank_init, tank_step)
 from pflsafe.sweep import MassSource, SweepConfig, run_sweep
@@ -120,8 +119,8 @@ def test_a04_limit_ordering_and_bounds(body_table, rng):
     m_r = 10.0 ** rng.uniform(-1.0, 3.0, size=n)
     m_h = 10.0 ** rng.uniform(-1.0, 3.0, size=n)
     for i in range(n):
-        free = v0_max_free(u[i], m_r[i], m_h[i])
-        clamped = v0_max_clamped(u[i], m_r[i])
+        free = v0_max(u[i], m_r[i], m_h[i])
+        clamped = v0_max(u[i], m_r[i], math.inf)
         lower, upper = velocity_bounds(u[i], m_r[i], m_h[i])
         assert clamped <= free
         assert lower <= free <= upper

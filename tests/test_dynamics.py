@@ -8,6 +8,7 @@ Oracles used here are deliberately independent routes:
     (the optimum of min 1/2 qd' M qd s.t. u' J qd = 1 equals m_u / 2).
 """
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -276,16 +277,23 @@ def test_stacked_kinematics_equal_one_configuration_at_a_time(panda, rng):
     # each configuration of a (B, n) stack rounds as it does alone, and
     # alone as the per-link chain product of the scalar loop
     qs = random_joint_configs(panda, rng, 50)
+    directions = sphere_directions(40)
     frames = link_frames(panda, qs)
     jacobians = frame_jacobian(panda, qs)
     masses = mass_matrix(panda, qs)
+    reflected = reflected_mass(panda, ReflectedMassQuery(q=qs, u=directions))
+    dexterity = manipulability(panda, qs)
     assert frames.shape == (50, panda.n, 4, 4)
+    assert (reflected.shape, dexterity.shape) == ((50, 40), (50,))
     for b, q in enumerate(qs):
         assert np.array_equal(frames[b], link_frames(panda, q))
         assert np.array_equal(frames[b],
                               np.array(ik_reference.link_frames(panda, q)))
         assert np.array_equal(jacobians[b], frame_jacobian(panda, q))
         assert np.array_equal(masses[b], mass_matrix(panda, q))
+        assert np.array_equal(reflected[b], reflected_mass(
+            panda, ReflectedMassQuery(q=q, u=directions)))
+        assert np.array_equal(dexterity[b], manipulability(panda, q))
 
 
 def test_reflected_mass_walks_the_chain_once(panda, monkeypatch):
@@ -442,6 +450,21 @@ def test_singular_mass_matrix_is_a_domain_error():
                                u=horizontal_directions(4))
     with pytest.raises(InputError, match="mass matrix is singular at q"):
         reflected_mass(model, query)
+
+
+def test_a_singular_mass_matrix_in_a_stack_is_named():
+    # the boom slides through the turntable's axis: at q2 = 0 both links'
+    # masses sit on it, so nothing resists joint 1 and M is singular there
+    model = load_robot_model(yaml_stream(
+        ARM_SLIDE_YAML.replace("xyz: [0.5, 0.0, 0.0]", "xyz: [0.0, 0.0, 0.0]")
+        .replace("lower: 0.0", "lower: -0.3")))
+    qs = np.array([[0.1, 0.2], [0.4, 0.0], [0.0, 0.0], [0.3, -0.1]])
+    u = horizontal_directions(4)
+    masses = reflected_mass(model, ReflectedMassQuery(q=qs[[0, 3]], u=u))
+    assert masses.shape == (2, 4) and np.all(masses > 0)
+    with pytest.raises(InputError, match=r"^mass matrix is singular at q = "
+                                         r"\[0\.4, 0\.0\]$"):
+        reflected_mass(model, ReflectedMassQuery(q=qs, u=u))
 
 
 def test_iso_effective_mass_reference_value(panda):
@@ -733,6 +756,25 @@ def test_model_arrays_are_read_only(panda):
         assert not array.flags.writeable, name
 
 
+def test_an_unpickled_model_is_read_only_and_equal(panda):
+    # a sweep worker receives the model pickled, and numpy does not pickle
+    # the writeable flag: the model is rebuilt through its constructor
+    def arrays(model):
+        found = {name: value for name, value in vars(model).items()
+                 if isinstance(value, np.ndarray)}
+        found["reach centre"] = model.reach[0]
+        return found
+
+    unpickled = pickle.loads(pickle.dumps(panda))
+    original, copy = arrays(panda), arrays(unpickled)
+    assert len(copy) == 14 and copy.keys() == original.keys()
+    for name, array in copy.items():
+        assert not array.flags.writeable, name
+        assert np.array_equal(array, original[name]), name
+    assert (unpickled.n, unpickled.revolute, unpickled.reach[1]) == (
+        panda.n, panda.revolute, panda.reach[1])
+
+
 def test_joint_transform_zero_angle_is_fixed_origin(panda):
     transforms = dynamics._joint_transforms(panda, np.zeros((1, panda.n)))
     for transform, origin in zip(transforms[:, 0], panda.origins):
@@ -843,14 +885,3 @@ def test_model_rejects_unknown_joint_type():
 def test_wrong_joint_count_rejected(panda):
     with pytest.raises(InputError, match=r"q must have shape \(7,\)"):
         forward_kinematics(panda, np.zeros(5))
-
-
-@pytest.mark.parametrize("kernel", [
-    manipulability,
-    lambda model, q: reflected_mass(
-        model, ReflectedMassQuery(q=q, u=np.array([1.0, 0.0, 0.0]))),
-], ids=["manipulability", "reflected_mass"])
-def test_scalar_kernels_reject_a_stack_of_configurations(panda, kernel):
-    q = np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8])
-    with pytest.raises(InputError, match=r"q must have shape \(7,\), got"):
-        kernel(panda, np.stack([q, q]))

@@ -6,25 +6,19 @@ import pytest
 
 from pflsafe.body import ContactMode, load_body_table
 from pflsafe.errors import InputError
-from pflsafe.limits import (compute_limit, is_admissible, v0_max,
-                            v0_max_clamped, v0_max_free, velocity_bounds)
+from pflsafe.limits import compute_limit, v0_max, velocity_bounds
 from test_body import table_text
 
 
 def test_free_limit_hand_value():
     # sqrt(2 * 0.5 J * (3+1)/(3*1)) evaluated by hand
-    assert v0_max_free(0.5, 3.0, 1.0) == pytest.approx(
+    assert v0_max(0.5, 3.0, 1.0) == pytest.approx(
         1.1547005383792515, rel=1e-12)
 
 
 def test_clamped_limit_hand_value():
-    assert v0_max_clamped(0.5, 3.0) == pytest.approx(
+    assert v0_max(0.5, 3.0, math.inf) == pytest.approx(
         0.5773502691896257, rel=1e-12)
-
-
-def test_free_limit_rejects_infinite_human_mass():
-    with pytest.raises(InputError, match="clamped"):
-        v0_max_free(0.5, 3.0, math.inf)
 
 
 def test_clamped_below_free_for_finite_masses(rng):
@@ -32,7 +26,7 @@ def test_clamped_below_free_for_finite_masses(rng):
         u = float(10.0 ** rng.uniform(-3.0, 1.0))
         m_r = float(rng.uniform(0.5, 100.0))
         m_h = float(rng.uniform(0.5, 100.0))
-        assert v0_max_clamped(u, m_r) <= v0_max_free(u, m_r, m_h)
+        assert v0_max(u, m_r, math.inf) <= v0_max(u, m_r, m_h)
         masses = rng.uniform(0.5, 100.0, 50)
         assert np.all(v0_max(u, masses, math.inf) <= v0_max(u, masses, m_h))
 
@@ -49,17 +43,10 @@ def test_array_call_equals_scalar_calls(rng):
             assert np.array_equal(batch, single)
 
 
-def test_scalar_forms_share_the_kernel():
-    # the clamped contact is the free balance with 1/m_h = 0
-    assert v0_max_clamped(0.5, 3.0) == v0_max(0.5, 3.0, math.inf)
-    assert v0_max_free(0.5, 3.0, 1.0) == v0_max(0.5, 3.0, 1.0)
-
-
 def test_constrained_direction_limits():
     # m_r = inf: nothing of the robot moves, so a clamped contact admits
     # no speed and a free one only the body part's own mass
     assert v0_max(0.5, math.inf, math.inf) == 0.0
-    assert v0_max_clamped(0.5, math.inf) == 0.0
     assert v0_max(0.5, math.inf, 2.0) == math.sqrt(2.0 * 0.5 / 2.0)
     batch = v0_max(0.5, np.array([math.inf, 4.0]), 2.0)
     assert batch[0] == math.sqrt(0.5) and batch[1] > batch[0]
@@ -79,7 +66,7 @@ def test_velocity_bounds_bracket_free_limit(rng):
         m_r = float(rng.uniform(0.5, 100.0))
         m_h = float(rng.uniform(0.5, 100.0))
         lower, upper = velocity_bounds(u, m_r, m_h)
-        v = v0_max_free(u, m_r, m_h)
+        v = v0_max(u, m_r, m_h)
         assert lower <= v <= upper
 
 
@@ -87,7 +74,7 @@ def test_velocity_bounds_tight_for_equal_masses():
     # equal masses: the upper bound is attained and the lower sits at
     # upper / sqrt(2), the worst spread the bracket can have
     lower, upper = velocity_bounds(0.7, 2.5, 2.5)
-    assert v0_max_free(0.7, 2.5, 2.5) == pytest.approx(upper, rel=1e-12)
+    assert v0_max(0.7, 2.5, 2.5) == pytest.approx(upper, rel=1e-12)
     assert lower == pytest.approx(upper / math.sqrt(2.0), rel=1e-12)
 
 
@@ -140,13 +127,6 @@ def test_clamped_only_region_requires_clamped_mode():
     assert limit.v0_max > 0.0
 
 
-def test_is_admissible_inclusive_at_limit(body_table):
-    limit = compute_limit(body_table, "face", ContactMode.TRANSIENT, 5.545724)
-    assert is_admissible(limit.v0_max, limit)
-    assert is_admissible(-limit.v0_max, limit)
-    assert not is_admissible(limit.v0_max * 1.001, limit)
-
-
 @pytest.mark.parametrize("mass,area", [(0.0, 1.0), (-2.0, 1.0),
                                        (math.inf, 1.0), (5.0, 0.0),
                                        (5.0, -1.0)])
@@ -163,7 +143,7 @@ def test_bad_query_rejected(body_table, mass, area):
 def test_bad_energy_or_mass_rejected(u, m):
     with pytest.raises(InputError, match=("m_r" if u > 0 else "u_s_max")
                        + " must be " + ("finite" if math.isnan(u) else "> 0")):
-        v0_max_clamped(u, m)
+        v0_max(u, m, math.inf)
 
 
 def test_an_overflowing_limit_is_an_error_not_inf(recwarn):

@@ -6,7 +6,7 @@ import pytest
 
 from pflsafe.body import ContactMode
 from pflsafe.errors import InputError
-from pflsafe.limits import compute_limit, v0_max_clamped
+from pflsafe.limits import compute_limit, v0_max
 from pflsafe.safety_filter import (FilterConfig, PlantState, TankState,
                                    filter_velocity, simulate_loop, tank_init,
                                    tank_step)
@@ -214,7 +214,7 @@ def test_loop_budget_bounds_speed_even_without_filter(face_limit):
     log = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, cfg,
                         tank_init(u), duration=2.0, velocity_filter=False)
     assert np.max(log.ke) <= u + 1e-12
-    assert np.max(np.abs(log.velocity)) <= v0_max_clamped(u, MASS) + 1e-9
+    assert np.max(np.abs(log.velocity)) <= v0_max(u, MASS, math.inf) + 1e-9
 
 
 def test_loop_passivity_does_not_imply_safety(face_limit):

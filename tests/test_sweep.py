@@ -18,7 +18,7 @@ from pflsafe.sweep import (ALL_COMBOS, MassSource, SweepConfig,
                            write_boxstats_json, write_scaling_csv,
                            write_sweep_csv)
 from test_body import table_text
-from test_dynamics import PENDULUM_YAML, TWO_R_YAML
+from test_dynamics import PENDULUM_YAML, SLIDER_YAML, TWO_R_YAML
 
 # small box well inside the reachable envelope: keeps unit tests fast
 TINY = dict(box_min=(0.35, -0.05, 0.40), box_max=(0.45, 0.05, 0.50),
@@ -219,6 +219,17 @@ def test_sweep_of_an_unbounded_joint_raises_no_warning(body_table):
             grid_spacing=0.7, n_directions=2))
     assert (result.n_grid, result.n_reachable) == (4, 2)
     assert np.array_equal(sweep._default_seed(model), np.zeros(2))
+
+
+def test_the_seed_of_a_huge_bounded_joint_does_not_overflow():
+    # lower + upper overflows; half of each does not
+    model = load_robot_model(io.StringIO(
+        SLIDER_YAML.replace("lower: -1.0", "lower: 1e308")
+        .replace("upper: 1.0", "upper: 1.7e308")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seed = sweep._default_seed(model)
+    assert seed.tolist() == [1.35e308]
 
 
 # one a07 box on the reach boundary: 2 reachable points and 14 failing,
