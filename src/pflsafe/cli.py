@@ -9,8 +9,9 @@ Subcommands:
 
 Every run writes a ``run_manifest.json`` with the tool version, the resolved
 configuration and SHA-256 digests of all file inputs, so results can be
-reproduced exactly.  Exit codes: 0 success, 2 usage error, 3 invalid
-input/configuration, 4 numerical failure.
+reproduced exactly; a sweep's also counts its grid points by IK outcome.
+Exit codes: 0 success, 2 usage error, 3 invalid input/configuration,
+4 numerical failure.
 """
 from __future__ import annotations
 
@@ -59,7 +60,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, subcommand: str, config: dict,
-                    inputs: dict[str, Path], outputs: list[str]) -> None:
+                    inputs: dict[str, Path], outputs: list[str],
+                    counts: dict[str, int] | None = None) -> None:
     manifest = {
         "tool": "pflsafe",
         "version": __version__,
@@ -70,6 +72,8 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict,
                    for name, path in inputs.items()},
         "outputs": outputs,
     }
+    if counts is not None:
+        manifest["counts"] = counts
     write_json(manifest, out_dir / "run_manifest.json")
 
 
@@ -218,7 +222,11 @@ def _cmd_sweep(args) -> int:
                     {key: getattr(config, key) for key in _SWEEP_KEYS},
                     inputs,
                     ["sweep_result.csv", "scaling_report.csv",
-                     "fig_boxstats.json", "sweep_boxplot.svg"])
+                     "fig_boxstats.json", "sweep_boxplot.svg"],
+                    {"converged": result.n_reachable,
+                     "rejected": result.n_rejected,
+                     "budget_spent": result.n_budget_spent,
+                     "ik_iterations": result.ik_iterations})
     print(f"grid points {result.n_grid}, reachable {result.n_reachable}, "
           f"near-singular {result.n_singular}; constant effective mass "
           f"{result.iso_mass:.4f} kg")

@@ -45,7 +45,8 @@ FLANGE_DOWN = np.array([[1.0, 0.0, 0.0],
 class ManipulatorModel:
     """The chain as read-only arrays, one row per link in chain order, and
     derived from them the kernels' Rodrigues constants of the revolute
-    joints (``skews @ w`` is ``axis x w``) and the ``_chain_reach`` ball."""
+    joints (``skews @ w`` is ``axis x w``) and the ``_chain_reach`` centre
+    and radii of the last link's origin and of the wrist, link n-1's."""
 
     origins: np.ndarray        # (n, 4, 4) parent link frame -> joint frame
     axes: np.ndarray           # (n, 3) unit joint axes, in the joint frames
@@ -62,7 +63,7 @@ class ManipulatorModel:
     turns: np.ndarray = field(init=False)
     skews: np.ndarray = field(init=False)
     outers: np.ndarray = field(init=False)
-    reach: tuple[np.ndarray, float] = field(init=False)
+    reach: tuple[np.ndarray, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.masses)
@@ -76,7 +77,8 @@ class ManipulatorModel:
                 turns=self.origins[revolute, None, :3, :3],
                 outers=axes[..., :, None] * axes[..., None, :]).items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "reach", _chain_reach(self))
+        object.__setattr__(self, "reach", (*_chain_reach(self),
+                                           _chain_reach(self, -2)[1]))
         for value in (*vars(self).values(), self.reach[0]):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -443,24 +445,51 @@ def _rotation_errors(r_target: np.ndarray, r_current: np.ndarray) -> np.ndarray:
     return np.array(errors)
 
 
-def _chain_reach(model: ManipulatorModel) -> tuple[np.ndarray, float]:
-    """Centre and radius of a ball holding the last link's origin for every
-    in-limit q.
+#: metres by which float rounding may carry a computed point past a bound of
+#: ``_chain_reach``, whose walk also takes an axis within 1e-12 m of a pivot
+#: for one through it: the reach proof widens every bound by this much
+REACH_ROUNDING = 1e-9
 
-    Link k's origin sits ``xyz_k`` from link k-1's origin, rotated by
-    whatever q does upstream, so a revolute joint adds ||xyz_k|| and a
-    prismatic joint ||xyz_k|| plus its largest |travel| (infinite travel
-    gives an infinite radius).  A revolute joint 1 does not move its own
-    origin, so the ball is centred there; a prismatic joint 1 does, so the
-    ball is centred on the base and joint 1 counts too.
+
+def _chain_reach(model: ManipulatorModel,
+                 link: int = -1) -> tuple[np.ndarray, float]:
+    """Centre s and radius R of a ball holding link ``link``'s origin for
+    every in-limit q (-1 is the last link; with one link, -2 is the base).
+
+    A revolute joint 1 does not move its own origin, so s is that origin; a
+    prismatic joint 1 does, so s is the base.  The walk from s keeps a
+    pivot P, a link origin.  A joint that turns about an axis through P,
+    and every joint upstream of P, moves the origins downstream of P
+    rigidly about P, so while each joint after P's turns about an axis
+    through P, |p_k - P| is one constant, read at q = 0 (an axis through P
+    there passes through it at every q).  At the first joint whose axis
+    misses P, the origin of that joint becomes the new pivot and its
+    distance from the old one is added to R.  A prismatic joint k makes
+    p_k the pivot too, and adds ||xyz_k|| plus its largest |travel|
+    (infinite travel gives an infinite radius).
     """
-    first_prismatic = 0 in model.prismatic
-    centre = np.zeros(3) if first_prismatic else model.origins[0, :3, 3]
+    frames = link_frames(model, np.zeros(model.n))
+    points = np.vstack([np.zeros(3), frames[:, :3, 3]])  # base, p_1 .. p_n
+    axes = (frames[:, :3, :3] @ model.axes[:, :, None])[..., 0]
+    slides = np.isin(np.arange(model.n), model.prismatic)
+    start, end = (0 if slides[0] else 1), range(model.n + 1)[link]
+    pivot = centre = points[start]
     radius = 0.0
-    for k in range(0 if first_prismatic else 1, model.n):
-        radius += math.hypot(*model.origins[k, :3, 3])
-        if k in model.prismatic:
-            radius += max(abs(model.lower_limits[k]), abs(model.upper_limits[k]))
+    for k in range(start + 1, end + 1):
+        if k >= 2 and not slides[k - 2]:
+            # joint k - 1 turns p_k about an axis through p_{k-1}; one that
+            # misses P by float noise (see REACH_ROUNDING) passes through it
+            lever, axis = pivot - points[k - 1], axes[k - 2]
+            if math.hypot(*(lever - (lever @ axis) * axis)) > 1e-12:
+                radius += math.dist(points[k - 1], pivot)
+                pivot = points[k - 1]
+        if slides[k - 1]:  # joint k slides p_k itself
+            radius += (math.dist(points[k - 1], pivot)
+                       + math.hypot(*model.origins[k - 1, :3, 3])
+                       + max(abs(model.lower_limits[k - 1]),
+                             abs(model.upper_limits[k - 1])))
+            pivot = points[k]
+    radius += math.dist(points[end], pivot)
     return centre, float(radius)
 
 
@@ -469,16 +498,27 @@ def _outside_reach(model: ManipulatorModel, target: np.ndarray,
                    ori_tol: float) -> bool:
     """True when no in-limit q brings the tool within IK's tolerances of
     the target pose (see ``inverse_kinematics``)."""
-    centre, radius = model.reach
+    pos_tol += REACH_ROUNDING
+    centre, radius, wrist_radius = model.reach
     ee_xyz = model.ee_offset[:3, 3]
     ee_reach = math.hypot(*ee_xyz)
     if orientation is None:
-        point = target
-        radius += ee_reach + pos_tol
-    else:
-        point = target - orientation @ (model.ee_offset[:3, :3].T @ ee_xyz)
-        radius += pos_tol + ee_reach * ori_tol
-    return math.dist(point, centre) > radius
+        return math.dist(target, centre) > radius + ee_reach + pos_tol
+    point = target - orientation @ (model.ee_offset[:3, :3].T @ ee_xyz)
+    if math.dist(point, centre) > radius + pos_tol + ee_reach * ori_tol:
+        return True
+    if model.n - 1 in model.prismatic:
+        return False
+    # the wrist circle: centre, axis and radius of w = p_n - R_n Rot(q_n)^T v
+    axis = model.axes[-1]
+    v = model.origins[-1, :3, :3].T @ model.origins[-1, :3, 3]
+    along = float(v @ axis)
+    normal = orientation @ (model.ee_offset[:3, :3].T @ axis)
+    offset = centre - (point - along * normal)
+    height = float(offset @ normal)
+    gap = math.hypot(height, math.hypot(*(offset - height * normal))
+                     - math.hypot(*(v - along * axis)))
+    return gap > wrist_radius + pos_tol + (ee_reach + math.hypot(*v)) * ori_tol
 
 
 def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
@@ -563,13 +603,19 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     matrix) is given.  This is ``ik_lockstep`` with one lane.
 
     A target no in-limit q can reach is rejected before the first
-    iteration.  Whatever q is, the last link's origin p_n lies within
-    R = sum over k >= 2 of ||xyz_k|| of link 1's origin (``_chain_reach``:
-    prismatic joints add their travel).  With an orientation R_t, a
-    converged pose puts p_n within IK_POS_TOL + ||ee_xyz|| * IK_ORI_TOL of
-    target - R_t R_ee^T ee_xyz, so that point must lie within R plus this
-    margin.  Without one, the tool point itself must lie within
-    R + ||ee_xyz|| + IK_POS_TOL.  A rejected target returns the clipped
+    iteration.  ``_chain_reach`` bounds the distance of the last link's
+    origin p_n from a fixed shoulder s by R, and that of the wrist, link
+    n-1's origin, by R_w.  Without an orientation, the tool point must lie
+    within R + ||ee_xyz|| + IK_POS_TOL of s.  An orientation R_t fixes
+    R_n = R_t R_ee^T and p_n = target - R_n ee_xyz, and a converged pose
+    puts its p_n within IK_POS_TOL + ||ee_xyz|| * IK_ORI_TOL of that one (a
+    turn by theta moves a point at distance r by at most r theta), so p_n
+    must lie within R of s plus this margin.  A revolute last joint, with
+    axis a and fixed origin v = R_o^T xyz_n in its own frame, puts the
+    wrist on the circle p_n - R_n Rot(a, q_n)^T v about the axis R_n a, and
+    the circle's point nearest s must lie within
+    R_w + IK_POS_TOL + (||ee_xyz|| + ||v||) * IK_ORI_TOL of s.  Every bound
+    is widened by REACH_ROUNDING.  A rejected target returns the clipped
     seed with ``success=False``, ``iterations == 0`` and the seed's errors.
     """
     target = np.asarray(target, dtype=float)

@@ -3,14 +3,17 @@
 A regular grid of tool positions is swept over a box.  Each grid point is
 solved by inverse kinematics with the tool pointing straight down (one fixed
 orientation, so distributions are comparable across points); unreachable
-points are skipped and counted.  A point whose flange-down pose lies outside
-the arm's reach ball is rejected by ``inverse_kinematics`` before its first
-iteration; it would have failed anyway, and a failed point never moves the
-warm start, so the check changes run time only.  At every reachable point
-the directional reflected mass is evaluated along a deterministic set of
-unit directions (a Fibonacci sphere), and per body region the admissible
-speed limit is computed twice per contact mode: once with the directional
-reflected mass and once with the constant half-moving-mass convention.
+points are skipped and counted by cause.  ``inverse_kinematics`` rejects a
+point before its first iteration when its flange-down pose puts the last
+link's origin outside the arm's reach ball, or the wrist circle (the wrist
+positions the last joint's turn leaves open) wholly outside the wrist's
+reach; the rest that fail spend IK's whole budget.  A rejected point would
+have failed anyway, and a failed point never moves the warm start, so the
+proof changes run time only.  At every reachable point the directional
+reflected mass is evaluated along a deterministic set of unit directions
+(a Fibonacci sphere), and per body region the admissible speed limit is
+computed twice per contact mode: once with the directional reflected mass
+and once with the constant half-moving-mass convention.
 
 Everything here is deterministic: the grid order, the direction set and the
 warm-start chain are fixed, so reruns reproduce results bit for bit.  Grid
@@ -160,7 +163,10 @@ class SweepResult:
     reflected_masses: np.ndarray      # (n_reachable, n_directions)
     n_grid: int
     n_reachable: int
-    n_unreachable: int
+    n_unreachable: int               # n_rejected + n_budget_spent
+    n_rejected: int                  # by the reach proof, before any IK
+    n_budget_spent: int              # IK ran IK_MAX_ITER iterations
+    ik_iterations: int               # over every grid point
     n_singular: int
     n_constrained_directions: int
 
@@ -171,23 +177,32 @@ class SweepResult:
 
 # ---------------------------------------------------------------- workers
 
-def _sweep_scanline(payload: tuple) -> tuple[int, np.ndarray]:
+def _sweep_scanline(payload: tuple) -> tuple[tuple[int, ...], np.ndarray]:
     """Solve one scanline (fixed y, z; x ascending) of grid points, then
-    evaluate its reachable points in one call per kernel: the number of
-    near-singular points and their (k, d) reflected masses."""
+    evaluate its reachable points in one call per kernel.  Returns the
+    counts (near-singular, rejected, budget spent, IK iterations) and the
+    (k, d) reflected masses."""
     model, targets, seed, directions = payload
     solved = []
     q_seed = seed
+    rejected = budget_spent = iterations = 0
     for target in targets:
         ik = inverse_kinematics(model, target, q_seed, orientation=FLANGE_DOWN)
+        iterations += ik.iterations
         if ik.success:
             q_seed = ik.q  # warm start for the next point on this line
             solved.append(ik.q)
+        elif ik.iterations == 0:
+            rejected += 1
+        else:
+            budget_spent += 1
     if not solved:
-        return 0, np.empty((0, len(directions)))
+        return ((0, rejected, budget_spent, iterations),
+                np.empty((0, len(directions))))
     qs = np.array(solved)
     singular = manipulability(model, qs) < SINGULAR_FLAG_THRESHOLD
-    return (int(np.count_nonzero(singular)),
+    return ((int(np.count_nonzero(singular)), rejected, budget_spent,
+             iterations),
             reflected_mass(model, ReflectedMassQuery(q=qs, u=directions)))
 
 
@@ -254,6 +269,8 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         scanlines = [_sweep_scanline(p) for p in payloads]
 
     n_grid = len(xs) * len(ys) * len(zs)
+    singular, rejected, budget_spent, iterations = map(
+        sum, zip(*(counts for counts, _ in scanlines)))
     reflected = np.vstack([masses for _, masses in scanlines])
     if not len(reflected):
         raise NumericalError("no reachable grid points in the configured box")
@@ -279,7 +296,10 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         n_grid=n_grid,
         n_reachable=len(reflected),
         n_unreachable=n_grid - len(reflected),
-        n_singular=sum(singular for singular, _ in scanlines),
+        n_rejected=rejected,
+        n_budget_spent=budget_spent,
+        ik_iterations=iterations,
+        n_singular=singular,
         n_constrained_directions=int(np.count_nonzero(np.isinf(reflected))),
     )
 

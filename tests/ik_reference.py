@@ -3,7 +3,8 @@
 This is the scalar loop ``dynamics.inverse_kinematics`` ran before the
 kinematics were batched over configurations, kept whole (frames, Jacobian,
 rotation error and update) so that the lockstep kernel can be held to it
-bit for bit.  Only the reach-ball predicate is shared with the package.
+bit for bit.  Only the reach proof, ``dynamics._outside_reach``, is shared
+with the package.
 """
 import math
 

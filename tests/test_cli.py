@@ -156,6 +156,40 @@ def test_sweep_with_config(tmp_path):
     assert set(manifest["inputs"]) == {"body_table", "robot", "config"}
 
 
+def test_the_sweep_manifest_counts_points_by_ik_outcome(tmp_path,
+                                                        monkeypatch):
+    # the a07 box of test_sweep's BOUND_BOX: 2 points converge and the
+    # reach proof rejects the other 14
+    outcomes = []
+    real_ik = sweep.inverse_kinematics
+
+    def recording_ik(*args, **kwargs):
+        result = real_ik(*args, **kwargs)
+        outcomes.append((result.success, result.iterations))
+        return result
+
+    monkeypatch.setattr(sweep, "inverse_kinematics", recording_ik)
+    config = tmp_path / "sweep.yaml"
+    config.write_text(yaml.safe_dump({
+        "box_min": [0.6, 0.5, 0.15], "box_max": [0.7, 0.8, 0.25],
+        "grid_spacing": 0.1, "n_directions": 20}))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", config, "--out", out) == 0
+    counts = json.loads((out / "run_manifest.json").read_text())["counts"]
+    assert counts == {
+        "converged": sum(ok for ok, _ in outcomes),
+        "rejected": sum(not ok and n == 0 for ok, n in outcomes),
+        "budget_spent": sum(not ok and n == 200 for ok, n in outcomes),
+        "ik_iterations": sum(n for _, n in outcomes)}
+    assert (len(outcomes), counts["converged"], counts["rejected"]) == (
+        16, 2, 14)
+    # the data artefacts keep their keys: the counts live in the manifest
+    stats = json.loads((out / "fig_boxstats.json").read_text())
+    assert set(stats["counts"]) == {"grid_points", "reachable",
+                                    "unreachable", "near_singular",
+                                    "constrained_directions"}
+
+
 def test_sweep_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"grid": 0.1}))

@@ -530,6 +530,22 @@ def test_ik_inside_the_reach_ball_still_spends_its_budget(panda):
     assert result.position_error == pytest.approx(0.25, abs=0.01)
 
 
+def test_the_wrist_circle_rejects_a_target_inside_the_ball(panda,
+                                                          monkeypatch):
+    # flange down above the shoulder: the last link's origin lies 0.731 m
+    # from the shoulder, inside the 0.807 m ball, but every point of the
+    # wrist's 0.088 m circle lies over 0.724 m away, past the wrist's 0.719 m
+    target = np.array([0.0, 0.1, 0.95])
+    seed = 0.5 * (panda.lower_limits + panda.upper_limits)
+    centre, radius, _ = panda.reach
+    assert math.dist(target + [0.0, 0.0, 0.107], centre) < radius - 0.07
+    result = inverse_kinematics(panda, target, seed, orientation=FLANGE_DOWN)
+    assert not result.success and result.iterations == 0
+    monkeypatch.setattr(dynamics, "_outside_reach", lambda *args: False)
+    result = inverse_kinematics(panda, target, seed, orientation=FLANGE_DOWN)
+    assert not result.success and result.iterations == 200
+
+
 def test_reach_balls_hold_every_fk_pose(panda, rng):
     with open(robot_model_path(), "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
@@ -537,8 +553,10 @@ def test_reach_balls_hold_every_fk_pose(panda, rng):
     ee_xyz = np.asarray(raw["end_effector"]["xyz"])
     centre, radius = dynamics._chain_reach(panda)
     assert np.array_equal(centre, offsets[0])
-    assert radius == pytest.approx(sum(np.linalg.norm(v) for v in offsets[1:]),
-                                   rel=1e-12)
+    # pivots s -> p4 -> p5 -> p7, and s -> p4 crosses two perpendicular offsets
+    assert radius == pytest.approx(math.hypot(*offsets[2], *offsets[3])
+                                   + sum(np.linalg.norm(offsets[k])
+                                         for k in (4, 6)), rel=1e-12)
 
     q = random_joint_configs(panda, rng, 100_000)
     last, tool = fk_from_yaml(robot_model_path(), q)
@@ -576,6 +594,45 @@ links:
     com: [0.0, 0.0, 0.0]
     inertia: {ixx: 0.0, iyy: 0.0, izz: 0.0}
 """
+
+
+# the 2R arm with its elbow raised and tilted: the wrist circle's centre
+# leaves the last link's origin, and its plane tilts
+TILTED_2R_YAML = TWO_R_YAML.replace(
+    "xyz: [0.7, 0.0, 0.0]\n      rpy: [0.0, 0.0, 0.0]",
+    "xyz: [0.7, 0.0, 0.2]\n      rpy: [0.4, 0.3, 0.0]")
+
+
+@pytest.mark.parametrize("arm", ["panda", "2r", "2r-tilted", "arm-slide"])
+def test_the_wrist_circle_holds_every_fk_pose(arm, rng, tmp_path):
+    # the wrist, link n-1's origin, from the raw YAML of the chain without
+    # its last link
+    path = {"panda": robot_model_path()}.get(arm, tmp_path / "arm.yaml")
+    if arm != "panda":
+        path.write_text({"2r": TWO_R_YAML, "2r-tilted": TILTED_2R_YAML,
+                         "arm-slide": ARM_SLIDE_YAML}[arm])
+    model = load_robot_model(path)
+    raw = yaml.safe_load(path.read_text())
+    raw["links"].pop()
+    (tmp_path / "wrist.yaml").write_text(yaml.safe_dump(raw))
+    q = random_joint_configs(model, rng, 100_000)
+    wrist = fk_from_yaml(tmp_path / "wrist.yaml", q[:, :-1])[0][:, :3, 3]
+    centre, _, wrist_radius = model.reach
+    distance = np.linalg.norm(wrist - centre, axis=1)
+    assert distance.max() <= wrist_radius
+    if arm == "panda":
+        # s -> p4 -> p5, and the bound is reached inside q4's limits
+        assert wrist_radius == pytest.approx(0.71935, abs=1e-5)
+        assert distance.max() > 0.999 * wrist_radius
+    # the proof itself, with zero tolerances, on the poses nearest its
+    # bounds: the wrist's and the last link origin's
+    last, tool = fk_from_yaml(path, q)
+    near = np.union1d(np.argsort(distance)[-1000:], np.argsort(
+        np.linalg.norm(last[:, :3, 3] - centre, axis=1))[-1000:])
+    for pose in tool[near]:
+        assert not dynamics._outside_reach(model, pose[:3, 3], None, 0.0, 0.0)
+        assert not dynamics._outside_reach(model, pose[:3, 3], pose[:3, :3],
+                                           0.0, 0.0)
 
 
 def test_prismatic_travel_widens_the_reach_ball():
@@ -663,10 +720,12 @@ def grid(box_min, box_max, spacing):
 
 
 def test_lockstep_ik_matches_the_scalar_loop_on_a07_boundary_boxes(panda):
-    # a07 boxes on the reach boundary: points that converge, points that
-    # spend the whole budget and points rejected by the reach ball
+    # a07 boxes on the reach boundary: points that converge and points
+    # rejected by the reach proof, and one a07 point that passes the proof
+    # and spends the whole budget
     targets = np.vstack([grid((0.6, 0.5, 0.15), (0.7, 0.8, 0.25), 0.1),
-                         grid((-0.6, -0.7, 0.05), (-0.5, -0.4, 0.15), 0.1)])
+                         grid((-0.6, -0.7, 0.05), (-0.5, -0.4, 0.15), 0.1),
+                         [(-0.6, 0.0, 0.05)]])
     seeds = np.tile(0.5 * (panda.lower_limits + panda.upper_limits),
                     (len(targets), 1))
     lanes = assert_lanes_match_the_scalar_loop(panda, targets, seeds,

@@ -233,9 +233,13 @@ def test_the_seed_of_a_huge_bounded_joint_does_not_overflow():
 
 
 # one a07 box on the reach boundary: 2 reachable points and 14 failing,
-# 10 of which lie outside the flange-down reach ball
+# every one of which the reach proof rejects before IK
 BOUND_BOX = dict(box_min=(0.6, 0.5, 0.15), box_max=(0.7, 0.8, 0.25),
                  grid_spacing=0.10, n_directions=20)
+# a box of the bench's `reach` pool: 10 reachable points and 6 failing, all
+# of them rejected too
+REACH_BOX = dict(BOUND_BOX, box_min=(-0.6, -0.7, 0.05),
+                 box_max=(-0.5, -0.4, 0.15))
 
 
 def test_reach_ball_only_skips_points_that_fail(panda, body_table,
@@ -251,25 +255,32 @@ def test_reach_ball_only_skips_points_that_fail(panda, body_table,
         return result
 
     monkeypatch.setattr(sweep, "inverse_kinematics", recording_ik)
-    with_ball = run_sweep(panda, body_table, SweepConfig(**BOUND_BOX))
-    skipped = [result for outside, result in calls if outside]
-    assert len(calls) == 16 and len(skipped) == 10
-    assert all(not r.success and r.iterations == 0 for r in skipped)
+    for box, reachable in ((BOUND_BOX, 2), (REACH_BOX, 10)):
+        monkeypatch.setattr(dynamics, "_outside_reach", outside_reach)
+        calls.clear()
+        with_proof = run_sweep(panda, body_table, SweepConfig(**box))
+        skipped = [result for outside, result in calls if outside]
+        assert len(calls) == 16 and len(skipped) == 16 - reachable
+        assert all(not r.success and r.iterations == 0 for r in skipped)
 
-    calls.clear()
-    monkeypatch.setattr(dynamics, "_outside_reach", lambda *args: False)
-    without = run_sweep(panda, body_table, SweepConfig(**BOUND_BOX))
-    # with the check off, no point outside the ball converges
-    unskipped = [result for outside, result in calls if outside]
-    assert len(calls) == 16 and len(unskipped) == 10
-    assert all(not r.success and r.iterations == 200 for r in unskipped)
-    assert np.array_equal(with_ball.reflected_masses, without.reflected_masses)
-    for name in ("n_grid", "n_reachable", "n_unreachable", "n_singular",
-                 "n_constrained_directions"):
-        assert getattr(with_ball, name) == getattr(without, name), name
-    assert (with_ball.n_reachable, with_ball.n_unreachable) == (2, 14)
-    for key, samples in with_ball.samples.items():
-        assert np.array_equal(samples, without.samples[key])
+        calls.clear()
+        monkeypatch.setattr(dynamics, "_outside_reach", lambda *args: False)
+        without = run_sweep(panda, body_table, SweepConfig(**box))
+        # with the check off, no rejected point converges
+        unskipped = [result for outside, result in calls if outside]
+        assert len(calls) == 16 and len(unskipped) == 16 - reachable
+        assert all(not r.success and r.iterations == 200 for r in unskipped)
+        assert np.array_equal(with_proof.reflected_masses,
+                              without.reflected_masses)
+        for name in ("n_grid", "n_reachable", "n_unreachable", "n_singular",
+                     "n_constrained_directions"):
+            assert getattr(with_proof, name) == getattr(without, name), name
+        assert (with_proof.n_reachable, with_proof.n_rejected,
+                with_proof.n_budget_spent) == (reachable, 16 - reachable, 0)
+        assert (without.n_rejected, without.n_budget_spent) == (
+            0, 16 - reachable)
+        for key, samples in with_proof.samples.items():
+            assert np.array_equal(samples, without.samples[key])
 
 
 def test_sweep_unreachable_box_raises(panda, body_table):
