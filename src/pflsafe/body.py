@@ -115,7 +115,6 @@ class BodyRegionTable:
     """Immutable mapping of all twelve canonical body regions."""
 
     entries: Mapping[str, BodyRegionParams]
-    source_label: str
 
     def __post_init__(self) -> None:
         missing = [rid for rid in REGION_IDS if rid not in self.entries]
@@ -162,21 +161,14 @@ def load_body_table(source: Source) -> BodyRegionTable:
 
     The format is CSV with the exact header
     ``region,f_max_qs_N,p_max_qs_N_per_cm2,k_N_per_mm,m_h_kg,transient_mult``.
-    Lines starting with ``#`` are comments; a comment of the form
-    ``# source: <text>`` becomes the table's provenance label.  Stiffness is
-    converted from N/mm to N/m here; ``m_h_kg`` accepts ``inf``.
+    Lines starting with ``#`` are comments.  Stiffness is converted from
+    N/mm to N/m here; ``m_h_kg`` accepts ``inf``.
     """
-    text, default_label = read_text(source)
-    source_label = default_label
+    text = read_text(source)
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            comment = stripped.lstrip("#").strip()
-            if comment.lower().startswith("source:"):
-                source_label = comment[len("source:"):].strip()
+        if not stripped or stripped.startswith("#"):
             continue
         rows.append((lineno, next(csv.reader(io.StringIO(line)))))
 
@@ -220,7 +212,7 @@ def load_body_table(source: Source) -> BodyRegionTable:
         except InputError as exc:
             raise InputError(f"row {lineno}: {exc}") from None
 
-    return BodyRegionTable(entries=entries, source_label=source_label)
+    return BodyRegionTable(entries=entries)
 
 
 def binding_criterion(params: BodyRegionParams, contact_area: float = 1.0) -> str:

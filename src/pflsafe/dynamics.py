@@ -194,8 +194,8 @@ def _parse_link(idx: int, spec) -> tuple:
 # so each configuration of a stack rounds exactly as it does alone.
 
 def _check_q(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
-    """q as floats, one configuration (n,) or a stack (B, n)."""
-    q = np.asarray(q, dtype=float)
+    """q as finite floats, one configuration (n,) or a stack (B, n)."""
+    q = number("configuration", "q", np.asarray(q))
     if q.shape[-1:] != (model.n,) or q.ndim > 2:
         raise InputError(f"q must have shape ({model.n},) or (B, {model.n}), "
                          f"got {q.shape}")
@@ -226,7 +226,11 @@ def _joint_transforms(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 def link_frames(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     """World pose of every link frame, chain order: (n, 4, 4) for one
     configuration, (B, n, 4, 4) for a (B, n) stack."""
-    q = _check_q(model, q)
+    return _frames(model, _check_q(model, q))
+
+
+def _frames(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
+    """``link_frames`` of a q that ``_check_q`` has passed."""
     joints = _joint_transforms(model, q.reshape(-1, model.n))
     # chain-major, so that each product writes one contiguous block
     frames = np.empty_like(joints)
@@ -329,7 +333,7 @@ class ReflectedMassQuery:
     u: np.ndarray                        # unit (3,) or (d, 3) stack, world frame
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float)
+        u = number("ReflectedMassQuery", "u", np.asarray(self.u))
         if u.shape[-1:] != (3,) or u.ndim > 2 or u.size == 0:
             raise InputError(
                 f"u must be a 3-vector or a non-empty (d, 3) stack, "
@@ -353,8 +357,7 @@ def reflected_mass(model: ManipulatorModel,
     give a float, a (d, 3) stack of directions a (d,) array; a (B, n) stack
     of configurations puts B in front, (B,) or (B, d).
     """
-    q = _check_q(model, query.q)
-    frames = link_frames(model, q)
+    frames = link_frames(model, query.q)
     jac = _contact_kinematics(model, frames)[1][..., :3, :]
     m = _mass_matrix(model, frames)
     try:
@@ -362,8 +365,8 @@ def reflected_mass(model: ManipulatorModel,
     except np.linalg.LinAlgError:
         # LAPACK's LU finds a zero pivot in solve exactly where slogdet does
         bad = np.flatnonzero(np.linalg.slogdet(m).sign.reshape(-1) == 0)[0]
-        raise InputError(f"mass matrix is singular at q = "
-                         f"{q.reshape(-1, model.n)[bad].tolist()}") from None
+        q = np.asarray(query.q, dtype=float).reshape(-1, model.n)[bad]
+        raise InputError(f"mass matrix is singular at q = {q.tolist()}") from None
     u = np.asarray(query.u, dtype=float)
     rows = u.reshape(-1, 1, 3)
     s = (rows @ lam_inv[..., None, :, :] @ rows.mT)[..., 0, 0]
@@ -532,13 +535,15 @@ def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
     on the lanes still running only.  A lane's iterates are bit for bit
     those of a call with that lane alone.
     """
-    targets = np.asarray(targets, dtype=float)
-    seeds = np.asarray(seeds, dtype=float)
+    targets = number("ik_lockstep", "targets", np.asarray(targets))
+    seeds = number("ik_lockstep", "seeds", np.asarray(seeds))
     if (targets.ndim != 2 or targets.shape[1] != 3
             or seeds.shape != (len(targets), model.n)):
         raise InputError(f"targets and seeds must be (B, 3) and "
                          f"(B, {model.n}) stacks, got {targets.shape} and "
                          f"{seeds.shape}")
+    if orientation is not None:
+        orientation = number("ik_lockstep", "orientation", np.asarray(orientation))
     lower, upper = model.lower_limits, model.upper_limits
     q = np.minimum(np.maximum(seeds, lower), upper)
     budget = np.array([0 if _outside_reach(model, target, orientation,
@@ -551,7 +556,7 @@ def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
                    orientation_error=np.full(lanes, math.inf))
     live = np.arange(lanes)
     for iteration in range(IK_MAX_ITER + 1):
-        pose, jac = _contact_kinematics(model, link_frames(model, q))
+        pose, jac = _contact_kinematics(model, _frames(model, q))
         err = targets - pose[:, :3, 3]
         pos_err = _norms(err)
         if orientation is None:
@@ -618,10 +623,10 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     is widened by REACH_ROUNDING.  A rejected target returns the clipped
     seed with ``success=False``, ``iterations == 0`` and the seed's errors.
     """
-    target = np.asarray(target, dtype=float)
+    target = number("inverse_kinematics", "target", np.asarray(target))
     if target.shape != (3,):
         raise InputError(f"target must be a 3-vector, got {target.shape}")
-    seed = np.asarray(seed, dtype=float)
+    seed = number("inverse_kinematics", "seed", np.asarray(seed))
     if seed.shape != (model.n,):
         raise InputError(f"seed must have shape ({model.n},), got {seed.shape}")
     lanes = ik_lockstep(model, target[None], seed[None], orientation)

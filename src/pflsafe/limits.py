@@ -16,12 +16,12 @@ A constrained direction has m_r = inf, which gives a clamped limit of 0.
 Free limits with the transient thresholds model the short-duration case;
 clamped limits are always evaluated against quasi-static thresholds.
 
-Note on single-mass bounds: the values sqrt(2*u/m) for m = max(m_r, m_h)
-and m = min(m_r, m_h) both sit *below* the free-impact limit (the reduced
-mass is smaller than either mass), so the smaller-mass value alone is not
-an upper bound.  ``velocity_bounds`` therefore returns
-[sqrt(2u/max), sqrt(2) * sqrt(2u/min)], which brackets the free limit
-strictly for unequal masses and touches it exactly when m_r == m_h.
+Note on single-mass bounds: sqrt(2*u/m) for m = max(m_r, m_h) or
+m = min(m_r, m_h) both sit *below* the free-impact limit.
+``velocity_bounds`` is ``v0_max`` at the bracket's corners instead,
+(u, max, inf) and (u, min, min).  Each corner moves one term of the sum
+one way and IEEE rounding is monotone, so lower <= free <= upper holds
+exactly in floating point, with upper == free bit for bit if m_r == m_h.
 """
 from __future__ import annotations
 
@@ -46,25 +46,26 @@ class SpeedLimit:
     binding_criterion: str   # "force" or "pressure"
 
 
-def v0_max(u_s_max: float, m_r, m_h: float):
+def v0_max(u_s_max, m_r, m_h):
     """Speed limit sqrt(2 * u_s_max * (1/m_r + 1/m_h)).
 
-    ``m_r`` is a float or an array of robot masses, and an infinite entry
-    (a constrained direction) is allowed.  ``m_h = inf`` is the clamped
-    contact.  A float ``m_r`` gives a float, an array gives an array.
-    A limit that overflows is an error, never ``inf``.
+    Each argument is a float or an array, and arrays broadcast; three
+    floats give a float.  An infinite ``m_r`` (a constrained direction) is
+    allowed, and ``m_h = inf`` is the clamped contact.  A limit that
+    overflows is an error, never ``inf``.
     """
-    number("v0_max", "u_s_max", u_s_max, gt=0)
-    masses = np.asarray(m_r, dtype=float)
-    if not np.all(masses > 0):
-        raise InputError(f"v0_max: m_r must be > 0, got {m_r!r}")
-    number("v0_max", "m_h", m_h, gt=0, allow_inf=True)
+    u_s_max = number("v0_max", "u_s_max", u_s_max, gt=0)
+    m_r = number("v0_max", "m_r", m_r, gt=0, allow_inf=True)
+    m_h = number("v0_max", "m_h", m_h, gt=0, allow_inf=True)
     with np.errstate(over="ignore"):
-        v = np.sqrt(2.0 * u_s_max * (1.0 / masses + 1.0 / m_h))
-    if not np.all(np.isfinite(v)):
-        raise InputError(f"v0_max: u_s_max = {u_s_max!r} J, m_r = "
-                         f"{float(masses.min())!r} kg and m_h = {m_h!r} kg "
-                         f"give an infinite speed limit; it must be finite")
+        v = np.sqrt(2.0 * u_s_max * (1.0 / m_r + 1.0 / m_h))
+    finite = np.isfinite(v)
+    if not finite.all():
+        u, m, h = (float(np.broadcast_to(x, v.shape).flat[np.argmin(finite)])
+                   for x in (u_s_max, m_r, m_h))
+        raise InputError(f"v0_max: u_s_max = {u!r} J, m_r = {m!r} kg and "
+                         f"m_h = {h!r} kg give an infinite speed limit; it "
+                         f"must be finite")
     return float(v) if v.ndim == 0 else v
 
 
@@ -73,23 +74,20 @@ def body_part_mass(params: BodyRegionParams, mode: ContactMode) -> float:
     return math.inf if mode is ContactMode.QUASI_STATIC_CLAMPED else params.m_h
 
 
-def velocity_bounds(u_s_max: float, m_r: float,
-                    m_h: float) -> tuple[float, float]:
-    """Bracket of the free-impact limit from single-mass energy budgets.
-
-    Returns (sqrt(2u/max(m_r, m_h)), sqrt(2) * sqrt(2u/min(m_r, m_h))).
-    The free limit lies strictly inside for m_r != m_h and equals the upper
-    value for equal masses.
-    """
-    number("velocity_bounds", "u_s_max", u_s_max, gt=0)
-    number("velocity_bounds", "m_r", m_r, gt=0)
-    number("velocity_bounds", "m_h", m_h, gt=0, allow_inf=True)
-    lower = math.sqrt(2.0 * u_s_max / max(m_r, m_h))
-    upper = math.sqrt(2.0) * math.sqrt(2.0 * u_s_max / min(m_r, m_h))
-    if not np.isfinite(upper):  # float division overflows to inf silently
-        raise InputError(f"velocity_bounds: u_s_max = {u_s_max!r} J and min("
-                         f"m_r, m_h) = {min(m_r, m_h)!r} kg give an infinite bound")
-    return lower, upper
+def velocity_bounds(u_s_max, m_r, m_h):
+    """(lower, upper) bracket of the free-impact limit: ``v0_max`` at
+    (u_s_max, max(m_r, m_h), inf) and (u_s_max, min, min), same shapes."""
+    u_s_max = number("velocity_bounds", "u_s_max", u_s_max, gt=0)
+    m_r = number("velocity_bounds", "m_r", m_r, gt=0)
+    m_h = number("velocity_bounds", "m_h", m_h, gt=0, allow_inf=True)
+    light = np.minimum(m_r, m_h)
+    try:
+        upper = v0_max(u_s_max, light, light)
+    except InputError:  # if any entry overflows, the extremes together do
+        raise InputError(f"velocity_bounds: u_s_max = {float(np.max(u_s_max))!r}"
+                         f" J and min(m_r, m_h) = {float(np.min(light))!r} kg "
+                         f"give an infinite bound") from None
+    return v0_max(u_s_max, np.maximum(m_r, m_h), math.inf), upper
 
 
 def compute_limit(table: BodyRegionTable, region: str, mode: ContactMode,

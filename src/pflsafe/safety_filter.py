@@ -128,8 +128,11 @@ def filter_velocity(nominal: float, cfg: FilterConfig) -> float:
     """Clamp a commanded speed into [-v0_max, +v0_max].
 
     This is the minimal intervention for a scalar bound: admissible
-    commands pass unchanged, so the filter is idempotent.
+    commands pass unchanged, so the filter is idempotent.  An infinite
+    command saturates at -v0_max or +v0_max; a NaN one is an error.
     """
+    if math.isnan(nominal):  # max and min would pass it on as +v0_max
+        raise InputError("filter_velocity: nominal must be a number, got nan")
     v_max = cfg.speed_limit.v0_max
     return max(-v_max, min(v_max, nominal))
 
@@ -202,6 +205,8 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
     for i in range(n):
         t = i * dt
         v_nom = float(nominal_profile(t))
+        if math.isnan(v_nom):
+            raise InputError(f"simulate_loop: nominal speed at t = {t!r} s is nan")
         v_cmd = filter_velocity(v_nom, cfg) if velocity_filter else v_nom
 
         force = gain * (v_cmd - v)

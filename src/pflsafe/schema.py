@@ -2,8 +2,9 @@
 
 YAML numbers follow YAML 1.2 (``1e-3`` is a float), an empty file is an empty
 mapping and an unknown key is an error.  A malformed, non-finite or
-out-of-bound value, in a file or a library argument (``number``), raises
-``InputError`` reading ``{what}: {key} must be ...``: the CLI exits 3.
+out-of-bound value, in a file or a library argument (``number``, which
+checks an array entry by entry), raises ``InputError`` reading
+``{what}: {key} must be ...``: the CLI exits 3.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from .errors import InputError
 Source = Union[str, Path, bytes, IO[str], IO[bytes]]
 
 
-def read_text(source: Source) -> tuple[str, str]:
-    """Return (text, label) for a path, byte string or open stream."""
+def read_text(source: Source) -> str:
+    """The text of a path, byte string or open stream."""
     if isinstance(source, (str, Path)):
         data, label = Path(source).read_bytes(), Path(source).name
     elif isinstance(source, bytes):
@@ -31,7 +32,7 @@ def read_text(source: Source) -> tuple[str, str]:
     else:
         data, label = source.read(), str(getattr(source, "name", "<stream>"))
     try:
-        return (data.decode("utf-8") if isinstance(data, bytes) else data), label
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise InputError(f"{label}: not UTF-8 text: {exc}") from None
 
@@ -48,7 +49,7 @@ _Loader.add_implicit_resolver(
 
 def read_mapping(source: Source, what: str, known: Iterable[str]) -> dict:
     """Top-level mapping of a YAML file, with keys from ``known``."""
-    text, _ = read_text(source)
+    text = read_text(source)
     try:
         raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
@@ -68,8 +69,20 @@ def mapping(what: str, value, known: Iterable[str]) -> dict:
 
 def number(what: str, key: str, value, *, integral: bool = False,
            allow_inf: bool = False, gt: float | None = None,
-           ge: float | None = None) -> float:
-    """``value`` as a float (an int if ``integral``): never a bool or NaN."""
+           ge: float | None = None):
+    """``value`` as a float (an int if ``integral``): never a bool or NaN.
+
+    An ``ndarray`` of numbers comes back as a float array, every entry held
+    to the same rule: a NaN entry makes its minimum NaN, so the minimum and
+    the maximum break the rule whenever an entry does.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":  # no bool, text or object entries
+            raise InputError(f"{what}: {key} must be numbers, got {value.dtype} entries")
+        value = value.astype(float, copy=False)
+        for entry in (value.min(), value.max()) if value.size else ():
+            number(what, key, float(entry), allow_inf=allow_inf, gt=gt, ge=ge)
+        return value
     if integral or type(value) is not float:  # a float needs no conversion
         kind = numbers.Integral if integral else numbers.Real
         if isinstance(value, bool) or not isinstance(value, kind):

@@ -118,12 +118,15 @@ def test_a04_limit_ordering_and_bounds(body_table, rng):
     u = 10.0 ** rng.uniform(-3.0, 2.0, size=n)
     m_r = 10.0 ** rng.uniform(-1.0, 3.0, size=n)
     m_h = 10.0 ** rng.uniform(-1.0, 3.0, size=n)
-    for i in range(n):
-        free = v0_max(u[i], m_r[i], m_h[i])
-        clamped = v0_max(u[i], m_r[i], math.inf)
-        lower, upper = velocity_bounds(u[i], m_r[i], m_h[i])
-        assert clamped <= free
-        assert lower <= free <= upper
+    free = v0_max(u, m_r, m_h)
+    clamped = v0_max(u, m_r, math.inf)
+    lower, upper = velocity_bounds(u, m_r, m_h)
+    assert np.all(clamped <= free)
+    assert np.all((lower <= free) & (free <= upper))
+    for i in range(0, n, 100):  # a scalar call is its batch entry, bit for bit
+        assert v0_max(u[i], m_r[i], m_h[i]) == free[i]
+        assert v0_max(u[i], m_r[i], math.inf) == clamped[i]
+        assert velocity_bounds(u[i], m_r[i], m_h[i]) == (lower[i], upper[i])
 
     for params in body_table:
         if params.clamped_only:

@@ -134,11 +134,6 @@ def test_load_from_bytes_and_stream():
     assert load_body_table(io.StringIO(text))["face"].f_max_qs == 65.0
 
 
-def test_source_comment_becomes_label():
-    table = load_body_table(("# source: unit-test table\n" + table_text()).encode())
-    assert table.source_label == "unit-test table"
-
-
 def test_stiffness_unit_conversion():
     table = load_body_table(table_text().encode())
     assert table["abdomen"].stiffness == 10_000.0

@@ -944,3 +944,23 @@ def test_model_rejects_unknown_joint_type():
 def test_wrong_joint_count_rejected(panda):
     with pytest.raises(InputError, match=r"q must have shape \(7,\)"):
         forward_kinematics(panda, np.zeros(5))
+
+
+@pytest.mark.parametrize("kernel", [link_frames, forward_kinematics,
+                                    point_jacobian, frame_jacobian,
+                                    manipulability, mass_matrix])
+def test_every_kernel_checks_the_entries_of_q(panda, kernel):
+    # a NaN q gave manipulability NaN and a RuntimeWarning, and reflected
+    # mass inf, a "constrained" direction
+    q = np.array([0.0, -0.3, 0.0, -1.8, 0.0, 1.6, 0.8])
+    for bad in (math.nan, math.inf):
+        stack = np.tile(q, (3, 1))
+        stack[1, 3] = bad
+        with pytest.raises(InputError, match="^configuration: q must be finite"):
+            kernel(panda, stack)
+    with pytest.raises(InputError, match="^configuration: q must be numbers"):
+        kernel(panda, q > 0)
+    # a list or an integer array is still a configuration
+    assert np.array_equal(kernel(panda, q.tolist()), kernel(panda, q))
+    assert np.array_equal(kernel(panda, np.zeros(7, dtype=int)),
+                          kernel(panda, np.zeros(7)))

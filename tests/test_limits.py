@@ -74,8 +74,50 @@ def test_velocity_bounds_tight_for_equal_masses():
     # equal masses: the upper bound is attained and the lower sits at
     # upper / sqrt(2), the worst spread the bracket can have
     lower, upper = velocity_bounds(0.7, 2.5, 2.5)
-    assert v0_max(0.7, 2.5, 2.5) == pytest.approx(upper, rel=1e-12)
+    assert v0_max(0.7, 2.5, 2.5) == upper
     assert lower == pytest.approx(upper / math.sqrt(2.0), rel=1e-12)
+
+
+def test_the_bracket_holds_without_tolerance(rng):
+    # each corner moves one mass term one way, and IEEE rounding is
+    # monotone: no tolerance, including m_h = inf and limits within a
+    # factor of two of the float range
+    n = 100_000
+    u = 10.0 ** rng.uniform(-3.0, 2.0, n)
+    m_r = 10.0 ** rng.uniform(-1.0, 3.0, n)
+    m_h = 10.0 ** rng.uniform(-1.0, 3.0, n)
+    m_h[::10] = math.inf
+    # 4 u / min(m_r, m_h) just below the largest float
+    edge = slice(5, None, 10)
+    u[edge] = 10.0 ** rng.uniform(10.0, 300.0, n // 10)
+    m_r[edge] = 4.0 * u[edge] / (1.7976931348623157e308
+                                 * rng.uniform(0.5, 1.0, n // 10))
+    m_h[edge] = m_r[edge] * 10.0 ** rng.uniform(0.0, 3.0, n // 10)
+    free = v0_max(u, m_r, m_h)
+    lower, upper = velocity_bounds(u, m_r, m_h)
+    assert np.all(np.isfinite(upper))
+    assert np.all(v0_max(u, m_r, math.inf) <= free)
+    assert np.all((lower <= free) & (free <= upper))
+    equal = velocity_bounds(u, m_r, m_r)[1]
+    assert np.array_equal(equal, v0_max(u, m_r, m_r))
+
+
+def test_the_shape_rule():
+    bounds = velocity_bounds(0.5, 3.0, 1.0)
+    assert type(bounds) is tuple and all(type(v) is float for v in bounds)
+    assert type(v0_max(0.5, 3.0, 1.0)) is float
+    # every argument may be an array, and they broadcast
+    u = np.array([[0.5], [0.05]])
+    m_r = np.array([3.0, 1.0, math.inf])
+    m_h = np.array([1.0, 2.0, 4.0])
+    free = v0_max(u, m_r, m_h)
+    lower, upper = velocity_bounds(u, m_h, 1.5)
+    assert free.shape == lower.shape == upper.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert free[i, j] == v0_max(float(u[i, 0]), float(m_r[j]),
+                                    float(m_h[j]))
+        assert (lower[i, j], upper[i, j]) == velocity_bounds(
+            float(u[i, 0]), float(m_h[j]), 1.5)
 
 
 def test_compute_limit_face_with_constant_mass(body_table):
@@ -173,3 +215,16 @@ def test_an_overflowing_velocity_bound_is_an_error_not_inf(recwarn):
                                          r"J and min\(m_r, m_h\) = 0\.001 kg"):
         velocity_bounds(1e307, 4.4, 1e-3)
     assert len(recwarn) == 0
+
+
+def test_overflow_messages_print_python_floats():
+    # numpy scalars and arrays print as Python floats, never np.float64(...)
+    with pytest.raises(InputError, match=r"^v0_max: u_s_max = 1e\+307 J, m_r "
+                                         r"= 0\.001 kg and m_h = 4\.4 kg "):
+        v0_max(np.float64(1e307), np.float64(1e-3), np.float64(4.4))
+    with pytest.raises(InputError, match=r"u_s_max = 1e\+307 J, m_r = 0\.001 "
+                                         r"kg and m_h = inf kg "):
+        v0_max(np.array([1.0, 1e307]), np.array([1e-3, 1e-3]), math.inf)
+    with pytest.raises(InputError, match=r"^velocity_bounds: u_s_max = 1e\+307 "
+                                         r"J and min\(m_r, m_h\) = 0\.001 kg"):
+        velocity_bounds(np.array([1.0, 1e307]), np.array([4.4, 1e-3]), 5.0)

@@ -153,6 +153,22 @@ def test_filter_velocity_clamps_and_is_idempotent(face_limit):
     assert filter_velocity(filter_velocity(10.0, cfg), cfg) == v_max
 
 
+def test_filter_saturates_an_infinite_command_and_rejects_nan(face_limit):
+    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
+    v_max = face_limit.v0_max
+    assert filter_velocity(math.inf, cfg) == v_max
+    assert filter_velocity(-math.inf, cfg) == -v_max
+    # max and min would pass a NaN command on as +v0_max
+    with pytest.raises(InputError, match="^filter_velocity: nominal must be "):
+        filter_velocity(math.nan, cfg)
+    for velocity_filter in (True, False):
+        with pytest.raises(InputError, match=r"^simulate_loop: nominal speed "
+                                             r"at t = 0\.003 s is nan"):
+            simulate_loop(PlantState(MASS),
+                          lambda t: math.nan if t > 0.0025 else 0.0, cfg,
+                          tank_init(1.0), 0.01, velocity_filter=velocity_filter)
+
+
 def test_filter_config_validation(face_limit):
     with pytest.raises(InputError, match="period"):
         FilterConfig(speed_limit=face_limit, period=0.0)

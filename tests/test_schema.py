@@ -8,15 +8,19 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
-                     FilterConfig, InputError, PlantState, TankState,
-                     body_table_path, compute_limit, effective_force_limit,
+                     FilterConfig, InputError, PlantState, ReflectedMassQuery,
+                     TankState, body_table_path, compute_limit,
+                     effective_force_limit, inverse_kinematics,
                      iso_effective_mass, load_body_table, load_robot_model,
-                     robot_model_path, simulate, simulate_loop, tank_init,
-                     tank_step, v0_max, velocity_bounds)
+                     reflected_mass, robot_model_path, simulate,
+                     simulate_loop, tank_init, tank_step, v0_max,
+                     velocity_bounds)
 from pflsafe.body import binding_criterion
+from pflsafe.dynamics import FLANGE_DOWN, ik_lockstep
 from pflsafe.cli import FilterScenario
 from pflsafe.sweep import SweepConfig, horizontal_directions, sphere_directions
 
@@ -132,8 +136,20 @@ def _loop(duration: float = 0.01, gain: float | None = None):
                          duration, gain=gain)
 
 
+def _entry(x, base) -> np.ndarray:
+    """``base`` as a float array whose first entry is ``x``; for ``True``, a
+    bool array."""
+    array = np.array(base, dtype=bool if x is True else float)
+    array.flat[0] = x
+    return array
+
+
+Q0, TARGET = np.zeros(PANDA.n), [0.4, 0.1, 0.5]
+U2, M2, H2 = np.array([0.5, 0.7]), np.array([3.0, 2.0]), np.array([1.0, 4.0])
+
 #: (callable, key, call with the key's value, an out-of-bound value, the
-#: boundary value it accepts or None)
+#: value nearest the bound that it accepts or None); an array argument gets
+#: the value in one entry
 LIBRARY_NUMBERS = [
     ("BodyRegionParams", "f_max_qs", lambda x: _face(f_max_qs=x), 0.0, None),
     ("BodyRegionParams", "p_max_qs", lambda x: _face(p_max_qs=x), -1.0, None),
@@ -192,6 +208,35 @@ LIBRARY_NUMBERS = [
      lambda x: iso_effective_mass(PANDA, payload=x), -1.0, 0.0),
     ("sphere_directions", "n", sphere_directions, 0, 1),
     ("horizontal_directions", "n", horizontal_directions, 0, 1),
+    ("reflected_mass", "q", lambda x: reflected_mass(
+        PANDA, ReflectedMassQuery(q=_entry(x, Q0), u=[1.0, 0.0, 0.0])),
+     math.inf, None),
+    ("ReflectedMassQuery", "u",
+     lambda x: ReflectedMassQuery(q=Q0, u=_entry(x, [0.0, 0.0, 1.0])),
+     -math.inf, None),
+    ("inverse_kinematics", "target",
+     lambda x: inverse_kinematics(PANDA, _entry(x, TARGET), Q0), math.inf, None),
+    ("inverse_kinematics", "seed",
+     lambda x: inverse_kinematics(PANDA, TARGET, _entry(x, Q0)), math.inf, None),
+    ("ik_lockstep", "targets",
+     lambda x: ik_lockstep(PANDA, _entry(x, [TARGET]), [Q0]), math.inf, None),
+    ("ik_lockstep", "seeds",
+     lambda x: ik_lockstep(PANDA, [TARGET], _entry(x, [Q0])), -math.inf, None),
+    ("ik_lockstep", "orientation",
+     lambda x: ik_lockstep(PANDA, [TARGET], [Q0], _entry(x, FLANGE_DOWN)),
+     math.inf, None),
+    ("v0_max_array", "u_s_max", lambda x: v0_max(_entry(x, U2), M2, H2),
+     0.0, 5e-324),
+    ("v0_max_array", "m_r", lambda x: v0_max(U2, _entry(x, M2), H2),
+     0.0, math.inf),
+    ("v0_max_array", "m_h", lambda x: v0_max(U2, M2, _entry(x, H2)),
+     -1.0, math.inf),
+    ("velocity_bounds_array", "u_s_max",
+     lambda x: velocity_bounds(_entry(x, U2), M2, H2), 0.0, 5e-324),
+    ("velocity_bounds_array", "m_r",
+     lambda x: velocity_bounds(U2, _entry(x, M2), H2), 0.0, None),
+    ("velocity_bounds_array", "m_h",
+     lambda x: velocity_bounds(U2, M2, _entry(x, H2)), -1.0, math.inf),
 ]
 
 
