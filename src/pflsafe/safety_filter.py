@@ -164,10 +164,10 @@ class LoopLog:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,v_nominal,v_commanded,ke,tank_energy,injected_cum\n")
-            for i in range(len(self.t)):
-                row = (self.t[i], self.v_nominal[i], self.v_commanded[i],
-                       self.ke[i], self.tank_energy[i], self.injected_cum[i])
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            columns = (self.t, self.v_nominal, self.v_commanded, self.ke,
+                       self.tank_energy, self.injected_cum)
+            for row in zip(*(column.tolist() for column in columns)):
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,

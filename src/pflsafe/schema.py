@@ -32,13 +32,15 @@ def read_text(source: Source) -> str:
     else:
         data, label = source.read(), str(getattr(source, "name", "<stream>"))
     try:
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text.encode("utf-8")  # a str with a lone surrogate is not UTF-8 text
+        return text
+    except UnicodeError as exc:
         raise InputError(f"{label}: not UTF-8 text: {exc}") from None
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that reads an exponent without a dot (``1e-3``) as a float."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml's, if PyYAML has it) reading ``1e-3`` as a float."""
 
 
 _Loader.add_implicit_resolver(
@@ -47,9 +49,17 @@ _Loader.add_implicit_resolver(
     list("-+0123456789"))
 
 
+#: ``[{-?:`` characters a YAML text may hold: each nesting level takes one,
+#: and libyaml recurses per level (25,000 levels overflow an 8 MB C stack)
+MAX_YAML_OPENERS = 10_000
+
+
 def read_mapping(source: Source, what: str, known: Iterable[str]) -> dict:
     """Top-level mapping of a YAML file, with keys from ``known``."""
     text = read_text(source)
+    if sum(map(text.count, "[{-?:")) > MAX_YAML_OPENERS:
+        raise InputError(f"{what}: over the cap of {MAX_YAML_OPENERS:,} YAML "
+                         f"nesting characters [{{-?:")
     try:
         raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:

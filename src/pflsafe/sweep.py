@@ -361,9 +361,9 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
         fh.write("region,mode,mass_source,sample\n")
         for rid in REGION_IDS:
             for mode, source in ALL_COMBOS:
-                for value in result.samples[(rid, mode, source)]:
-                    fh.write(f"{rid},{mode.value},{source.value},"
-                             f"{float(value)!r}\n")
+                prefix = f"{rid},{mode.value},{source.value},"
+                fh.writelines(f"{prefix}{value!r}\n" for value in
+                              result.samples[(rid, mode, source)].tolist())
 
 
 def write_scaling_csv(rows: tuple[ScalingRow, ...], path: str | Path) -> None:

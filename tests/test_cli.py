@@ -364,23 +364,41 @@ with open(assets.robot_model_path(), encoding="utf-8") as _fh:
     PANDA = yaml.safe_load(_fh)
 
 
-@pytest.mark.parametrize("command, flag, text", [
-    ("sweep", "--config", "a: [\n"),
-    ("filter", "--scenario", "a: [\n"),
-    ("limits", "--robot", "a: [\n"),
+@pytest.mark.parametrize("command, flag, text, words", [
+    pytest.param("sweep", "--config", "a: [\n", "invalid YAML",
+                 id="sweep---config-a: [\n"),
+    pytest.param("filter", "--scenario", "a: [\n", "invalid YAML",
+                 id="filter---scenario-a: [\n"),
+    pytest.param("limits", "--robot", "a: [\n", "invalid YAML",
+                 id="limits---robot-a: [\n"),
     pytest.param("limits", "--robot", yaml.safe_dump(dict(
         PANDA, links=[dict(PANDA["links"][0], mass="x")] + PANDA["links"][1:])),
-        id="limits-robot-mass-x"),
+        "mass must be a number", id="limits-robot-mass-x"),
     pytest.param("limits", "--robot",
                  yaml.safe_dump(dict(PANDA, end_effector=3)),
+                 "end_effector must be a mapping",
                  id="limits-robot-end_effector-3"),
+    pytest.param("sweep", "--config", "box_min: [0.35, -0.05\n",
+                 "invalid YAML", id="sweep-unclosed-flow-sequence"),
+    pytest.param("filter", "--scenario", "region: chest\n\trobot_mass: 4.0\n",
+                 "invalid YAML", id="filter-tab-indent"),
+    pytest.param("limits", "--robot", "name: pan\x01da\n", "invalid YAML",
+                 id="limits-control-character"),
+    pytest.param("filter", "--scenario", 'region: "\\xZZ"\n', "invalid YAML",
+                 id="filter-bad-x-escape"),
+    pytest.param("sweep", "--config", "%YAML 2.0\n---\nn_directions: 2\n",
+                 "invalid YAML", id="sweep-yaml-2.0"),
+    pytest.param("limits", "--robot", "a: " + "[" * 10_000 + "\n",
+                 "nesting characters", id="limits-nested-over-the-cap"),
 ])
-def test_unparsable_input_exits_3(tmp_path, capsys, command, flag, text):
+def test_unparsable_input_exits_3(tmp_path, capsys, command, flag, text,
+                                  words):
     path = tmp_path / "input.yaml"
     path.write_text(text)
     assert run(command, flag, path, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert words in err
 
 
 @pytest.mark.parametrize("link, key, value", [
@@ -503,11 +521,17 @@ def test_empty_filter_scenario_runs_on_defaults(tmp_path):
     assert summary["peak_speed_mps"] <= summary["v0_max_mps"] * (1 + 1e-9)
 
 
+#: a sweep config and a filter scenario whose exponents have no dot
+EXPONENT_CONFIG = ("box_min: [0.35, -0.05, 0.40]\n"
+                   "box_max: [0.45, 0.05, 0.50]\n"
+                   "grid_spacing: 5e-2\nn_directions: 2\n")
+EXPONENT_SCENARIO = ("region: chest\nrobot_mass: 4.0\nduration: 0.01\n"
+                     "period: 1e-3\nnominal_speed: null\n")
+
+
 def test_exponent_without_a_dot_is_a_number(tmp_path):
     config = tmp_path / "sweep.yaml"
-    config.write_text("box_min: [0.35, -0.05, 0.40]\n"
-                      "box_max: [0.45, 0.05, 0.50]\n"
-                      "grid_spacing: 5e-2\nn_directions: 2\n")
+    config.write_text(EXPONENT_CONFIG)
     assert run("sweep", "--config", config, "--out", tmp_path / "s") == 0
     stats = json.loads((tmp_path / "s" / "fig_boxstats.json").read_text())
     assert stats["counts"]["grid_points"] == 27
@@ -515,8 +539,7 @@ def test_exponent_without_a_dot_is_a_number(tmp_path):
 
 def test_filter_manifest_records_the_resolved_scenario(tmp_path):
     scenario = tmp_path / "scn.yaml"
-    scenario.write_text("region: chest\nrobot_mass: 4.0\nduration: 0.01\n"
-                        "period: 1e-3\nnominal_speed: null\n")
+    scenario.write_text(EXPONENT_SCENARIO)
     out = tmp_path / "o"
     assert run("filter", "--scenario", scenario, "--out", out) == 0
     config = json.loads((out / "run_manifest.json").read_text())["config"]

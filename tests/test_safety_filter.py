@@ -303,3 +303,23 @@ def test_loop_log_csv(face_limit, tmp_path):
     assert float(cells[1]) == 10.0
     # exact float round trip
     assert float(lines[2].split(",")[3]) == log.ke[1]
+
+
+def test_loop_log_csv_matches_the_row_by_row_writer(face_limit, tmp_path):
+    # a nominal speed over the limit is clamped, and the power cap and
+    # the small budget (spent by the end) throttle what the tank grants
+    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD, power_cap=0.5)
+    log = simulate_loop(PlantState(mass=MASS, velocity=-0.1),
+                        lambda t: 10.0 if t < 0.05 else -0.2, cfg,
+                        tank_init(0.02), duration=0.1)
+    assert np.any(log.v_commanded < log.v_nominal)
+    assert np.max(np.diff(log.injected_cum)) == pytest.approx(0.5 * PERIOD)
+    assert log.tank_energy[-1] == 0.0
+    lines = ["t,v_nominal,v_commanded,ke,tank_energy,injected_cum\n"]
+    for i in range(len(log.t)):
+        row = (log.t[i], log.v_nominal[i], log.v_commanded[i], log.ke[i],
+               log.tank_energy[i], log.injected_cum[i])
+        lines.append(",".join(repr(float(x)) for x in row) + "\n")
+    path = tmp_path / "log.csv"
+    log.write_csv(path)
+    assert path.read_bytes() == "".join(lines).encode("utf-8")

@@ -4,12 +4,14 @@ the code."""
 import ast
 import collections
 import dataclasses
+import io
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
                      FilterConfig, InputError, PlantState, ReflectedMassQuery,
@@ -22,7 +24,10 @@ from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
 from pflsafe.body import binding_criterion
 from pflsafe.dynamics import FLANGE_DOWN, ik_lockstep
 from pflsafe.cli import FilterScenario
+from pflsafe.schema import MAX_YAML_OPENERS, _Loader, read_mapping
 from pflsafe.sweep import SweepConfig, horizontal_directions, sphere_directions
+from test_cli import EXPONENT_CONFIG, EXPONENT_SCENARIO
+from test_dynamics import TWO_R_YAML
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +37,48 @@ def test_yaml_is_imported_by_one_module():
                  if re.search(r"^\s*(import|from) yaml\b",
                               path.read_text(encoding="utf-8"), re.MULTILINE)]
     assert importers == ["schema.py"]
+
+
+class _PureLoader(yaml.SafeLoader):
+    """The pure-Python parser, with the same YAML 1.2 float resolver."""
+
+
+_PureLoader.yaml_implicit_resolvers = _Loader.yaml_implicit_resolvers
+
+
+@pytest.mark.parametrize("text", [
+    robot_model_path().read_text(encoding="utf-8"), TWO_R_YAML,
+    EXPONENT_CONFIG, EXPONENT_SCENARIO,
+], ids=["panda", "two-r", "sweep-config", "filter-scenario"])
+def test_the_loader_parses_as_the_pure_python_loader(text):
+    parsed = yaml.load(text, Loader=_Loader)
+    assert parsed == yaml.load(text, Loader=_PureLoader)
+    assert parsed  # a non-empty mapping, not two equal Nones
+
+
+def test_the_loader_is_libyaml_where_pyyaml_has_it():
+    assert issubclass(_Loader, getattr(yaml, "CSafeLoader", ())) == \
+        yaml.__with_libyaml__
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="the cap bounds libyaml's recursion")
+def test_a_text_at_the_nesting_cap_parses():
+    # the key's colon is the last of the MAX_YAML_OPENERS characters
+    depth = MAX_YAML_OPENERS - 1
+    raw = read_mapping(io.StringIO("a: " + "[" * depth + "]" * depth),
+                       "text", ["a"])
+    level, inner = 1, raw["a"]
+    while inner:
+        level, inner = level + 1, inner[0]
+    assert level == depth
+
+
+def test_a_lone_surrogate_is_not_utf8_text():
+    # libyaml encodes a str to UTF-8 before it parses, which a surrogate
+    # code point cannot be: it must fail as bad input, not as a crash
+    with pytest.raises(InputError, match="<stream>: not UTF-8 text"):
+        load_robot_model(io.StringIO("a: \ud800"))
 
 
 def _readme_keys(label: str) -> list[str]:

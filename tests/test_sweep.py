@@ -1,4 +1,5 @@
 """Workspace sweep: direction sets, determinism, statistics, reports."""
+import dataclasses
 import io
 import json
 import math
@@ -341,6 +342,32 @@ def test_sweep_csv_round_trip(tiny_result, tmp_path):
     assert float(first[3]) == tiny_result.samples[key][0]
     n_expected = sum(len(v) for v in tiny_result.samples.values())
     assert len(lines) == 1 + n_expected
+
+
+def _row_by_row_sweep_csv(result: SweepResult) -> bytes:
+    """The reference writer: one formatted line per sample."""
+    lines = ["region,mode,mass_source,sample\n"]
+    for rid in REGION_IDS:
+        for mode, source in ALL_COMBOS:
+            for value in result.samples[(rid, mode, source)]:
+                lines.append(f"{rid},{mode.value},{source.value},"
+                             f"{float(value)!r}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_sweep_csv_matches_the_row_by_row_writer(tiny_result, tmp_path):
+    edge = np.array([-0.0, 0.0, 5e-324, 1e308, 3.0, 2.0 ** 53, 1e16, 0.1])
+    samples = dict(tiny_result.samples)
+    keys = list(samples)
+    samples[keys[0]] = edge
+    samples[keys[1]] = np.empty(0)
+    samples[keys[-1]] = np.concatenate([samples[keys[-1]], -edge])
+    result = dataclasses.replace(tiny_result, samples=samples)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    data = path.read_bytes()
+    assert data == _row_by_row_sweep_csv(result)
+    assert b",-0.0\n" in data and b",5e-324\n" in data
 
 
 def test_boxstats_json(tiny_result, tmp_path):
