@@ -18,8 +18,8 @@ from .dynamics import (ManipulatorModel, ReflectedMassQuery, forward_kinematics,
                        mass_matrix, point_jacobian, reflected_mass)
 from .errors import InputError, NumericalError, PflError
 from .limits import SpeedLimit, compute_limit, v0_max, velocity_bounds
-from .safety_filter import (FilterConfig, PlantState, TankState, filter_velocity,
-                            simulate_loop, tank_init, tank_step)
+from .safety_filter import (TankState, filter_velocity, simulate_loop,
+                            tank_init, tank_step)
 from .sweep import (MassSource, SweepConfig, SweepResult, direction_set,
                     horizontal_directions, run_sweep, scaling_report,
                     sphere_directions)

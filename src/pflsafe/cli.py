@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import sys
 from datetime import datetime, timezone
@@ -28,8 +29,8 @@ from .collision import CollisionScenario, simulate, total_energy
 from .dynamics import load_robot_model, iso_effective_mass
 from .errors import InputError, NumericalError
 from .limits import compute_limit
-from .safety_filter import FilterConfig, PlantState, simulate_loop, tank_init
-from .schema import flag, number, read_mapping, text, write_json
+from .safety_filter import simulate_loop
+from .schema import flag, number, read_mapping, text, write_csv, write_json
 from .svgplot import line_chart
 from .sweep import (SweepConfig, render_sweep_svg, run_sweep, scaling_report,
                     write_boxstats_json, write_scaling_csv, write_sweep_csv)
@@ -90,11 +91,8 @@ def _cmd_simulate(args) -> int:
     traj, outcome = simulate(scenario, dt=args.dt, horizon=args.horizon)
     out = _out_dir(args)
 
-    with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,v_r,v_h,dx\n")
-        for i in range(len(traj.t)):
-            fh.write(f"{float(traj.t[i])!r},{float(traj.v_r[i])!r},"
-                     f"{float(traj.v_h[i])!r},{float(traj.dx[i])!r}\n")
+    write_csv(out / "trajectory.csv", ("t", "v_r", "v_h", "dx"),
+              (traj.t, traj.v_r, traj.v_h, traj.dx))
 
     energy = total_energy(scenario, traj)
     write_json({
@@ -304,16 +302,15 @@ def _cmd_filter(args) -> int:
     budget = (getattr(limit, scenario.budget)
               if isinstance(scenario.budget, str) else scenario.budget)
 
-    cfg = FilterConfig(speed_limit=limit, period=scenario.period,
-                       power_cap=scenario.power_cap)
-    plant = PlantState(mass=(robot_mass if scenario.plant_mass is None
-                             else scenario.plant_mass))
-    tank = tank_init(budget, recycling_enabled=scenario.recycling)
+    plant_mass = (robot_mass if scenario.plant_mass is None
+                  else scenario.plant_mass)
     nominal_speed = (2.0 * limit.v0_max if scenario.nominal_speed is None
                      else scenario.nominal_speed)
 
-    log = simulate_loop(plant, lambda t: nominal_speed, cfg, tank,
-                        scenario.duration,
+    log = simulate_loop(limit, plant_mass, lambda t: nominal_speed, budget,
+                        scenario.duration, scenario.period,
+                        recycling=scenario.recycling,
+                        power_cap=scenario.power_cap,
                         velocity_filter=scenario.velocity_filter,
                         gain=scenario.gain)
     out = _out_dir(args)
@@ -349,6 +346,7 @@ def _cmd_filter(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pflsafe",
@@ -415,8 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

@@ -31,24 +31,10 @@ import numpy as np
 
 from .errors import InputError
 from .limits import SpeedLimit
-from .schema import number
+from .schema import number, write_csv
 
 #: most control periods one loop may run (the default scenario runs 2,000)
 MAX_FILTER_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Loop parameters: the speed limit, control period and power ceiling."""
-
-    speed_limit: SpeedLimit
-    period: float                 # s
-    power_cap: float | None = None  # W, optional actuator power valve
-
-    def __post_init__(self) -> None:
-        number("FilterConfig", "period", self.period, gt=0)
-        if self.power_cap is not None:
-            number("FilterConfig", "power_cap", self.power_cap, gt=0)
 
 
 @dataclass(frozen=True)
@@ -90,28 +76,36 @@ def tank_step(state: TankState, requested_power: float, dt: float,
     number("tank_step", "requested_power", requested_power)
     if power_cap is not None:
         number("tank_step", "power_cap", power_cap, gt=0)
+    granted, energy, injected, recycled = _tank_grant(
+        state.energy, state.initial_budget, state.cumulative_injected,
+        state.cumulative_recycled, state.recycling_enabled, requested_power,
+        dt, power_cap)
+    after = replace(state, energy=energy, cumulative_injected=injected,
+                    cumulative_recycled=recycled)
+    return granted, state if after == state else after  # untouched: same state
 
+
+def _tank_grant(energy: float, budget: float, injected: float,
+                recycled: float, recycling: bool, requested_power: float,
+                dt: float, power_cap: float | None):
+    """``tank_step`` on checked floats: (granted, energy, injected, recycled)."""
     if requested_power <= 0.0:
-        if state.recycling_enabled and requested_power < 0.0:
-            headroom = state.initial_budget - state.energy
-            refill = min(-requested_power * dt, headroom)
-            return requested_power, replace(
-                state,
-                energy=state.energy + refill,
-                cumulative_recycled=state.cumulative_recycled + refill)
-        return requested_power, state
+        if recycling and requested_power < 0.0:
+            refill = min(-requested_power * dt, budget - energy)
+            return requested_power, energy + refill, injected, recycled + refill
+        return requested_power, energy, injected, recycled
 
     e_request = requested_power * dt
     if power_cap is not None:
         e_request = min(e_request, power_cap * dt)
-    e_grant = min(e_request, state.energy)
-    energy_new = state.energy - e_grant
+    e_grant = min(e_request, energy)
+    energy_new = energy - e_grant
     if energy_new < 0.0:  # floating-point guard; e_grant <= energy already
         energy_new = 0.0
-    if state.recycling_enabled:
-        injected = state.cumulative_injected + e_grant
+    if recycling:
+        injected += e_grant
     else:
-        injected = state.initial_budget - energy_new
+        injected = budget - energy_new
     # report the granted power without the round trip through energy when a
     # bound is met exactly, so an unthrottled request passes through bit-equal
     if e_grant == requested_power * dt:
@@ -120,11 +114,10 @@ def tank_step(state: TankState, requested_power: float, dt: float,
         granted = power_cap
     else:
         granted = e_grant / dt
-    return granted, replace(state, energy=energy_new,
-                            cumulative_injected=injected)
+    return granted, energy_new, injected, recycled
 
 
-def filter_velocity(nominal: float, cfg: FilterConfig) -> float:
+def filter_velocity(nominal: float, limit: SpeedLimit) -> float:
     """Clamp a commanded speed into [-v0_max, +v0_max].
 
     This is the minimal intervention for a scalar bound: admissible
@@ -133,20 +126,8 @@ def filter_velocity(nominal: float, cfg: FilterConfig) -> float:
     """
     if math.isnan(nominal):  # max and min would pass it on as +v0_max
         raise InputError("filter_velocity: nominal must be a number, got nan")
-    v_max = cfg.speed_limit.v0_max
+    v_max = limit.v0_max
     return max(-v_max, min(v_max, nominal))
-
-
-@dataclass
-class PlantState:
-    """1-DoF rigid plant."""
-
-    mass: float
-    velocity: float = 0.0
-
-    def __post_init__(self) -> None:
-        number("PlantState", "mass", self.mass, gt=0)
-        number("PlantState", "velocity", self.velocity)
 
 
 @dataclass(eq=False)
@@ -162,32 +143,35 @@ class LoopLog:
     injected_cum: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,v_nominal,v_commanded,ke,tank_energy,injected_cum\n")
-            columns = (self.t, self.v_nominal, self.v_commanded, self.ke,
-                       self.tank_energy, self.injected_cum)
-            for row in zip(*(column.tolist() for column in columns)):
-                fh.write(",".join(map(repr, row)) + "\n")
+        write_csv(path, ("t", "v_nominal", "v_commanded", "ke", "tank_energy",
+                         "injected_cum"),
+                  (self.t, self.v_nominal, self.v_commanded, self.ke,
+                   self.tank_energy, self.injected_cum))
 
 
-def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
-                  tank: TankState, duration: float, *,
+def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
+                  budget: float, duration: float, period: float, *,
+                  recycling: bool = False, power_cap: float | None = None,
                   velocity_filter: bool = True,
                   gain: float | None = None) -> LoopLog:
     """Run the filtered velocity loop for ``duration`` seconds.
 
-    ``nominal_profile`` maps time to the desired speed.  Each period:
-    clamp the nominal speed (if the velocity filter is on), compute the
-    proportional control force, ask the tank for the work that force would
-    do over the step, then apply the force scaled so its work equals the
-    granted energy exactly.  Dissipative steps bypass the tank grant and
-    may refill it.  ``plant`` is the initial state and is left unchanged;
-    the trajectory is in the returned log.
+    The plant of ``mass`` starts from rest and the tank full, holding
+    ``budget``.  ``nominal_profile`` maps time to the desired speed.  Each
+    ``period``: clamp the nominal speed to ``limit`` (if the velocity
+    filter is on), compute the proportional control force, ask the tank
+    for the work that force would do over the step, then apply the force
+    scaled so its work equals the granted energy exactly.  Dissipative
+    steps bypass the tank grant and may refill it (with ``recycling``).
     """
+    dt = number("simulate_loop", "period", period, gt=0)
+    if power_cap is not None:
+        power_cap = number("simulate_loop", "power_cap", power_cap, gt=0)
+    m = number("simulate_loop", "mass", mass, gt=0)
+    budget = number("simulate_loop", "budget", budget, ge=0)
     number("simulate_loop", "duration", duration, gt=0)
-    dt = cfg.period
     # the default gain gives a closed-loop time constant of 1/20 s
-    gain = (20.0 * plant.mass if gain is None
+    gain = (20.0 * m if gain is None
             else number("simulate_loop", "gain", gain, gt=0))
 
     steps = duration / dt
@@ -200,24 +184,25 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
         v_nominal=np.empty(n), v_commanded=np.empty(n), velocity=np.empty(n),
         ke=np.empty(n), tank_energy=np.empty(n), injected_cum=np.empty(n))
 
-    m = plant.mass
-    v = plant.velocity
+    v, energy, injected, recycled = 0.0, budget, 0.0, 0.0
     for i in range(n):
         t = i * dt
         v_nom = float(nominal_profile(t))
         if math.isnan(v_nom):
             raise InputError(f"simulate_loop: nominal speed at t = {t!r} s is nan")
-        v_cmd = filter_velocity(v_nom, cfg) if velocity_filter else v_nom
+        v_cmd = filter_velocity(v_nom, limit) if velocity_filter else v_nom
 
         force = gain * (v_cmd - v)
         # ungated candidate step and the exact work it would perform
         v_next = v + force / m * dt
         work = 0.5 * m * (v_next * v_next - v * v)
-        if not math.isfinite(work):
+        power = work / dt
+        if not math.isfinite(power):
             raise InputError(
                 f"gain {gain!r} N s/m on a speed error of {v_cmd - v!r} m/s "
-                f"asks for non-finite work at t = {t!r} s")
-        granted, tank = tank_step(tank, work / dt, dt, power_cap=cfg.power_cap)
+                f"asks for non-finite power at t = {t!r} s")
+        granted, energy, injected, recycled = _tank_grant(
+            energy, budget, injected, recycled, recycling, power, dt, power_cap)
         e_grant = granted * dt
         if work > 0.0 and e_grant < work:
             # throttled injection: apply the force scaled so its work over
@@ -230,6 +215,6 @@ def simulate_loop(plant: PlantState, nominal_profile, cfg: FilterConfig,
         log.v_commanded[i] = v_cmd
         log.velocity[i] = v
         log.ke[i] = 0.5 * m * v * v
-        log.tank_energy[i] = tank.energy
-        log.injected_cum[i] = tank.cumulative_injected
+        log.tank_energy[i] = energy
+        log.injected_cum[i] = injected
     return log

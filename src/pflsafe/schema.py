@@ -62,7 +62,8 @@ def read_mapping(source: Source, what: str, known: Iterable[str]) -> dict:
                          f"nesting characters [{{-?:")
     try:
         raw = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
+        # RecursionError: the pure-Python parser recurses per nesting level
         raise InputError(f"{what}: invalid YAML: {exc}") from None
     return mapping(what, {} if raw is None else raw, known)
 
@@ -132,6 +133,15 @@ def flag(what: str, key: str, value) -> bool:
     if not isinstance(value, bool):
         raise InputError(f"{what}: {key} must be true or false, got {value!r}")
     return value
+
+
+def write_csv(path: str | Path, header: Iterable[str], columns) -> None:
+    """Write a header line, then one line per row of the float arrays
+    ``columns``, each value as its ``repr`` (an exact round trip)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_json(obj, path: str | Path) -> None:

@@ -22,8 +22,7 @@ from pflsafe.dynamics import (ReflectedMassQuery, iso_effective_mass,
                               mass_matrix, point_jacobian, forward_kinematics,
                               reflected_mass)
 from pflsafe.limits import compute_limit, v0_max, velocity_bounds
-from pflsafe.safety_filter import (FilterConfig, PlantState, simulate_loop,
-                                   tank_init, tank_step)
+from pflsafe.safety_filter import simulate_loop, tank_init, tank_step
 from pflsafe.sweep import MassSource, SweepConfig, run_sweep
 
 CONSTANT_MASS = 5.545724  # kg, half moving mass of the reference arm
@@ -219,10 +218,8 @@ def test_a08_face_demo_speed_limits(body_table):
     for mode, target in ((ContactMode.TRANSIENT, 0.15),
                          (ContactMode.QUASI_STATIC_CLAMPED, 0.10)):
         limit = compute_limit(body_table, "face", mode, CONSTANT_MASS)
-        cfg = FilterConfig(speed_limit=limit, period=1e-3)
-        log = simulate_loop(PlantState(mass=CONSTANT_MASS),
-                            lambda t: 2.0 * limit.v0_max, cfg,
-                            tank_init(1.0), duration=1.0)
+        log = simulate_loop(limit, CONSTANT_MASS, lambda t: 2.0 * limit.v0_max,
+                            1.0, duration=1.0, period=1e-3)
         peak = float(np.max(np.abs(log.velocity)))
         assert peak == pytest.approx(target, rel=0.05)
         peaks[mode.value] = peak
@@ -245,11 +242,9 @@ def test_a09_tank_ledger_and_counterexample(body_table, rng):
 
     limit = compute_limit(body_table, "face", ContactMode.TRANSIENT,
                           CONSTANT_MASS)
-    cfg = FilterConfig(speed_limit=limit, period=1e-3)
     budget = 1e6
-    log = simulate_loop(PlantState(mass=CONSTANT_MASS), lambda t: 5.0, cfg,
-                        tank_init(budget), duration=1.0,
-                        velocity_filter=False)
+    log = simulate_loop(limit, CONSTANT_MASS, lambda t: 5.0, budget,
+                        duration=1.0, period=1e-3, velocity_filter=False)
     over = float(np.max(np.abs(log.velocity)))
     assert over > limit.v0_max
     assert np.all(log.tank_energy >= 0.0)

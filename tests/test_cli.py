@@ -10,8 +10,8 @@ import yaml
 
 from pflsafe import assets, sweep
 from pflsafe.body import ContactMode
-from pflsafe.cli import FilterScenario, main
-from pflsafe.collision import CollisionScenario, peak_contact_state
+from pflsafe.cli import FilterScenario, _build_parser, main
+from pflsafe.collision import CollisionScenario, peak_contact_state, simulate
 from pflsafe.dynamics import MODEL_KEYS
 from pflsafe.limits import compute_limit
 from test_body import table_text
@@ -62,6 +62,20 @@ def test_simulate_clamped_mass(tmp_path):
     assert outcome["f_peak"] == pytest.approx(peak.f_peak, rel=1e-6)
 
 
+@pytest.mark.parametrize("m_h", [1.0, math.inf], ids=["free", "clamped"])
+def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path, m_h):
+    out = tmp_path / "sim"
+    assert run("simulate", "--mr", 3, "--mh", m_h, "--k", 5, "--v0", 1,
+               "--out", out) == 0
+    traj, _ = simulate(CollisionScenario(m_r=3.0, m_h=m_h, k=5.0, v0=1.0))
+    lines = ["t,v_r,v_h,dx\n"]
+    for i in range(len(traj.t)):
+        lines.append(f"{float(traj.t[i])!r},{float(traj.v_r[i])!r},"
+                     f"{float(traj.v_h[i])!r},{float(traj.dx[i])!r}\n")
+    assert (out / "trajectory.csv").read_bytes() == \
+        "".join(lines).encode("utf-8")
+
+
 def test_simulate_exit_codes(tmp_path, capsys):
     out = tmp_path / "x"
     # invalid scenario -> input error
@@ -103,6 +117,20 @@ def test_limits_all_regions_constant_mass(tmp_path):
     assert rows[0]["robot_mass_kg"] == pytest.approx(5.545724, abs=1e-6)
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "robot" in manifest["inputs"]
+    assert manifest["config"]["mass_source"].startswith("constant")
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert _build_parser() is _build_parser()
+    explicit, constant = tmp_path / "explicit", tmp_path / "constant"
+    assert run("limits", "--mass", 2.0, "--format", "json",
+               "--out", explicit) == 0
+    assert run("limits", "--format", "json", "--out", constant) == 0
+    rows = json.loads((explicit / "limits.json").read_text())
+    assert {row["robot_mass_kg"] for row in rows} == {2.0}
+    rows = json.loads((constant / "limits.json").read_text())
+    assert rows[0]["robot_mass_kg"] == pytest.approx(5.545724, abs=1e-6)
+    manifest = json.loads((constant / "run_manifest.json").read_text())
     assert manifest["config"]["mass_source"].startswith("constant")
 
 

@@ -7,9 +7,8 @@ import pytest
 from pflsafe.body import ContactMode
 from pflsafe.errors import InputError
 from pflsafe.limits import compute_limit, v0_max
-from pflsafe.safety_filter import (FilterConfig, PlantState, TankState,
-                                   filter_velocity, simulate_loop, tank_init,
-                                   tank_step)
+from pflsafe.safety_filter import (TankState, filter_velocity, simulate_loop,
+                                   tank_init, tank_step)
 
 MASS = 5.0
 PERIOD = 1e-3
@@ -145,77 +144,57 @@ def test_tank_validation():
 # ------------------------------------------------------- velocity filter
 
 def test_filter_velocity_clamps_and_is_idempotent(face_limit):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
     v_max = face_limit.v0_max
-    assert filter_velocity(0.5 * v_max, cfg) == 0.5 * v_max
-    assert filter_velocity(10.0, cfg) == v_max
-    assert filter_velocity(-10.0, cfg) == -v_max
-    assert filter_velocity(filter_velocity(10.0, cfg), cfg) == v_max
+    assert filter_velocity(0.5 * v_max, face_limit) == 0.5 * v_max
+    assert filter_velocity(10.0, face_limit) == v_max
+    assert filter_velocity(-10.0, face_limit) == -v_max
+    assert filter_velocity(filter_velocity(10.0, face_limit), face_limit) == v_max
 
 
 def test_filter_saturates_an_infinite_command_and_rejects_nan(face_limit):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
     v_max = face_limit.v0_max
-    assert filter_velocity(math.inf, cfg) == v_max
-    assert filter_velocity(-math.inf, cfg) == -v_max
+    assert filter_velocity(math.inf, face_limit) == v_max
+    assert filter_velocity(-math.inf, face_limit) == -v_max
     # max and min would pass a NaN command on as +v0_max
     with pytest.raises(InputError, match="^filter_velocity: nominal must be "):
-        filter_velocity(math.nan, cfg)
+        filter_velocity(math.nan, face_limit)
     for velocity_filter in (True, False):
         with pytest.raises(InputError, match=r"^simulate_loop: nominal speed "
                                              r"at t = 0\.003 s is nan"):
-            simulate_loop(PlantState(MASS),
-                          lambda t: math.nan if t > 0.0025 else 0.0, cfg,
-                          tank_init(1.0), 0.01, velocity_filter=velocity_filter)
+            simulate_loop(face_limit, MASS,
+                          lambda t: math.nan if t > 0.0025 else 0.0, 1.0,
+                          0.01, PERIOD, velocity_filter=velocity_filter)
 
 
 def test_filter_config_validation(face_limit):
-    with pytest.raises(InputError, match="period"):
-        FilterConfig(speed_limit=face_limit, period=0.0)
-    with pytest.raises(InputError, match="power_cap"):
-        FilterConfig(speed_limit=face_limit, period=PERIOD, power_cap=-1.0)
+    with pytest.raises(InputError, match="^simulate_loop: period"):
+        simulate_loop(face_limit, MASS, lambda t: 1.0, 1.0, 0.01, 0.0)
+    with pytest.raises(InputError, match="^simulate_loop: power_cap"):
+        simulate_loop(face_limit, MASS, lambda t: 1.0, 1.0, 0.01, PERIOD,
+                      power_cap=-1.0)
 
 
-def test_plant_validation():
-    with pytest.raises(InputError, match="mass"):
-        PlantState(mass=0.0)
+def test_plant_validation(face_limit):
+    with pytest.raises(InputError, match="^simulate_loop: mass"):
+        simulate_loop(face_limit, 0.0, lambda t: 1.0, 1.0, 0.01, PERIOD)
+    with pytest.raises(InputError, match="^simulate_loop: budget"):
+        simulate_loop(face_limit, MASS, lambda t: 1.0, -1.0, 0.01, PERIOD)
 
 
 # -------------------------------------------------------------- the loop
 
 def test_loop_settles_at_the_speed_limit(face_limit):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    plant = PlantState(mass=MASS)
-    log = simulate_loop(plant, lambda t: 10.0, cfg, tank_init(1.0),
-                        duration=1.0)
+    log = simulate_loop(face_limit, MASS, lambda t: 10.0, 1.0, 1.0, PERIOD)
     assert np.all(log.v_nominal == 10.0)
     assert np.all(log.v_commanded == face_limit.v0_max)
     assert np.max(np.abs(log.velocity)) <= face_limit.v0_max + 1e-12
     assert log.velocity[-1] == pytest.approx(face_limit.v0_max, rel=1e-6)
-    assert plant == PlantState(mass=MASS)
-
-
-def test_loop_leaves_the_plant_state_unchanged(face_limit):
-    # the caller's state is the initial condition only: a second run from
-    # the same object repeats the first, and both equal a run from a copy
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    plant = PlantState(mass=MASS, velocity=0.05)
-    runs = [simulate_loop(state, lambda t: 10.0, cfg, tank_init(1.0),
-                          duration=0.5)
-            for state in (plant, plant, PlantState(MASS, 0.05))]
-    assert plant == PlantState(mass=MASS, velocity=0.05)
-    assert runs[0].velocity[-1] > 0.05
-    for log in runs[1:]:
-        for name in ("t", "v_nominal", "v_commanded", "velocity", "ke",
-                     "tank_energy", "injected_cum"):
-            assert np.array_equal(getattr(log, name), getattr(runs[0], name))
 
 
 def test_loop_kinetic_energy_never_exceeds_injection(face_limit, rng):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
     profile = lambda t: float(3.0 * math.sin(40.0 * t))
-    log = simulate_loop(PlantState(mass=MASS), profile, cfg, tank_init(0.5),
-                        duration=1.0, velocity_filter=False)
+    log = simulate_loop(face_limit, MASS, profile, 0.5, 1.0, PERIOD,
+                        velocity_filter=False)
     assert np.all(log.ke <= log.injected_cum + 1e-12)
     assert np.all(log.tank_energy >= 0.0)
     assert np.all(np.diff(log.tank_energy) <= 1e-15)  # recycling off
@@ -226,9 +205,8 @@ def test_loop_budget_bounds_speed_even_without_filter(face_limit):
     # more kinetic energy than the contact may absorb, so the clamped-case
     # speed bound holds even though the velocity filter is off
     u = face_limit.u_s_max
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    log = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, cfg,
-                        tank_init(u), duration=2.0, velocity_filter=False)
+    log = simulate_loop(face_limit, MASS, lambda t: 10.0, u, 2.0, PERIOD,
+                        velocity_filter=False)
     assert np.max(log.ke) <= u + 1e-12
     assert np.max(np.abs(log.velocity)) <= v0_max(u, MASS, math.inf) + 1e-9
 
@@ -236,10 +214,8 @@ def test_loop_budget_bounds_speed_even_without_filter(face_limit):
 def test_loop_passivity_does_not_imply_safety(face_limit):
     # counterexample: a generous tank keeps every ledger invariant while
     # the plant blows straight past the admissible speed
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    tank = tank_init(1e6)
-    log = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, cfg, tank,
-                        duration=1.0, velocity_filter=False)
+    log = simulate_loop(face_limit, MASS, lambda t: 10.0, 1e6, 1.0, PERIOD,
+                        velocity_filter=False)
     assert np.max(np.abs(log.velocity)) > 50.0 * face_limit.v0_max
     assert np.all(log.tank_energy >= 0.0)
     assert np.all(log.injected_cum <= 1e6)
@@ -247,51 +223,96 @@ def test_loop_passivity_does_not_imply_safety(face_limit):
 
 def test_loop_clamped_limit_is_slower(face_limit, face_clamped):
     assert face_clamped.v0_max < face_limit.v0_max
-    cfg = FilterConfig(speed_limit=face_clamped, period=PERIOD)
-    log = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, cfg,
-                        tank_init(1.0), duration=1.0)
+    log = simulate_loop(face_clamped, MASS, lambda t: 10.0, 1.0, 1.0, PERIOD)
     assert log.velocity[-1] == pytest.approx(face_clamped.v0_max, rel=1e-6)
 
 
 def test_loop_tracks_admissible_command_exactly(face_limit):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
     target = 0.5 * face_limit.v0_max
-    log = simulate_loop(PlantState(mass=MASS), lambda t: target, cfg,
-                        tank_init(1.0), duration=1.0)
+    log = simulate_loop(face_limit, MASS, lambda t: target, 1.0, 1.0, PERIOD)
     assert np.all(log.v_commanded == target)
     assert log.velocity[-1] == pytest.approx(target, rel=1e-6)
 
 
 def test_loop_power_cap_slows_the_rise(face_limit):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    capped = FilterConfig(speed_limit=face_limit, period=PERIOD,
-                          power_cap=0.01)
-    free = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, cfg,
-                         tank_init(1.0), duration=0.2)
-    slow = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, capped,
-                         tank_init(1.0), duration=0.2)
+    free = simulate_loop(face_limit, MASS, lambda t: 10.0, 1.0, 0.2, PERIOD)
+    slow = simulate_loop(face_limit, MASS, lambda t: 10.0, 1.0, 0.2, PERIOD,
+                         power_cap=0.01)
     k = len(free.t) // 4
     assert slow.velocity[k] < free.velocity[k]
     assert np.max(np.diff(slow.ke)) <= 0.01 * PERIOD + 1e-15
 
 
 def test_loop_custom_gain_and_validation(face_limit):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    log = simulate_loop(PlantState(mass=MASS), lambda t: 1.0, cfg,
-                        tank_init(1.0), duration=0.5, gain=5.0 * MASS)
+    log = simulate_loop(face_limit, MASS, lambda t: 1.0, 1.0, 0.5, PERIOD,
+                        gain=5.0 * MASS)
     assert np.max(np.abs(log.velocity)) <= face_limit.v0_max + 1e-12
     with pytest.raises(InputError, match="duration"):
-        simulate_loop(PlantState(mass=MASS), lambda t: 1.0, cfg,
-                      tank_init(1.0), duration=0.0)
+        simulate_loop(face_limit, MASS, lambda t: 1.0, 1.0, 0.0, PERIOD)
     with pytest.raises(InputError, match="gain"):
-        simulate_loop(PlantState(mass=MASS), lambda t: 1.0, cfg,
-                      tank_init(1.0), duration=1.0, gain=-2.0)
+        simulate_loop(face_limit, MASS, lambda t: 1.0, 1.0, 1.0, PERIOD,
+                      gain=-2.0)
+
+
+def _tank_step_loop(limit, mass, profile, budget, duration, period, *,
+                    recycling, power_cap, velocity_filter):
+    """The loop written on ``tank_step``: a ``TankState`` carried through
+    one call per period, the log's columns as rows."""
+    gain = 20.0 * mass
+    tank = tank_init(budget, recycling_enabled=recycling)
+    v, rows = 0.0, []
+    for i in range(int(round(duration / period)) + 1):
+        t = i * period
+        v_nom = float(profile(t))
+        v_cmd = filter_velocity(v_nom, limit) if velocity_filter else v_nom
+        force = gain * (v_cmd - v)
+        v_next = v + force / mass * period
+        work = 0.5 * mass * (v_next * v_next - v * v)
+        granted, tank = tank_step(tank, work / period, period,
+                                  power_cap=power_cap)
+        e_grant = granted * period
+        if work > 0.0 and e_grant < work:
+            v_next = math.copysign(
+                math.sqrt(max(v * v + 2.0 * e_grant / mass, 0.0)),
+                v_next if v_next != 0.0 else v_cmd - v)
+        v = v_next
+        rows.append((t, v_nom, v_cmd, v, 0.5 * mass * v * v, tank.energy,
+                     tank.cumulative_injected))
+    return rows
+
+
+@pytest.mark.parametrize("velocity_filter", [True, False],
+                         ids=["filter", "no-filter"])
+@pytest.mark.parametrize("power_cap", [None, 0.5], ids=["no-cap", "cap"])
+@pytest.mark.parametrize("recycling", [False, True],
+                         ids=["no-recycling", "recycling"])
+def test_loop_keeps_the_tank_step_formula(face_limit, recycling, power_cap,
+                                          velocity_filter):
+    # a speed-up, then a reversal that dissipates (and may recycle)
+    profile = lambda t: 10.0 if t < 0.08 else -0.3
+    for budget in (0.02, 1.0):  # 0.02 J runs out: the tank throttles
+        log = simulate_loop(face_limit, MASS, profile, budget, 0.2, PERIOD,
+                            recycling=recycling, power_cap=power_cap,
+                            velocity_filter=velocity_filter)
+        reference = np.array(_tank_step_loop(
+            face_limit, MASS, profile, budget, 0.2, PERIOD,
+            recycling=recycling, power_cap=power_cap,
+            velocity_filter=velocity_filter)).T
+        for name, column in zip(("t", "v_nominal", "v_commanded", "velocity",
+                                 "ke", "tank_energy", "injected_cum"),
+                                reference):
+            assert np.array_equal(getattr(log, name), column), name
+        if budget == 0.02:
+            assert np.min(log.tank_energy) == 0.0
+        if power_cap is not None:
+            assert np.max(np.diff(log.injected_cum)) == pytest.approx(
+                power_cap * PERIOD)
+        # the reversal refills the tank only with recycling
+        assert np.any(np.diff(log.tank_energy) > 0.0) == recycling
 
 
 def test_loop_log_csv(face_limit, tmp_path):
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD)
-    log = simulate_loop(PlantState(mass=MASS), lambda t: 10.0, cfg,
-                        tank_init(1.0), duration=0.01)
+    log = simulate_loop(face_limit, MASS, lambda t: 10.0, 1.0, 0.01, PERIOD)
     path = tmp_path / "log.csv"
     log.write_csv(path)
     lines = path.read_text().splitlines()
@@ -308,10 +329,9 @@ def test_loop_log_csv(face_limit, tmp_path):
 def test_loop_log_csv_matches_the_row_by_row_writer(face_limit, tmp_path):
     # a nominal speed over the limit is clamped, and the power cap and
     # the small budget (spent by the end) throttle what the tank grants
-    cfg = FilterConfig(speed_limit=face_limit, period=PERIOD, power_cap=0.5)
-    log = simulate_loop(PlantState(mass=MASS, velocity=-0.1),
-                        lambda t: 10.0 if t < 0.05 else -0.2, cfg,
-                        tank_init(0.02), duration=0.1)
+    log = simulate_loop(face_limit, MASS,
+                        lambda t: 10.0 if t < 0.05 else -0.2, 0.02, 0.1,
+                        PERIOD, power_cap=0.5)
     assert np.any(log.v_commanded < log.v_nominal)
     assert np.max(np.diff(log.injected_cum)) == pytest.approx(0.5 * PERIOD)
     assert log.tank_energy[-1] == 0.0

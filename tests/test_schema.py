@@ -14,8 +14,8 @@ import pytest
 import yaml
 
 from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
-                     FilterConfig, InputError, PlantState, ReflectedMassQuery,
-                     TankState, body_table_path, compute_limit,
+                     InputError, ReflectedMassQuery, TankState,
+                     body_table_path, compute_limit,
                      effective_force_limit, inverse_kinematics,
                      iso_effective_mass, load_body_table, load_robot_model,
                      reflected_mass, robot_model_path, simulate,
@@ -72,6 +72,16 @@ def test_a_text_at_the_nesting_cap_parses():
     while inner:
         level, inner = level + 1, inner[0]
     assert level == depth
+
+
+def test_a_deep_text_is_bad_input_for_the_pure_python_parser(monkeypatch):
+    # the pure-Python parser recurses per level and runs out of Python
+    # stack from about 600 levels, far under the nesting cap
+    monkeypatch.setattr("pflsafe.schema._Loader", _PureLoader)
+    depth = 600
+    with pytest.raises(InputError, match="^text: invalid YAML: "):
+        read_mapping(io.StringIO("a: " + "[" * depth + "]" * depth),
+                     "text", ["a"])
 
 
 def test_a_lone_surrogate_is_not_utf8_text():
@@ -140,7 +150,7 @@ def test_one_error_class_per_exit_code():
 DERIVED_CHECKS = {
     "collision.py: CollisionScenario.__post_init__": 2,  # m_r v0, m_r v0^2/2
     "limits.py: compute_limit": 1,                       # k0_max
-    "safety_filter.py: simulate_loop": 1,                # the work of a step
+    "safety_filter.py: simulate_loop": 1,                # the power of a step
 }
 
 
@@ -169,8 +179,7 @@ def test_numbers_are_checked_by_schema_number():
 TABLE = load_body_table(body_table_path())
 FACE = TABLE["face"]
 FREE = CollisionScenario(m_r=3.0, m_h=1.0, k=5.0, v0=1.0)
-FILTER = FilterConfig(
-    compute_limit(TABLE, "face", ContactMode.TRANSIENT, 5.0), period=1e-3)
+FACE_LIMIT = compute_limit(TABLE, "face", ContactMode.TRANSIENT, 5.0)
 PANDA = load_robot_model(robot_model_path())
 
 
@@ -178,9 +187,10 @@ def _face(**field) -> BodyRegionParams:
     return BodyRegionParams(**dict(dataclasses.asdict(FACE), **field))
 
 
-def _loop(duration: float = 0.01, gain: float | None = None):
-    return simulate_loop(PlantState(1.0), lambda t: 0.0, FILTER, tank_init(1.0),
-                         duration, gain=gain)
+def _loop(mass: float = 1.0, budget: float = 1.0, duration: float = 0.01,
+          period: float = 1e-3, **options):
+    return simulate_loop(FACE_LIMIT, mass, lambda t: 0.0, budget, duration,
+                         period, **options)
 
 
 def _entry(x, base) -> np.ndarray:
@@ -230,11 +240,6 @@ LIBRARY_NUMBERS = [
     ("compute_limit", "robot_mass",
      lambda x: compute_limit(TABLE, "face", ContactMode.TRANSIENT, x),
      0.0, None),
-    ("FilterConfig", "period",
-     lambda x: FilterConfig(FILTER.speed_limit, period=x), 0.0, None),
-    ("FilterConfig", "power_cap",
-     lambda x: FilterConfig(FILTER.speed_limit, 1e-3, power_cap=x),
-     0.0, None),
     ("TankState", "energy",
      lambda x: TankState(energy=x, initial_budget=1.0), -1.0, 0.0),
     ("TankState", "initial_budget",
@@ -246,10 +251,11 @@ LIBRARY_NUMBERS = [
     ("tank_step", "power_cap",
      lambda x: tank_step(tank_init(1.0), 5.0, 1e-3, power_cap=x),
      -1.0, None),
-    ("PlantState", "mass", lambda x: PlantState(mass=x), 0.0, None),
-    ("PlantState", "velocity", lambda x: PlantState(mass=1.0, velocity=x),
-     math.inf, None),
+    ("simulate_loop", "mass", lambda x: _loop(mass=x), 0.0, None),
+    ("simulate_loop", "budget", lambda x: _loop(budget=x), -1.0, 0.0),
     ("simulate_loop", "duration", lambda x: _loop(duration=x), 0.0, None),
+    ("simulate_loop", "period", lambda x: _loop(period=x), 0.0, None),
+    ("simulate_loop", "power_cap", lambda x: _loop(power_cap=x), 0.0, None),
     ("simulate_loop", "gain", lambda x: _loop(gain=x), -1.0, None),
     ("iso_effective_mass", "payload",
      lambda x: iso_effective_mass(PANDA, payload=x), -1.0, 0.0),
