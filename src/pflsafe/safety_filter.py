@@ -199,7 +199,8 @@ def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
         power = work / dt
         if not math.isfinite(power):
             raise InputError(
-                f"gain {gain!r} N s/m on a speed error of {v_cmd - v!r} m/s "
+                f"simulate_loop: the commanded speed {v_cmd!r} m/s (plant at "
+                f"{v!r} m/s, gain {gain!r} N s/m) over a period of {dt!r} s "
                 f"asks for non-finite power at t = {t!r} s")
         granted, energy, injected, recycled = _tank_grant(
             energy, budget, injected, recycled, recycling, power, dt, power_cap)

@@ -135,13 +135,31 @@ def flag(what: str, key: str, value) -> bool:
     return value
 
 
+#: rows per write: a block's cells, not the whole file's, are in memory
+CSV_BLOCK_ROWS = 512
+
+
+def _repr_cells(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each entry of a contiguous float64 column, made once
+    per distinct bit pattern: by value ``-0.0 == 0.0``, and the two would
+    share a cell."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, where.tolist()))
+
+
 def write_csv(path: str | Path, header: Iterable[str], columns) -> None:
     """Write a header line, then one line per row of the float arrays
-    ``columns``, each value as its ``repr`` (an exact round trip)."""
+    ``columns``, each value as its ``repr`` (an exact round trip), one block
+    of ``CSV_BLOCK_ROWS`` rows at a time."""
+    columns = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+    n = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*(column.tolist() for column in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            cells = [_repr_cells(c[start:start + CSV_BLOCK_ROWS])
+                     for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(obj, path: str | Path) -> None:

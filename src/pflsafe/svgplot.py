@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .schema import number
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -36,10 +40,17 @@ class BoxStats:
     n: int
 
 
+def _span_end(lo: float, hi: float) -> float:
+    """``hi``, or one unit above ``lo`` (at least one float step) when the
+    range is a single value."""
+    return hi if hi > lo else lo + max(1.0, math.ulp(lo))
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _span_end(lo, hi)
     raw = (hi - lo) / target
+    if raw == 0.0:  # a span of a few subnormal steps
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -50,6 +61,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     value = first
     while value <= hi + 1e-12 * step:
         ticks.append(round(value, 12))
+        if value + step == value:  # the step is below the float spacing here
+            break
         value += step
     return ticks
 
@@ -73,8 +86,8 @@ class _Canvas:
             f'height="{_fmt(h)}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"/>')
 
-    def polyline(self, points: Iterable[tuple[float, float]], stroke, width=1.5):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    def polyline(self, xs: list[float], ys: list[float], stroke, width=1.5):
+        pts = " ".join(map("{:.6g},{:.6g}".format, xs, ys))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"/>')
@@ -112,26 +125,45 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
                title: str = "", xlabel: str = "", ylabel: str = "",
                width: int = 760, height: int = 480,
                hlines: Mapping[str, float] | None = None) -> str:
-    """Render one or more (x, y) series as an SVG line chart."""
+    """Render one or more (x, y) series as an SVG line chart.
+
+    A non-finite sample raises ``ValueError`` naming its series, and so does
+    an axis range wider than a float holds.
+    """
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 55
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    xs = [float(x) for _, (xv, _) in series.items() for x in xv]
-    ys = [float(y) for _, (_, yv) in series.items() for y in yv]
-    if hlines:
-        ys.extend(float(v) for v in hlines.values())
-    if not xs:
+    arrays = {}
+    for label, (xv, yv) in series.items():
+        arrays[label] = xa, ya = (np.asarray(xv, dtype=float),
+                                  np.asarray(yv, dtype=float))
+        for axis, values in (("x", xa), ("y", ya)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(
+                    f"line_chart: series {label!r} has the non-finite {axis} "
+                    f"sample {float(values[bad[0]])!r} at index {int(bad[0])}")
+    x_ends = [float(end) for xa, _ in arrays.values() if xa.size
+              for end in (xa.min(), xa.max())]
+    y_ends = [float(end) for _, ya in arrays.values() if ya.size
+              for end in (ya.min(), ya.max())]
+    y_ends += [number("line_chart", f"hline {label!r}", value)
+               for label, value in (hlines or {}).items()]
+    if not x_ends or not y_ends:
         raise ValueError("line_chart: no data")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys + [0.0]), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo = min(x_ends)
+    x_hi = _span_end(x_lo, max(x_ends))
+    y_lo = min(y_ends + [0.0])
+    y_hi = _span_end(y_lo, max(y_ends))
     pad = 0.05 * (y_hi - y_lo)
     y_hi += pad
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"line_chart: the {axis} range [{lo!r}, {hi!r}] "
+                             f"is wider than a float holds")
 
+    # scalars (ticks) and arrays (series) alike
     def sx(x): return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
     def sy(y): return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
@@ -150,10 +182,9 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
                    "#888", 1.0, dash="5,4")
             c.text(margin_l + plot_w - 4, sy(value) - 4, label, size=10,
                    anchor="end", fill="#555")
-    for idx, (label, (xv, yv)) in enumerate(series.items()):
+    for idx, (label, (xa, ya)) in enumerate(arrays.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        c.polyline([(sx(float(x)), sy(float(y))) for x, y in zip(xv, yv)],
-                   stroke=color)
+        c.polyline(sx(xa).tolist(), sy(ya).tolist(), stroke=color)
         c.text(margin_l + plot_w - 4, margin_t + 14 + 14 * idx, label,
                size=11, anchor="end", fill=color)
     if title:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -170,9 +170,16 @@ class SweepResult:
     n_singular: int
     n_constrained_directions: int
 
+    # the box statistics of each key, made on first use: the JSON and the
+    # box plot read the same ones
+    _stats: dict = field(default_factory=dict, init=False, repr=False)
+
     def stats(self, region: str, mode: ContactMode,
               source: MassSource) -> BoxStats:
-        return summary_stats(self.samples[(region, mode, source)])
+        key = (region, mode, source)
+        if key not in self._stats:
+            self._stats[key] = summary_stats(self.samples[key])
+        return self._stats[key]
 
 
 # ---------------------------------------------------------------- workers
@@ -362,8 +369,8 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
         for rid in REGION_IDS:
             for mode, source in ALL_COMBOS:
                 prefix = f"{rid},{mode.value},{source.value},"
-                fh.writelines(f"{prefix}{value!r}\n" for value in
-                              result.samples[(rid, mode, source)].tolist())
+                fh.write("".join([f"{prefix}{value!r}\n" for value in
+                                  result.samples[(rid, mode, source)].tolist()]))
 
 
 def write_scaling_csv(rows: tuple[ScalingRow, ...], path: str | Path) -> None:

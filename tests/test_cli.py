@@ -5,15 +5,17 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
-from pflsafe import assets, sweep
+from pflsafe import assets, cli, sweep
 from pflsafe.body import ContactMode
 from pflsafe.cli import FilterScenario, _build_parser, main
 from pflsafe.collision import CollisionScenario, peak_contact_state, simulate
 from pflsafe.dynamics import MODEL_KEYS
 from pflsafe.limits import compute_limit
+from pflsafe.schema import CSV_BLOCK_ROWS
 from test_body import table_text
 
 
@@ -62,18 +64,35 @@ def test_simulate_clamped_mass(tmp_path):
     assert outcome["f_peak"] == pytest.approx(peak.f_peak, rel=1e-6)
 
 
-@pytest.mark.parametrize("m_h", [1.0, math.inf], ids=["free", "clamped"])
-def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path, m_h):
+#: a column that repeats values, with both zeros, the least subnormal and a
+#: near-overflow value: one ``repr`` per bit pattern must keep them apart.
+#: It holds no -1e308, because a chart range of 2e308 overflows.
+EDGE_COLUMN = np.array([-0.0, 0.0, 5e-324, 1e308, 0.25, -0.0, 0.25, 0.0,
+                        -5e-324, 0.1, 0.1])
+
+
+@pytest.mark.parametrize("m_h, edge", [(1.0, False), (math.inf, False),
+                                       (math.inf, True)],
+                         ids=["free", "clamped", "edge-column"])
+def test_trajectory_csv_matches_the_row_by_row_writer(tmp_path, monkeypatch,
+                                                      m_h, edge):
+    traj, outcome = simulate(CollisionScenario(m_r=3.0, m_h=m_h, k=5.0, v0=1.0))
+    if edge:  # clamped: the energy check reads no v_h
+        traj = dataclasses.replace(
+            traj, v_h=np.resize(EDGE_COLUMN, len(traj.t)))
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: (traj, outcome))
     out = tmp_path / "sim"
     assert run("simulate", "--mr", 3, "--mh", m_h, "--k", 5, "--v0", 1,
                "--out", out) == 0
-    traj, _ = simulate(CollisionScenario(m_r=3.0, m_h=m_h, k=5.0, v0=1.0))
     lines = ["t,v_r,v_h,dx\n"]
     for i in range(len(traj.t)):
         lines.append(f"{float(traj.t[i])!r},{float(traj.v_r[i])!r},"
                      f"{float(traj.v_h[i])!r},{float(traj.dx[i])!r}\n")
-    assert (out / "trajectory.csv").read_bytes() == \
-        "".join(lines).encode("utf-8")
+    data = (out / "trajectory.csv").read_bytes()
+    assert data == "".join(lines).encode("utf-8")
+    assert len(lines) > CSV_BLOCK_ROWS  # more than one block of rows
+    if edge:
+        assert b",-0.0," in data and b",5e-324," in data
 
 
 def test_simulate_exit_codes(tmp_path, capsys):
@@ -282,6 +301,21 @@ def test_filter_exit_codes(tmp_path, capsys):
                "--out", tmp_path / "o") == 3
     assert run("filter", "--scenario", tmp_path / "nope.yaml",
                "--out", tmp_path / "o") == 3
+
+
+def test_non_finite_power_names_the_commanded_speed_and_the_period(
+        tmp_path, capsys):
+    # unfiltered, the nominal speed is the command; the gain is the default
+    scenario = tmp_path / "scn.yaml"
+    scenario.write_text(yaml.safe_dump({
+        "region": "face", "mode": "transient", "robot_mass": 4.0,
+        "nominal_speed": 1.0e+160, "velocity_filter": False,
+        "period": 1.0e-10, "duration": 1.0e-9}))
+    assert run("filter", "--scenario", scenario, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert ("the commanded speed 1e+160 m/s (plant at 0.0 m/s, gain 80.0 "
+            "N s/m) over a period of 1e-10 s asks for non-finite power at "
+            "t = 0.0 s") in err
 
 
 SWEEP_BOX = {"box_min": [0.35, -0.05, 0.40], "box_max": [0.45, 0.05, 0.50],

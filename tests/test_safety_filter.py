@@ -1,4 +1,5 @@
 """Energy-tank ledger invariants and the filtered velocity loop."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from pflsafe.body import ContactMode
 from pflsafe.errors import InputError
 from pflsafe.limits import compute_limit, v0_max
-from pflsafe.safety_filter import (TankState, filter_velocity, simulate_loop,
-                                   tank_init, tank_step)
+from pflsafe.safety_filter import (LoopLog, TankState, filter_velocity,
+                                   simulate_loop, tank_init, tank_step)
+from pflsafe.schema import CSV_BLOCK_ROWS
 
 MASS = 5.0
 PERIOD = 1e-3
@@ -326,6 +328,16 @@ def test_loop_log_csv(face_limit, tmp_path):
     assert float(lines[2].split(",")[3]) == log.ke[1]
 
 
+def _row_by_row_loop_csv(log: LoopLog) -> bytes:
+    """The reference writer: one formatted line per step."""
+    lines = ["t,v_nominal,v_commanded,ke,tank_energy,injected_cum\n"]
+    for i in range(len(log.t)):
+        row = (log.t[i], log.v_nominal[i], log.v_commanded[i], log.ke[i],
+               log.tank_energy[i], log.injected_cum[i])
+        lines.append(",".join(repr(float(x)) for x in row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 def test_loop_log_csv_matches_the_row_by_row_writer(face_limit, tmp_path):
     # a nominal speed over the limit is clamped, and the power cap and
     # the small budget (spent by the end) throttle what the tank grants
@@ -335,11 +347,17 @@ def test_loop_log_csv_matches_the_row_by_row_writer(face_limit, tmp_path):
     assert np.any(log.v_commanded < log.v_nominal)
     assert np.max(np.diff(log.injected_cum)) == pytest.approx(0.5 * PERIOD)
     assert log.tank_energy[-1] == 0.0
-    lines = ["t,v_nominal,v_commanded,ke,tank_energy,injected_cum\n"]
-    for i in range(len(log.t)):
-        row = (log.t[i], log.v_nominal[i], log.v_commanded[i], log.ke[i],
-               log.tank_energy[i], log.injected_cum[i])
-        lines.append(",".join(repr(float(x)) for x in row) + "\n")
     path = tmp_path / "log.csv"
     log.write_csv(path)
-    assert path.read_bytes() == "".join(lines).encode("utf-8")
+    assert path.read_bytes() == _row_by_row_loop_csv(log)
+
+    # three blocks of rows and one more, and a column that repeats values,
+    # with both zeros, the least subnormal and a near-overflow value
+    n = 3 * CSV_BLOCK_ROWS + 1
+    edge = LoopLog(*(np.resize(getattr(log, f.name), n)
+                     for f in dataclasses.fields(LoopLog)))
+    edge.ke = np.resize([-0.0, 0.0, 5e-324, 1e308, 0.25, -0.0, 0.25, 0.0,
+                         -5e-324, -1e308, 0.1, 0.1], n)
+    edge.write_csv(path)
+    assert path.read_bytes() == _row_by_row_loop_csv(edge)
+    assert b",-0.0," in path.read_bytes()

@@ -151,6 +151,7 @@ DERIVED_CHECKS = {
     "collision.py: CollisionScenario.__post_init__": 2,  # m_r v0, m_r v0^2/2
     "limits.py: compute_limit": 1,                       # k0_max
     "safety_filter.py: simulate_loop": 1,                # the power of a step
+    "svgplot.py: line_chart": 1,                         # an axis range hi - lo
 }
 
 

@@ -384,6 +384,25 @@ def test_boxstats_json(tiny_result, tmp_path):
     assert payload == boxstats_payload(tiny_result)
 
 
+def test_box_statistics_are_computed_once_per_result(tiny_result, tmp_path,
+                                                     monkeypatch):
+    calls = []
+
+    def counted(samples):
+        calls.append(len(samples))
+        return summary_stats(samples)
+
+    monkeypatch.setattr(sweep, "summary_stats", counted)
+    result = dataclasses.replace(tiny_result)  # a new result, no statistics yet
+    write_boxstats_json(result, tmp_path / "stats.json")
+    svg = render_sweep_svg(result)
+    # one per region and contact mode on the reflected masses
+    assert len(calls) == len(REGION_IDS) * len(ContactMode)
+    assert svg == render_sweep_svg(tiny_result)
+    assert (json.loads((tmp_path / "stats.json").read_text())
+            == boxstats_payload(tiny_result))
+
+
 def test_scaling_csv(tiny_result, tmp_path):
     path = tmp_path / "scaling.csv"
     write_scaling_csv(scaling_report(tiny_result), path)
