@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .schema import Source, number, read_text
+from .schema import LOADER_CACHE_SIZE, Source, number, read_text
 
 # Table rows in report order.  Keys are normalised region ids; values the
 # human-readable labels used in CSV files and error messages.
@@ -114,9 +116,11 @@ class BodyRegionParams:
 class BodyRegionTable:
     """Immutable mapping of all twelve canonical body regions."""
 
-    entries: Mapping[str, BodyRegionParams]
+    entries: Mapping[str, BodyRegionParams]  # read-only: a MappingProxyType
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries",
+                           MappingProxyType(dict(self.entries)))
         missing = [rid for rid in REGION_IDS if rid not in self.entries]
         if missing:
             raise InputError(
@@ -162,11 +166,17 @@ def load_body_table(source: Source) -> BodyRegionTable:
     The format is CSV with the exact header
     ``region,f_max_qs_N,p_max_qs_N_per_cm2,k_N_per_mm,m_h_kg,transient_mult``.
     Lines starting with ``#`` are comments.  Stiffness is converted from
-    N/mm to N/m here; ``m_h_kg`` accepts ``inf``.
+    N/mm to N/m here; ``m_h_kg`` accepts ``inf``.  The source is read on
+    every call, and each distinct text is parsed once per process: its
+    table, read-only throughout, is shared by every caller.
     """
-    text = read_text(source)
+    return _parse_body_table(read_text(source))
+
+
+@functools.lru_cache(maxsize=LOADER_CACHE_SIZE)
+def _parse_body_table(content: str) -> BodyRegionTable:
     rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -19,6 +19,8 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +33,7 @@ from .errors import InputError, NumericalError
 from .limits import compute_limit
 from .safety_filter import simulate_loop
 from .schema import flag, number, read_mapping, text, write_csv, write_json
-from .svgplot import line_chart
+from .svgplot import line_chart, y_axis
 from .sweep import (SweepConfig, render_sweep_svg, run_sweep, scaling_report,
                     write_boxstats_json, write_scaling_csv, write_sweep_csv)
 
@@ -56,12 +58,20 @@ def _parse_mode(text: str) -> ContactMode:
     return mode
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_input(inputs: dict[str, dict], name: str, path: str) -> io.BytesIO:
+    """The bytes of an input file, read once: the loader parses them and
+    ``inputs[name]`` records their SHA-256 for the manifest."""
+    path = Path(path)
+    data = path.read_bytes()
+    inputs[name] = {"path": str(path),
+                    "sha256": hashlib.sha256(data).hexdigest()}
+    stream = io.BytesIO(data)
+    stream.name = path.name  # the file name that a not-UTF-8 error names
+    return stream
 
 
 def _write_manifest(out_dir: Path, subcommand: str, config: dict,
-                    inputs: dict[str, Path], outputs: list[str],
+                    inputs: dict[str, dict], outputs: list[str],
                     counts: dict[str, int] | None = None) -> None:
     manifest = {
         "tool": "pflsafe",
@@ -69,8 +79,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict,
         "subcommand": subcommand,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": config,
-        "inputs": {name: {"path": str(path), "sha256": _sha256(path)}
-                   for name, path in inputs.items()},
+        "inputs": inputs,
         "outputs": outputs,
     }
     if counts is not None:
@@ -125,18 +134,15 @@ def _cmd_simulate(args) -> int:
 # --------------------------------------------------------------- limits
 
 def _cmd_limits(args) -> int:
-    table_path = Path(args.body_table)
-    table = load_body_table(table_path)
-    inputs = {"body_table": table_path}
+    inputs: dict[str, dict] = {}
+    table = load_body_table(_read_input(inputs, "body_table", args.body_table))
 
     if args.mass is not None:
         robot_mass = args.mass
         mass_note = "explicit"
     else:
-        robot_path = Path(args.robot)
-        robot_mass = iso_effective_mass(load_robot_model(robot_path),
-                                        payload=args.payload)
-        inputs["robot"] = robot_path
+        robot = load_robot_model(_read_input(inputs, "robot", args.robot))
+        robot_mass = iso_effective_mass(robot, payload=args.payload)
         mass_note = "constant (half moving mass + payload)"
 
     regions = REGION_IDS if args.region == "all" else (args.region,)
@@ -192,13 +198,12 @@ _SWEEP_KEYS = tuple(f.name for f in dataclasses.fields(SweepConfig))
 
 
 def _cmd_sweep(args) -> int:
-    table_path = Path(args.body_table)
-    robot_path = Path(args.robot)
-    table = load_body_table(table_path)
-    model = load_robot_model(robot_path)
-    config_path = Path(args.config) if args.config else None
-    raw = (read_mapping(config_path, "sweep config", _SWEEP_KEYS)
-           if config_path is not None else {})
+    inputs: dict[str, dict] = {}
+    table = load_body_table(_read_input(inputs, "body_table", args.body_table))
+    model = load_robot_model(_read_input(inputs, "robot", args.robot))
+    raw = (read_mapping(_read_input(inputs, "config", args.config),
+                        "sweep config", _SWEEP_KEYS)
+           if args.config else {})
     if args.workers is not None:
         raw["n_workers"] = args.workers
     config = SweepConfig(**raw)
@@ -213,9 +218,6 @@ def _cmd_sweep(args) -> int:
     (out / "sweep_boxplot.svg").write_text(render_sweep_svg(result),
                                            encoding="utf-8")
 
-    inputs = {"body_table": table_path, "robot": robot_path}
-    if config_path is not None:
-        inputs["config"] = config_path
     _write_manifest(out, "sweep",
                     {key: getattr(config, key) for key in _SWEEP_KEYS},
                     inputs,
@@ -276,21 +278,16 @@ _FILTER_WORDS = {"robot_mass": ("constant",), "budget": ("k0_max", "u_s_max")}
 
 
 def _cmd_filter(args) -> int:
-    scenario_path = Path(args.scenario)
+    inputs: dict[str, dict] = {}
     scenario = FilterScenario(**read_mapping(
-        scenario_path, "filter scenario",
+        _read_input(inputs, "scenario", args.scenario), "filter scenario",
         [field.name for field in dataclasses.fields(FilterScenario)]))
-
-    table_path = Path(args.body_table)
-    table = load_body_table(table_path)
-    inputs = {"scenario": scenario_path, "body_table": table_path}
+    table = load_body_table(_read_input(inputs, "body_table", args.body_table))
 
     mode = _parse_mode(scenario.mode)
     if scenario.robot_mass == "constant":
-        robot_path = Path(args.robot)
-        robot_mass = iso_effective_mass(load_robot_model(robot_path),
-                                        scenario.payload)
-        inputs["robot"] = robot_path
+        robot = load_robot_model(_read_input(inputs, "robot", args.robot))
+        robot_mass = iso_effective_mass(robot, scenario.payload)
     else:
         robot_mass = scenario.robot_mass
 
@@ -306,6 +303,15 @@ def _cmd_filter(args) -> int:
                   else scenario.plant_mass)
     nominal_speed = (2.0 * limit.v0_max if scenario.nominal_speed is None
                      else scenario.nominal_speed)
+    # the chart's y axis holds 0, the full tank, the nominal speed and
+    # v0_max; a negative budget, which the loop rejects, moves neither end
+    y_lo, y_hi = y_axis(nominal_speed,
+                        max(budget, nominal_speed, limit.v0_max))
+    if not math.isfinite(y_hi - y_lo):
+        raise InputError(
+            f"filter scenario: budget = {budget!r} J and nominal_speed = "
+            f"{nominal_speed!r} m/s leave the chart a y range [{y_lo!r}, "
+            f"{y_hi!r}] wider than a float holds")
 
     log = simulate_loop(limit, plant_mass, lambda t: nominal_speed, budget,
                         scenario.duration, scenario.period,

@@ -20,6 +20,7 @@ Angular quantities use the world frame, and Jacobian rows are ordered
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -27,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .schema import (Source, flag, mapping, number, read_mapping, text,
-                     vector3)
+from .schema import (LOADER_CACHE_SIZE, Source, flag, mapping, number,
+                     parse_mapping, read_text, text, vector3)
 
 #: below this value of u^T (J M^-1 J^T) u [1/kg] a direction is treated as
 #: structurally constrained (no feasible motion, reflected mass unbounded)
@@ -126,8 +127,15 @@ MODEL_KEYS = {
 
 def load_robot_model(source: Source) -> ManipulatorModel:
     """Load and validate a manipulator description from YAML; the model and
-    link names are validated, not kept."""
-    raw = read_mapping(source, "robot model", MODEL_KEYS["model"])
+    link names are validated, not kept.  The source is read on every call,
+    and each distinct text is parsed once per process: its model, read-only
+    throughout, is shared by every caller."""
+    return _parse_robot_model(read_text(source))
+
+
+@functools.lru_cache(maxsize=LOADER_CACHE_SIZE)
+def _parse_robot_model(content: str) -> ManipulatorModel:
+    raw = parse_mapping(content, "robot model", MODEL_KEYS["model"])
     link_specs = raw.get("links")
     if not isinstance(link_specs, list) or not link_specs:
         raise InputError("robot model: 'links' must be a non-empty list")

@@ -54,9 +54,17 @@ _Loader.add_implicit_resolver(
 MAX_YAML_OPENERS = 10_000
 
 
+#: distinct texts whose parsed object each file loader keeps per process
+LOADER_CACHE_SIZE = 8
+
+
 def read_mapping(source: Source, what: str, known: Iterable[str]) -> dict:
     """Top-level mapping of a YAML file, with keys from ``known``."""
-    text = read_text(source)
+    return parse_mapping(read_text(source), what, known)
+
+
+def parse_mapping(text: str, what: str, known: Iterable[str]) -> dict:
+    """Top-level mapping of a YAML text, with keys from ``known``."""
     if sum(map(text.count, "[{-?:")) > MAX_YAML_OPENERS:
         raise InputError(f"{what}: over the cap of {MAX_YAML_OPENERS:,} YAML "
                          f"nesting characters [{{-?:")

@@ -46,6 +46,14 @@ def _span_end(lo: float, hi: float) -> float:
     return hi if hi > lo else lo + max(1.0, math.ulp(lo))
 
 
+def y_axis(y_min: float, y_max: float) -> tuple[float, float]:
+    """The y range of a line chart whose values span [y_min, y_max]: from 0
+    or below, with 5 % of the range as headroom on top."""
+    lo = min(y_min, 0.0)
+    hi = _span_end(lo, y_max)
+    return lo, hi + 0.05 * (hi - lo)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     hi = _span_end(lo, hi)
     raw = (hi - lo) / target
@@ -154,10 +162,7 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
         raise ValueError("line_chart: no data")
     x_lo = min(x_ends)
     x_hi = _span_end(x_lo, max(x_ends))
-    y_lo = min(y_ends + [0.0])
-    y_hi = _span_end(y_lo, max(y_ends))
-    pad = 0.05 * (y_hi - y_lo)
-    y_hi += pad
+    y_lo, y_hi = y_axis(min(y_ends), max(y_ends))
     for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
         if not math.isfinite(hi - lo):
             raise ValueError(f"line_chart: the {axis} range [{lo!r}, {hi!r}] "

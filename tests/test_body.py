@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from pflsafe.body import (BodyRegionParams, ContactMode, HEAD_REGIONS,
-                          REGION_IDS, REGION_LABELS, binding_criterion,
-                          effective_force_limit, load_body_table,
-                          max_elastic_energy, normalize_region)
+from pflsafe import body, body_table_path
+from pflsafe.body import (BodyRegionParams, BodyRegionTable, ContactMode,
+                          HEAD_REGIONS, REGION_IDS, REGION_LABELS,
+                          binding_criterion, effective_force_limit,
+                          load_body_table, max_elastic_energy,
+                          normalize_region)
 from pflsafe.errors import InputError
 
 HEADER = "region,f_max_qs_N,p_max_qs_N_per_cm2,k_N_per_mm,m_h_kg,transient_mult\n"
@@ -132,6 +134,58 @@ def test_load_from_bytes_and_stream():
     text = table_text()
     assert load_body_table(text.encode())["face"].f_max_qs == 65.0
     assert load_body_table(io.StringIO(text))["face"].f_max_qs == 65.0
+
+
+def test_the_table_is_read_only(body_table):
+    table = load_body_table(body_table_path())
+    assert table is body_table  # one parse, shared by every caller
+    with pytest.raises(TypeError):
+        table.entries["face"] = table.entries["neck"]
+    with pytest.raises(TypeError):
+        del table.entries["face"]
+    # a table built from a dict keeps a copy: the dict's later edits miss it
+    entries = dict(table.entries)
+    copy = BodyRegionTable(entries)
+    entries.pop("face")
+    assert copy["face"] is table["face"] and copy == table
+
+
+def test_one_text_is_parsed_once(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(table_text(), encoding="utf-8")
+    table = load_body_table(path)
+    assert load_body_table(path) is table
+    assert load_body_table(str(path)) is table
+    assert load_body_table(table_text().encode()) is table
+    assert load_body_table(io.StringIO(table_text())) is table
+
+
+def test_an_edited_file_is_parsed_again(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(table_text(), encoding="utf-8")
+    table = load_body_table(path)
+    path.write_text(table_text(face="Face,70,110,75,4.4,1\n"),
+                    encoding="utf-8")
+    edited = load_body_table(path)
+    assert edited is not table
+    assert (edited["face"].f_max_qs, table["face"].f_max_qs) == (70.0, 65.0)
+    body._parse_body_table.cache_clear()
+    fresh = load_body_table(path)
+    assert fresh is not edited
+    # frozen dataclasses: equal region by region, field by field
+    assert fresh == edited and list(fresh.entries) == list(edited.entries)
+
+
+def test_a_malformed_table_fails_on_every_load(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(table_text(chest="Chest,-140,170,25,40,2\n"),
+                    encoding="utf-8")
+    before = body._parse_body_table.cache_info()
+    for _ in range(3):
+        with pytest.raises(InputError, match="f_max_qs"):
+            load_body_table(path)
+    after = body._parse_body_table.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (3, 0)
 
 
 def test_stiffness_unit_conversion():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pflsafe import assets, cli, sweep
+from pflsafe import assets, body, cli, dynamics, sweep
 from pflsafe.body import ContactMode
 from pflsafe.cli import FilterScenario, _build_parser, main
 from pflsafe.collision import CollisionScenario, peak_contact_state, simulate
@@ -318,6 +318,32 @@ def test_non_finite_power_names_the_commanded_speed_and_the_period(
             "t = 0.0 s") in err
 
 
+@pytest.mark.parametrize("key, value, y_range", [
+    ("budget", 1.75e+308, "[0.0, inf]"),
+    ("nominal_speed", 1.75e+308, "[0.0, inf]"),
+    ("nominal_speed", -1.0e+308, "[-1e+308, inf]"),
+])
+def test_a_chart_past_the_float_range_exits_3_before_the_loop(
+        tmp_path, capsys, monkeypatch, key, value, y_range):
+    # the chart tops the full tank and the nominal speed with 5 % headroom
+    scenario = tmp_path / "scn.yaml"
+    base = {"region": "face", "mode": "transient", "robot_mass": 4.0,
+            "budget": 1.0e+308, "duration": 0.01}
+    scenario.write_text(yaml.safe_dump(dict(base, budget=1.7e+308)))
+    assert run("filter", "--scenario", scenario, "--out", tmp_path / "o") == 0
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the loop ran before the chart check")
+
+    monkeypatch.setattr(cli, "simulate_loop", no_loop)
+    scenario.write_text(yaml.safe_dump(dict(base, **{key: value})))
+    assert run("filter", "--scenario", scenario, "--out", tmp_path / "p") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: filter scenario: budget = ")
+    assert f"{key} = {value!r} " in err and f"y range {y_range} " in err
+    assert "Traceback" not in err and not (tmp_path / "p").exists()
+
+
 SWEEP_BOX = {"box_min": [0.35, -0.05, 0.40], "box_max": [0.45, 0.05, 0.50],
              "grid_spacing": 0.05, "n_directions": 2}
 FILTER_SCENARIO = {"region": "chest", "mode": "transient", "robot_mass": 4.0,
@@ -611,6 +637,67 @@ def test_filter_manifest_records_the_resolved_scenario(tmp_path):
     assert config["period"] == 0.001 and config["budget"] == "k0_max"
     assert config["velocity_filter"] is True and config["contact_area"] == 1.0
     assert config["nominal_speed"] is None  # derived: twice the limit
+
+
+def test_the_manifest_digests_the_bytes_that_were_parsed(tmp_path,
+                                                         monkeypatch):
+    robot = tmp_path / "robot.yaml"
+    parsed = assets.robot_model_path().read_bytes()
+    robot.write_bytes(parsed)
+    real_sweep = cli.run_sweep
+
+    def editing_sweep(*args, **kwargs):
+        # the file changes while the sweep runs on the model parsed before
+        robot.write_bytes(parsed + b"# edited\n")
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sweep", editing_sweep)
+    config = tmp_path / "sweep.yaml"
+    config.write_text(yaml.safe_dump(dict(SWEEP_BOX, grid_spacing=0.1)))
+    out = tmp_path / "sweep"
+    assert run("sweep", "--config", config, "--robot", robot,
+               "--out", out) == 0
+    inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+    assert inputs["robot"] == {"path": str(robot),
+                               "sha256": hashlib.sha256(parsed).hexdigest()}
+    assert robot.read_bytes() != parsed
+
+
+def _artefacts(out) -> dict:
+    """Every file of an output directory; the manifest without its time."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    manifest = json.loads(files.pop("run_manifest.json"))
+    assert manifest.pop("timestamp")
+    files["run_manifest.json"] = manifest
+    return files
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("simulate", "--mr", 3, "--mh", 1, "--k", 5, "--v0", 1), 0),
+    (("limits", "--payload", 0.5), 2),
+    (("sweep", "--config", dict(SWEEP_BOX, grid_spacing=0.1)), 2),
+    (("filter", "--scenario", dict(FILTER_SCENARIO, robot_mass="constant")),
+     2),
+], ids=["simulate", "limits", "sweep", "filter"])
+def test_a_warm_loader_cache_writes_the_same_bytes(tmp_path, capsys, argv,
+                                                   loads):
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(argv[-1]))
+        argv[-1] = path
+    caches = (body._parse_body_table, dynamics._parse_robot_model)
+    for cache in caches:
+        cache.cache_clear()
+    assert run(*argv, "--out", tmp_path / "cold") == 0
+    cold_stdout = capsys.readouterr().out
+    assert run(*argv, "--out", tmp_path / "warm") == 0
+    assert capsys.readouterr().out == cold_stdout
+    # the second run parsed nothing: each load was a hit
+    assert sum(cache.cache_info().hits for cache in caches) == loads
+    assert sum(cache.cache_info().misses for cache in caches) == loads
+    cold, warm = _artefacts(tmp_path / "cold"), _artefacts(tmp_path / "warm")
+    assert cold == warm and len(cold) >= 2
 
 
 def _not_utf8(tmp_path):

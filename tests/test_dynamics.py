@@ -7,6 +7,7 @@ Oracles used here are deliberately independent routes:
   * the constrained kinetic-energy minimum for reflected mass
     (the optimum of min 1/2 qd' M qd s.t. u' J qd = 1 equals m_u / 2).
 """
+import dataclasses
 import math
 import pickle
 
@@ -22,6 +23,7 @@ from pflsafe.dynamics import (FLANGE_DOWN, ReflectedMassQuery,
                               manipulability, mass_matrix, point_jacobian,
                               reflected_mass, rpy_matrix)
 from pflsafe.errors import InputError
+from pflsafe.schema import LOADER_CACHE_SIZE
 from pflsafe.sweep import horizontal_directions, sphere_directions
 from conftest import random_joint_configs
 import ik_reference
@@ -939,6 +941,67 @@ def test_model_rejects_unknown_joint_type():
                              "axis: [0.0, 0.0, 1.0]\n      type: helical", 1)
     with pytest.raises(InputError, match="helical"):
         load_robot_model(yaml_stream(bad))
+
+
+def _assert_same_model(model, other):
+    """Every field of two models equal, arrays entry by entry."""
+    for field in dataclasses.fields(model):
+        mine, theirs = getattr(model, field.name), getattr(other, field.name)
+        if field.name == "reach":
+            assert np.array_equal(mine[0], theirs[0]) and mine[1:] == theirs[1:]
+        elif isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, theirs), field.name
+        else:
+            assert mine == theirs, field.name
+
+
+def test_one_text_is_parsed_once(tmp_path):
+    path = tmp_path / "arm.yaml"
+    path.write_text(TWO_R_YAML, encoding="utf-8")
+    model = load_robot_model(path)
+    # a path, its bytes and a stream of its text share one parse
+    assert load_robot_model(path) is model
+    assert load_robot_model(str(path)) is model
+    assert load_robot_model(path.read_bytes()) is model
+    assert load_robot_model(yaml_stream(TWO_R_YAML)) is model
+    assert load_robot_model(robot_model_path()) is load_robot_model(
+        robot_model_path())
+
+
+def test_an_edited_file_is_parsed_again(tmp_path):
+    path = tmp_path / "arm.yaml"
+    path.write_text(TWO_R_YAML, encoding="utf-8")
+    model = load_robot_model(path)
+    path.write_text(TWO_R_YAML.replace(f"mass: {M1}", "mass: 3.0", 1),
+                    encoding="utf-8")
+    edited = load_robot_model(path)
+    assert edited is not model
+    assert edited.masses.tolist() == [3.0, M2] and model.masses[0] == M1
+    dynamics._parse_robot_model.cache_clear()
+    fresh = load_robot_model(path)
+    assert fresh is not edited
+    _assert_same_model(edited, fresh)
+
+
+def test_a_malformed_model_fails_on_every_load(tmp_path):
+    path = tmp_path / "arm.yaml"
+    path.write_text(TWO_R_YAML.replace("lower: -3.14", "lower: 4.0", 1),
+                    encoding="utf-8")
+    parse = dynamics._parse_robot_model
+    before = parse.cache_info()
+    for _ in range(3):
+        with pytest.raises(InputError, match="limits"):
+            load_robot_model(path)
+    after = parse.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (3, 0)
+
+
+def test_the_cache_holds_a_bounded_number_of_models():
+    for mass in range(LOADER_CACHE_SIZE + 3):
+        load_robot_model(yaml_stream(
+            TWO_R_YAML.replace(f"mass: {M1}", f"mass: {mass + 1}.0", 1)))
+    assert dynamics._parse_robot_model.cache_info().currsize == \
+        LOADER_CACHE_SIZE
 
 
 def test_wrong_joint_count_rejected(panda):

@@ -148,6 +148,7 @@ def test_one_error_class_per_exit_code():
 #: schema.py, with their count: each message names the inputs whose
 #: product or sum overflowed, which no single argument shows
 DERIVED_CHECKS = {
+    "cli.py: _cmd_filter": 1,                            # the chart's y range
     "collision.py: CollisionScenario.__post_init__": 2,  # m_r v0, m_r v0^2/2
     "limits.py: compute_limit": 1,                       # k0_max
     "safety_filter.py: simulate_loop": 1,                # the power of a step
