@@ -402,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", default=None,
                          help="sweep configuration YAML (defaults apply)")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (overrides config)")
+                         help="at most this many worker processes "
+                              "(overrides config)")
     p_sweep.add_argument("--body-table", default=str(assets.body_table_path()))
     p_sweep.add_argument("--robot", default=str(assets.robot_model_path()))
     p_sweep.add_argument("--out", default="pflsafe-out")

@@ -17,10 +17,11 @@ things:
 The demo loop is a 1-DoF plant (mass, velocity) driven by a proportional
 velocity controller through the tank.  The tank grants energy per control
 period; the granted energy is converted into an exactly work-equivalent
-force, so the plant's kinetic energy can never exceed the injected total:
-with a budget equal to an elastic energy limit U_s,max the loop cannot
-enable a collision that overloads the contact even with the velocity
-filter disabled.
+force, so the plant's kinetic energy can never exceed the injected total
+by more than rounding (the plant and the ledger sum the same grants
+apart): with a budget equal to an elastic energy limit U_s,max the loop
+cannot enable a collision that overloads the contact even with the
+velocity filter disabled.
 """
 from __future__ import annotations
 
@@ -41,10 +42,10 @@ MAX_FILTER_STEPS = 1_000_000
 class TankState:
     """Virtual energy tank ledger.
 
-    With recycling disabled the ledger is derived from the energy balance
-    (``cumulative_injected = initial_budget - energy``), which makes the
-    bound ``cumulative_injected <= initial_budget`` exact in floating
-    point, not just up to accumulation drift.
+    ``cumulative_injected`` is the running sum of every granted energy.
+    With recycling disabled the sum is capped at the initial budget, which
+    makes the bound ``cumulative_injected <= initial_budget`` exact in
+    floating point, not just up to accumulation drift.
     """
 
     energy: float
@@ -102,10 +103,10 @@ def _tank_grant(energy: float, budget: float, injected: float,
     energy_new = energy - e_grant
     if energy_new < 0.0:  # floating-point guard; e_grant <= energy already
         energy_new = 0.0
-    if recycling:
-        injected += e_grant
-    else:
-        injected = budget - energy_new
+    # a running sum keeps every grant, however small against the budget
+    injected += e_grant
+    if not recycling:
+        injected = min(injected, budget)
     # report the granted power without the round trip through energy when a
     # bound is met exactly, so an unthrottled request passes through bit-equal
     if e_grant == requested_power * dt:

@@ -18,7 +18,9 @@ and once with the constant half-moving-mass convention.
 Everything here is deterministic: the grid order, the direction set and the
 warm-start chain are fixed, so reruns reproduce results bit for bit.  Grid
 scanlines are independent work units; the optional worker pool changes wall
-time only, not output.
+time only, not output.  ``n_workers`` is an upper bound: the pool gets at
+most one worker per scanline and per ``POOL_POINTS_PER_WORKER`` grid points,
+and a sweep it would give one worker runs in-process.
 """
 from __future__ import annotations
 
@@ -45,6 +47,10 @@ SINGULAR_FLAG_THRESHOLD = 1e-6
 
 #: most grid points x directions one sweep may evaluate (a07: 57,800)
 MAX_SWEEP_EVALUATIONS = 5_000_000
+
+#: fewest grid points per pool worker: below this, forking and joining a
+#: worker costs more wall time than it saves (measured break-even, README)
+POOL_POINTS_PER_WORKER = 32
 
 
 class MassSource(enum.Enum):
@@ -225,10 +231,12 @@ def _default_seed(model: ManipulatorModel) -> np.ndarray:
 def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
               config: SweepConfig = SweepConfig()) -> SweepResult:
     """Sweep the box and build speed-limit distributions per region/mode."""
-    # in floats, so that neither a span nor n_directions overflows the check
-    counts = np.floor((np.array(config.box_max) - np.array(config.box_min))
-                      / config.grid_spacing + 1e-9) + 1
-    n_points = float(np.prod(counts))
+    # in floats, so that neither a span nor n_directions overflows the check;
+    # a count too large for a float is inf, which the check rejects
+    with np.errstate(over="ignore"):
+        counts = np.floor((np.array(config.box_max) - np.array(config.box_min))
+                          / config.grid_spacing + 1e-9) + 1
+        n_points = float(np.prod(counts))
     if not config.n_directions <= MAX_SWEEP_EVALUATIONS / n_points:
         raise InputError(
             f"sweep of {n_points:.4g} grid points x {config.n_directions} "
@@ -264,8 +272,11 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             targets = np.column_stack([xs, np.full_like(xs, y), np.full_like(xs, z)])
             payloads.append((model, targets, seed, directions))
 
-    # the pool forks every worker up front: no more than there are scanlines
-    workers = min(config.n_workers, len(payloads))
+    # the pool forks every worker up front: no more than there are scanlines,
+    # and only where each worker gets enough grid points to pay for its fork
+    n_grid = len(xs) * len(ys) * len(zs)
+    workers = min(config.n_workers, len(payloads),
+                  n_grid // POOL_POINTS_PER_WORKER)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # a share of every sweep for each worker, a few tasks each
@@ -275,7 +286,6 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     else:
         scanlines = [_sweep_scanline(p) for p in payloads]
 
-    n_grid = len(xs) * len(ys) * len(zs)
     singular, rejected, budget_spent, iterations = map(
         sum, zip(*(counts for counts, _ in scanlines)))
     reflected = np.vstack([masses for _, masses in scanlines])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -119,9 +120,22 @@ def test_sweep_deterministic_rerun(panda, body_table, tiny_result):
 
 
 def test_sweep_worker_count_does_not_change_results(panda, body_table,
-                                                    tiny_result):
+                                                    tiny_result, monkeypatch):
+    forked = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        """A real pool that records the workers it was asked for."""
+
+        def __init__(self, max_workers):
+            forked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    # TINY's 27 points are too few to fork for; one point per worker forks
+    monkeypatch.setattr(sweep, "POOL_POINTS_PER_WORKER", 1)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     parallel = run_sweep(panda, body_table,
                          SweepConfig(n_workers=2, **TINY))
+    assert forked == [2]
     assert np.array_equal(tiny_result.reflected_masses,
                           parallel.reflected_masses)
     for key, samples in tiny_result.samples.items():
@@ -149,15 +163,42 @@ def test_sweep_pool_is_capped_at_the_scanline_count(panda, body_table,
             return map(fn, payloads)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # a grid below two workers' worth of points runs in-process, however
+    # many workers and scanlines (27 points, 9 scanlines)
+    assert 27 < 2 * sweep.POOL_POINTS_PER_WORKER
+    run_sweep(panda, body_table, SweepConfig(n_workers=8, **TINY))
+    assert calls == []
+    # above it, the grid caps the pool: min(8, 16 scanlines, 64 // 32)
+    big = dict(TINY, box_min=(0.30, -0.10, 0.35), n_directions=2)
+    result = run_sweep(panda, body_table, SweepConfig(n_workers=8, **big))
+    workers = min(8, 16, result.n_grid // sweep.POOL_POINTS_PER_WORKER)
+    assert (result.n_grid, workers) == (64, 2)
+    assert calls == [("max_workers", workers), ("chunksize", 2)]
+
+    # with a point per worker, the scanlines cap the pool, and a
+    # one-scanline box still runs in-process
+    calls.clear()
+    monkeypatch.setattr(sweep, "POOL_POINTS_PER_WORKER", 1)
     one_line = dict(TINY, box_max=(0.45, -0.05, 0.40))
     serial = run_sweep(panda, body_table, SweepConfig(**one_line))
     pooled = run_sweep(panda, body_table,
                        SweepConfig(n_workers=500, **one_line))
-    assert calls == []  # one scanline: runs in-process
+    assert calls == []
     assert np.array_equal(serial.reflected_masses, pooled.reflected_masses)
     two_lines = dict(TINY, box_max=(0.45, 0.0, 0.40))
     run_sweep(panda, body_table, SweepConfig(n_workers=8, **two_lines))
     assert calls == [("max_workers", 2), ("chunksize", 1)]
+
+
+def test_an_overflowing_grid_count_meets_the_cap_without_a_warning(
+        panda, body_table):
+    # the count overflows to inf on purpose: the cap check rejects it
+    config = SweepConfig(box_min=(0, 0, 0.3), box_max=(1e308, 0, 0.3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError, match="exceeds the cap"):
+            run_sweep(panda, body_table, config)
+    assert caught == []
 
 
 def test_sweep_counts_singular_points_and_constrained_directions(
