@@ -97,21 +97,17 @@ def _out_dir(args) -> Path:
 
 def _cmd_simulate(args) -> int:
     scenario = CollisionScenario(m_r=args.mr, m_h=args.mh, k=args.k, v0=args.v0)
-    traj, outcome = simulate(scenario, dt=args.dt, horizon=args.horizon)
+    traj, outcome = simulate(scenario)
     out = _out_dir(args)
 
     write_csv(out / "trajectory.csv", ("t", "v_r", "v_h", "dx"),
               (traj.t, traj.v_r, traj.v_h, traj.dx))
 
     energy = total_energy(scenario, traj)
-    write_json({
-        "v_star": outcome.v_star, "t_star": outcome.t_star,
-        "dx_max": outcome.dx_max, "f_peak": outcome.f_peak,
-        "delta_k": outcome.delta_k, "k0": outcome.k0,
-        "k_star": outcome.k_star, "degenerate": outcome.degenerate,
-        "energy_drift_rel": float(abs(energy - energy[0]).max()
-                                  / max(energy[0], 1e-300)),
-    }, out / "outcome.json")
+    write_json({**dataclasses.asdict(outcome),
+                "energy_drift_rel": float(abs(energy - energy[0]).max()
+                                          / max(energy[0], 1e-300))},
+               out / "outcome.json")
 
     svg = line_chart(
         {"robot speed [m/s]": (traj.t, traj.v_r),
@@ -124,7 +120,7 @@ def _cmd_simulate(args) -> int:
 
     _write_manifest(out, "simulate",
                     {"m_r": args.mr, "m_h": args.mh, "k": args.k,
-                     "v0": args.v0, "dt": args.dt, "horizon": args.horizon},
+                     "v0": args.v0},
                     {}, ["trajectory.csv", "outcome.json", "trajectory.svg"])
     print(f"peak force {outcome.f_peak:.6g} N at t* = {outcome.t_star:.6g} s; "
           f"common velocity {outcome.v_star:.6g} m/s")
@@ -371,10 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="contact stiffness [N/m]")
     p_sim.add_argument("--v0", type=float, required=True,
                        help="impact speed [m/s]")
-    p_sim.add_argument("--dt", type=float, default=None,
-                       help="integration step [s] (default: period/1000)")
-    p_sim.add_argument("--horizon", type=float, default=None,
-                       help="simulated time [s] (default: 3/4 period)")
     p_sim.add_argument("--out", default="pflsafe-out", help="output directory")
     p_sim.set_defaults(func=_cmd_simulate)
 

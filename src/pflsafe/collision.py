@@ -28,14 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .schema import number
 
-#: most samples one trajectory may hold (the default horizon gives 751)
-MAX_SIMULATE_SAMPLES = 1_000_000
+#: samples per trajectory: ``simulate`` steps 1/1000 of the contact period
+#: over 3/4 of it (the peak sits at a quarter period, separation at half)
+_SAMPLES = 751
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,30 @@ class CollisionScenario:
             raise InputError(
                 f"m_r = {self.m_r!r} kg at v0 = {self.v0!r} m/s: the impact "
                 f"momentum m_r * v0 and energy 1/2 * m_r * v0^2 must be finite")
+        # below the normal range a float keeps too few bits: mu is as precise
+        # as m_r m_h, and the period 2 pi sqrt(mu / k) as mu / k
+        product = self.m_r * (1.0 if self.clamped else self.m_h)
+        ratio = self.reduced_mass / self.k
+        if not (min(product, ratio) >= float_info.min and ratio < math.inf):
+            raise InputError(
+                f"m_r = {self.m_r!r} kg, m_h = {self.m_h!r} kg, k = {self.k!r} "
+                f"N/m: m_r m_h = {product!r} kg^2 and mu / k = {ratio!r} s^2 "
+                f"must be finite normal floats")
+        if self.v0 == 0.0:
+            return
+        # the same for the peak state; RK4 sums six slopes, and the energies
+        # square the compression and the speeds, which reach 2 v0
+        dx_max = self.v0 * math.sqrt(ratio)
+        force, accel = self.k * dx_max, self.v0 / math.sqrt(ratio)
+        if not (min(dx_max, force, accel) >= float_info.min
+                and math.isfinite(dx_max * dx_max + force + 6.0 * accel
+                                  + 4.0 * self.v0 * self.v0)):
+            raise InputError(
+                f"v0 = {self.v0!r} m/s, m_r = {self.m_r!r} kg, m_h = "
+                f"{self.m_h!r} kg, k = {self.k!r} N/m: the peak compression "
+                f"v0 sqrt(mu / k) = {dx_max!r} m, force {force!r} N and "
+                f"acceleration {accel!r} m/s^2 must be normal floats, and "
+                f"dx^2, 6 times the acceleration and (2 v0)^2 finite")
 
     @property
     def clamped(self) -> bool:
@@ -167,51 +193,29 @@ def _release_time(state: tuple[float, float, float], h: float,
     return 0.5 * (lo + hi)
 
 
-def simulate(scenario: CollisionScenario, dt: float | None = None,
-             horizon: float | None = None, detach_on_unload: bool = True,
+def simulate(scenario: CollisionScenario,
              ) -> tuple[CollisionTrajectory, CollisionOutcome]:
     """Integrate a collision and extract its peak-state outcome.
 
-    dt defaults to 1/1000 of the natural period and must stay below 1/10 of
-    it; horizon defaults to 3/4 of the period (the peak sits at a quarter
-    period, separation at half).  With ``detach_on_unload`` the spring only
-    pushes; disabling it keeps the pair attached so the spring can pull,
-    which must not change the extracted peak quantities.
+    The step is 1/1000 of the contact period and the horizon 3/4 of it, so
+    a trajectory holds 751 samples; the scenario has checked that floats
+    resolve the period and the peak state.  The spring only pushes: once
+    the compression returns to zero the surfaces separate and both masses
+    coast.
     """
-    period = natural_period(scenario)
-    dt = period / 1000.0 if dt is None else number("simulate", "dt", dt, gt=0)
-    if dt >= period / 10.0:
-        raise NumericalError(
-            f"dt = {dt:g} s too coarse for contact period {period:g} s; "
-            f"need dt < period/10")
-    horizon = (0.75 * period if horizon is None
-               else number("simulate", "horizon", horizon, gt=0))
-
-    steps = horizon / dt + 1e-9
-    if not steps < MAX_SIMULATE_SAMPLES:
-        raise InputError(f"horizon / dt = {steps:.4g} steps: over the cap of "
-                         f"{MAX_SIMULATE_SAMPLES:,} samples")
-    n = int(math.floor(steps)) + 1
-    t = np.arange(n) * dt
-    v_r = np.empty(n)
-    v_h = np.empty(n)
-    dx = np.empty(n)
-    v_r[0], v_h[0], dx[0] = scenario.v0, 0.0, 0.0
-
+    dt = natural_period(scenario) / 1000.0
+    t = np.arange(_SAMPLES) * dt
     if scenario.v0 == 0.0:
-        v_r.fill(0.0)
-        v_h.fill(0.0)
-        dx.fill(0.0)
-        traj = CollisionTrajectory(t=t, v_r=v_r, v_h=v_h, dx=dx, dt=dt)
-        return traj, _AT_REST
+        return CollisionTrajectory(t, *np.zeros((3, _SAMPLES)), dt), _AT_REST
 
+    v_r, v_h, dx = np.empty((3, _SAMPLES))
+    v_r[0], v_h[0], dx[0] = state = (scenario.v0, 0.0, 0.0)
     m_r, m_h, k = scenario.m_r, scenario.m_h, scenario.k
-    state = (scenario.v0, 0.0, 0.0)
     released = False
-    for i in range(1, n):
+    for i in range(1, _SAMPLES):
         if not released:
             new = _rk4_step(state, dt, m_r, m_h, k)
-            if detach_on_unload and new[2] < 0.0 and state[2] > 0.0:
+            if new[2] < 0.0 and state[2] > 0.0:
                 # surfaces separate inside this step: advance to the exact
                 # crossing, then coast (free flight is integrated exactly)
                 tau = _release_time(state, dt, m_r, m_h, k)
@@ -230,7 +234,8 @@ def _extract_outcome(scenario: CollisionScenario,
     i = int(np.argmax(traj.dx))
     if i == 0 or i == len(traj.dx) - 1:
         raise InputError(
-            "peak compression not bracketed by the horizon; extend it")
+            f"peak compression at sample {i} of {len(traj.dx)}: not "
+            f"bracketed by the trajectory")
     ym, y0, yp = traj.dx[i - 1], traj.dx[i], traj.dx[i + 1]
     denom = ym - 2.0 * y0 + yp
     if denom == 0.0:

@@ -4,8 +4,7 @@
 that does not match its format, a value that is malformed, not finite or
 outside its bound, or a combination no limit can be derived for.
 ``NumericalError`` (exit 4) is a well-formed input the computation did not
-succeed on: an integrator step too coarse for the dynamics, or a sweep with
-no reachable grid point.
+succeed on: a sweep with no reachable grid point.
 """
 from __future__ import annotations
 

@@ -54,9 +54,9 @@ def y_axis(y_min: float, y_max: float) -> tuple[float, float]:
     return lo, hi + 0.05 * (hi - lo)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     hi = _span_end(lo, hi)
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6
     if raw == 0.0:  # a span of a few subnormal steps
         return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -130,14 +130,14 @@ class _Canvas:
 
 
 def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
-               title: str = "", xlabel: str = "", ylabel: str = "",
-               width: int = 760, height: int = 480,
+               title: str = "", xlabel: str = "",
                hlines: Mapping[str, float] | None = None) -> str:
-    """Render one or more (x, y) series as an SVG line chart.
+    """Render one or more (x, y) series as a 760 x 480 SVG line chart.
 
     A non-finite sample raises ``ValueError`` naming its series, and so does
     an axis range wider than a float holds.
     """
+    width, height = 760, 480
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 55
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -196,21 +196,20 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
         c.text(width / 2, 22, title, size=13)
     if xlabel:
         c.text(margin_l + plot_w / 2, height - 12, xlabel, size=11)
-    if ylabel:
-        c.text(18, margin_t + plot_h / 2, ylabel, size=11, rotate=-90)
     return c.render()
 
 
 def grouped_boxplot(groups: Sequence[str],
                     boxes: Mapping[str, Sequence[BoxStats]],
                     stars: Mapping[str, Sequence[float]],
-                    title: str = "", ylabel: str = "",
-                    width: int = 1000, height: int = 520) -> str:
-    """Grouped box-and-whisker plot with a star marker per group and series.
+                    title: str = "", ylabel: str = "") -> str:
+    """Grouped box-and-whisker plot, 1000 x 520, with a star marker per
+    group and series.
 
     ``boxes`` maps a series label to one BoxStats per group; ``stars`` maps
     a series label to one scalar per group (drawn as a star).
     """
+    width, height = 1000, 520
     margin_l, margin_r, margin_t, margin_b = 70, 20, 46, 110
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

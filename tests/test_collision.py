@@ -3,15 +3,17 @@
 The closed-form peak state and the RK4 simulation are independent routes to
 the same quantities; each test uses one as the oracle for the other.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pflsafe.collision import (CollisionScenario, common_velocity,
-                               energy_transfer, natural_period,
-                               peak_contact_state, simulate, total_energy)
-from pflsafe.errors import InputError, NumericalError
+from pflsafe.collision import (CollisionScenario, _extract_outcome,
+                               common_velocity, energy_transfer,
+                               natural_period, peak_contact_state, simulate,
+                               total_energy)
+from pflsafe.errors import InputError
 
 # hand-evaluated closed forms for (m_r=3, m_h=1, k=5, v0=1):
 #   mu = 3/4, dx = sqrt(0.75/5), f = k*dx, t* = (pi/2)*sqrt(0.75/5)
@@ -94,15 +96,6 @@ def test_compression_never_negative_with_detachment():
     assert np.min(traj.dx) >= 0.0
 
 
-def test_attached_spring_same_peak_but_pulls():
-    attached, out_attached = simulate(FREE, detach_on_unload=False,
-                                      horizon=natural_period(FREE))
-    _, out_detached = simulate(FREE, horizon=natural_period(FREE))
-    assert out_attached.dx_max == pytest.approx(out_detached.dx_max, rel=1e-10)
-    assert out_attached.f_peak == pytest.approx(out_detached.f_peak, rel=1e-10)
-    assert np.min(attached.dx) < 0.0  # tension half-cycle
-
-
 def test_degenerate_zero_speed():
     scenario = CollisionScenario(m_r=3.0, m_h=1.0, k=5.0, v0=0.0)
     assert peak_contact_state(scenario).degenerate
@@ -112,26 +105,95 @@ def test_degenerate_zero_speed():
     assert np.all(traj.dx == 0.0)
 
 
+def test_step_and_horizon_follow_the_period():
+    for scenario in (FREE, CLAMPED, CollisionScenario(3.0, 1.0, 5.0, 0.0)):
+        traj, _ = simulate(scenario)
+        period = natural_period(scenario)
+        assert traj.dt == period / 1000.0
+        assert len(traj.t) == 751
+        assert traj.t[-1] == pytest.approx(0.75 * period, rel=1e-12)
+
+
+#: the message of a scenario whose reduced mass or contact period a float
+#: does not resolve: it names m_r, m_h and k
+PERIOD_ERROR = (r"^m_r = .* kg, m_h = .* kg, k = .* N/m: m_r m_h = .* kg\^2 "
+                r"and mu / k = .* s\^2 must be finite normal floats$")
+
+
 def test_coarse_step_rejected():
-    with pytest.raises(NumericalError, match="period"):
-        simulate(FREE, dt=natural_period(FREE) / 10.0)
+    # the step period / 1000 rounds to 0 here; the scenario is rejected
+    # before any step is taken
+    with pytest.raises(InputError, match=PERIOD_ERROR):
+        CollisionScenario(m_r=1e-300, m_h=1e-300, k=1e300, v0=1.0)
 
 
-@pytest.mark.parametrize("kwargs", [dict(dt=-1e-4), dict(dt=0.0),
-                                    dict(horizon=0.0), dict(horizon=-1.0),
-                                    dict(dt=math.nan), dict(dt=math.inf),
-                                    dict(horizon=math.nan),
-                                    dict(horizon=math.inf)])
+@pytest.mark.parametrize("kwargs", [
+    dict(m_r=1e200, m_h=1e200, k=1.0, v0=1e-110),       # mu overflows: inf
+    dict(m_r=1.75e308, m_h=1.75e308, k=5.0, v0=1.0),    # mu is nan
+    dict(m_r=3.0, m_h=math.inf, k=1e-320, v0=1.0),      # mu / k is inf
+    dict(m_r=1e-300, m_h=1e-300, k=5.0, v0=1.0),        # m_r m_h is 0
+    dict(m_r=5e-324, m_h=1.0, k=5e-324, v0=1.0),        # m_r m_h subnormal
+    dict(m_r=3.0, m_h=1.0, k=1.75e308, v0=1.0),         # mu / k subnormal
+    dict(m_r=1e-300, m_h=math.inf, k=1e10, v0=0.0),     # ... at rest too
+    dict(m_r=1e-300, m_h=math.inf, k=1e10, v0=1.0),
+])
 def test_bad_step_or_horizon_rejected(kwargs):
-    (key, value), = kwargs.items()
-    bound = "> 0" if math.isfinite(value) else "finite"
-    with pytest.raises(InputError, match=f"^simulate: {key} must be {bound}"):
-        simulate(FREE, **kwargs)
+    # a period of 0, inf or nan, or one computed from subnormal floats,
+    # would make simulate's step and horizon the same
+    with pytest.raises(InputError, match=PERIOD_ERROR):
+        CollisionScenario(**kwargs)
 
 
 def test_unbracketed_peak_rejected():
-    with pytest.raises(InputError, match="horizon"):
-        simulate(FREE, horizon=0.1 * natural_period(FREE))
+    traj, _ = simulate(FREE)
+    early = dataclasses.replace(traj, t=traj.t[:100], v_r=traj.v_r[:100],
+                                v_h=traj.v_h[:100], dx=traj.dx[:100])
+    with pytest.raises(InputError,
+                       match="^peak compression at sample 99 of 100: not "
+                             "bracketed by the trajectory$"):
+        _extract_outcome(FREE, early)
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param(dict(m_r=3.0, m_h=1.0, k=5.0, v0=5e-324), id="dx-5e-324"),
+    pytest.param(dict(m_r=3.0, m_h=1.0, k=5.0, v0=1e-320), id="dx-1e-320"),
+    pytest.param(dict(m_r=1.0, m_h=math.inf, k=1e-300, v0=1e150),
+                 id="dx-squared-inf"),
+    pytest.param(dict(m_r=1e-20, m_h=math.inf, k=1e-200, v0=1e-212),
+                 id="force-subnormal"),
+    pytest.param(dict(m_r=1e20, m_h=math.inf, k=1e-200, v0=1e-212),
+                 id="acceleration-subnormal"),
+    pytest.param(dict(m_r=1e-300, m_h=math.inf, k=3.6e7, v0=6e153),
+                 id="6-accelerations-inf"),
+    pytest.param(dict(m_r=1.0, m_h=1e-3, k=1.0, v0=1e154),
+                 id="rebound-speed-squared-inf"),
+])
+def test_peak_state_outside_the_normal_floats_rejected(kwargs):
+    # each used to end in a traceback, a warning, an infinite outcome, an
+    # unbracketed peak or a peak 5e-4 to 7 % off its closed form
+    with pytest.raises(InputError, match=(
+            r"^v0 = .* m/s, m_r = .* kg, m_h = .* kg, k = .* N/m: the peak "
+            r"compression v0 sqrt\(mu / k\) = .* m, force .* N and "
+            r"acceleration .* m/s\^2 must be normal floats")):
+        CollisionScenario(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(m_r=1e-300, m_h=1.0, k=5.0, v0=1.0),
+    dict(m_r=3.0, m_h=1e300, k=5.0, v0=1e-300),
+    dict(m_r=3.0, m_h=math.inf, k=1e300, v0=1.0),
+    dict(m_r=1.0, m_h=math.inf, k=1.0, v0=1e150),
+    dict(m_r=1e-20, m_h=1e-20, k=1e-20, v0=1e100),
+])
+def test_extreme_scenarios_inside_the_rule_match_closed_forms(kwargs):
+    scenario = CollisionScenario(**kwargs)
+    peak = peak_contact_state(scenario)
+    traj, outcome = simulate(scenario)
+    assert outcome.dx_max == pytest.approx(peak.dx_max, rel=1e-12)
+    assert outcome.f_peak == pytest.approx(peak.f_peak, rel=1e-12)
+    assert outcome.t_star == pytest.approx(peak.t_star, rel=1e-10)
+    energy = total_energy(scenario, traj)
+    assert np.isfinite(energy).all()
 
 
 @pytest.mark.parametrize("kwargs", [

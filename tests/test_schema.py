@@ -1,6 +1,7 @@
 """Input schemas: one YAML reader, one number rule for files and library
 arguments, one error class per exit code, and documented keys that match
 the code."""
+import argparse
 import ast
 import collections
 import dataclasses
@@ -18,12 +19,11 @@ from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
                      body_table_path, compute_limit,
                      effective_force_limit, inverse_kinematics,
                      iso_effective_mass, load_body_table, load_robot_model,
-                     reflected_mass, robot_model_path, simulate,
-                     simulate_loop, tank_init, tank_step, v0_max,
-                     velocity_bounds)
+                     reflected_mass, robot_model_path, simulate_loop,
+                     tank_init, tank_step, v0_max, velocity_bounds)
 from pflsafe.body import binding_criterion
 from pflsafe.dynamics import FLANGE_DOWN, ik_lockstep
-from pflsafe.cli import FilterScenario
+from pflsafe.cli import FilterScenario, _build_parser
 from pflsafe.schema import MAX_YAML_OPENERS, _Loader, read_mapping
 from pflsafe.sweep import SweepConfig, horizontal_directions, sphere_directions
 from test_cli import EXPONENT_CONFIG, EXPONENT_SCENARIO
@@ -91,11 +91,11 @@ def test_a_lone_surrogate_is_not_utf8_text():
         load_robot_model(io.StringIO("a: \ud800"))
 
 
-def _readme_keys(label: str) -> list[str]:
+def _readme_keys(label: str, name: str = r"\w+") -> list[str]:
     """The backquoted names in the README sentence that starts with ``label``."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     start = text.index(label + ":")
-    return re.findall(r"`(\w+)`", text[start:text.index(".", start)])
+    return re.findall(rf"`({name})`", text[start:text.index(".", start)])
 
 
 def test_readme_lists_every_config_key():
@@ -103,6 +103,13 @@ def test_readme_lists_every_config_key():
         f.name for f in dataclasses.fields(SweepConfig)]
     assert _readme_keys("Filter scenario keys") == [
         f.name for f in dataclasses.fields(FilterScenario)]
+    # and every flag of every subcommand, so a removed one leaves the docs
+    subcommands, = [action.choices for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    for command, parser in subcommands.items():
+        assert _readme_keys(f"`{command}` flags", r"--[\w-]+") == [
+            action.option_strings[-1] for action in parser._actions
+            if action.dest != "help"]
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -149,7 +156,7 @@ def test_one_error_class_per_exit_code():
 #: product or sum overflowed, which no single argument shows
 DERIVED_CHECKS = {
     "cli.py: _cmd_filter": 1,                            # the chart's y range
-    "collision.py: CollisionScenario.__post_init__": 2,  # m_r v0, m_r v0^2/2
+    "collision.py: CollisionScenario.__post_init__": 3,  # impact, peak state
     "limits.py: compute_limit": 1,                       # k0_max
     "safety_filter.py: simulate_loop": 1,                # the power of a step
     "svgplot.py: line_chart": 1,                         # an axis range hi - lo
@@ -229,8 +236,6 @@ LIBRARY_NUMBERS = [
      0.0, None),
     ("CollisionScenario", "v0", lambda x: dataclasses.replace(FREE, v0=x),
      -0.2, 0.0),
-    ("simulate", "dt", lambda x: simulate(FREE, dt=x), 0.0, None),
-    ("simulate", "horizon", lambda x: simulate(FREE, horizon=x), -1.0, None),
     ("v0_max", "u_s_max", lambda x: v0_max(x, 3.0, 1.0), 0.0, None),
     ("v0_max", "m_h", lambda x: v0_max(0.5, 3.0, x), 0.0, math.inf),
     ("velocity_bounds", "u_s_max", lambda x: velocity_bounds(x, 3.0, 1.0),
