@@ -27,7 +27,8 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -142,23 +143,23 @@ def direction_set(n: int, style: str = "horizontal") -> np.ndarray:
     return _direction_generator(style)(n)
 
 
-def summary_stats(samples: np.ndarray) -> BoxStats:
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
+def summary_stats(samples: np.ndarray) -> BoxStats | tuple[BoxStats, ...]:
+    """Box statistics of each row of a (K, N) stack, or one ``BoxStats`` of
+    a 1-D sample (a batch of one).  Every row's are bit for bit those of its
+    own 1-D call; its whiskers are masked extremes, so no row is copied."""
+    stack = np.atleast_2d(np.asarray(samples, dtype=float))
+    if stack.shape[-1] == 0:
         raise InputError("summary_stats: empty sample set")
-    q1, med, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
+    q1, med, q3 = np.percentile(stack, [25.0, 50.0, 75.0], axis=-1)
     iqr = q3 - q1
-    lo_cut, hi_cut = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = samples[(samples >= lo_cut) & (samples <= hi_cut)]
-    return BoxStats(
-        mean=float(np.mean(samples)),
-        q1=float(q1), median=float(med), q3=float(q3),
-        whisker_lo=float(np.min(inside)),
-        whisker_hi=float(np.max(inside)),
-        minimum=float(np.min(samples)),
-        maximum=float(np.max(samples)),
-        n=int(samples.size),
-    )
+    inside = ((stack >= (q1 - 1.5 * iqr)[:, None])
+              & (stack <= (q3 + 1.5 * iqr)[:, None]))
+    stats = tuple(BoxStats(*row, n=stack.shape[-1]) for row in np.column_stack([
+        np.mean(stack, axis=-1), q1, med, q3,
+        np.min(stack, axis=-1, where=inside, initial=np.inf),
+        np.max(stack, axis=-1, where=inside, initial=-np.inf),
+        np.min(stack, axis=-1), np.max(stack, axis=-1)]).tolist())
+    return stats if np.ndim(samples) == 2 else stats[0]
 
 
 @dataclass(eq=False)
@@ -176,16 +177,19 @@ class SweepResult:
     n_singular: int
     n_constrained_directions: int
 
-    # the box statistics of each key, made on first use: the JSON and the
-    # box plot read the same ones
-    _stats: dict = field(default_factory=dict, init=False, repr=False)
+    @cached_property
+    def _stats(self) -> dict:
+        keys = [key for key in self.samples if key[2] is MassSource.REFLECTED]
+        return dict(zip(keys, summary_stats(
+            np.stack([self.samples[key] for key in keys]))))
 
     def stats(self, region: str, mode: ContactMode,
               source: MassSource) -> BoxStats:
+        """A key's box statistics: every reflected-mass key's come from one
+        stacked call on first use, which the JSON, SVG and scaling share."""
         key = (region, mode, source)
-        if key not in self._stats:
-            self._stats[key] = summary_stats(self.samples[key])
-        return self._stats[key]
+        return (self._stats[key] if source is MassSource.REFLECTED
+                else summary_stats(self.samples[key]))
 
 
 # ---------------------------------------------------------------- workers
@@ -293,17 +297,21 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         raise NumericalError("no reachable grid points in the configured box")
     flat_masses = reflected.reshape(-1)
 
-    samples: dict[tuple[str, ContactMode, MassSource], np.ndarray] = {}
-    for params in table:
-        for mode, source in ALL_COMBOS:
-            limit = constant[params.region_id, mode]
-            try:  # only a reflected-mass limit can overflow here
-                samples[(params.region_id, mode, source)] = (
-                    np.array([limit.v0_max]) if source is MassSource.CONSTANT
-                    else v0_max(limit.u_s_max, flat_masses,
-                                body_part_mass(params, mode)))
+    # every reflected-mass limit in one call, a row per key of ``constant``
+    u_s_max = np.array([[limit.u_s_max] for limit in constant.values()])
+    m_h = np.array([[body_part_mass(table[rid], m)] for rid, m in constant])
+    try:  # only a reflected-mass limit can overflow here
+        limits = v0_max(u_s_max, flat_masses, m_h)
+    except InputError:  # name the first row that overflows
+        for (rid, mode), u, h in zip(constant, u_s_max, m_h):
+            try:
+                v0_max(u, flat_masses, h)
             except InputError as exc:
-                raise InputError(f"{params.label} {mode.value}: {exc}") from None
+                raise InputError(f"{table[rid].label} {mode.value}: {exc}") from None
+    samples = {}
+    for ((rid, mode), limit), row in zip(constant.items(), limits):
+        samples[rid, mode, MassSource.REFLECTED] = row
+        samples[rid, mode, MassSource.CONSTANT] = np.array([limit.v0_max])
 
     return SweepResult(
         config=config,
@@ -342,7 +350,8 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
     body part might be hit".
     """
     rows = []
-    means = {key: float(np.mean(v)) for key, v in result.samples.items()}
+    means = {key: result.stats(*key).mean if key[2] is MassSource.REFLECTED
+             else float(v[0]) for key, v in result.samples.items()}
     for rid in REGION_IDS:
         base_mean = means[(rid, *BASELINE_COMBO)]
         scaling: dict[tuple[ContactMode, MassSource], float] = {}
@@ -379,8 +388,9 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
         for rid in REGION_IDS:
             for mode, source in ALL_COMBOS:
                 prefix = f"{rid},{mode.value},{source.value},"
-                fh.write("".join([f"{prefix}{value!r}\n" for value in
-                                  result.samples[(rid, mode, source)].tolist()]))
+                values = result.samples[(rid, mode, source)].tolist()
+                if values:  # else the join would write one bare prefix
+                    fh.write(prefix + ("\n" + prefix).join(map(repr, values)) + "\n")
 
 
 def write_scaling_csv(rows: tuple[ScalingRow, ...], path: str | Path) -> None:

@@ -353,6 +353,38 @@ def test_summary_stats_against_numpy():
         summary_stats(np.array([]))
 
 
+def _reference_stats(samples: np.ndarray) -> tuple:
+    """One 1-D sample's box statistics, the whiskers from a copied subset."""
+    q1, med, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
+    iqr = q3 - q1
+    inside = samples[(samples >= q1 - 1.5 * iqr) & (samples <= q3 + 1.5 * iqr)]
+    return (np.mean(samples), q1, med, q3, np.min(inside), np.max(inside),
+            np.min(samples), np.max(samples), samples.size)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 720, 26_420])
+def test_stacked_summary_stats_equal_each_rows_own(n):
+    rng = np.random.default_rng(n)
+    rows = [rng.uniform(0.05, 3.0, n),
+            np.round(rng.uniform(0.0, 2.0, n), 1),       # ties
+            np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 0.4, n)),
+            np.full(n, 0.25),
+            rng.lognormal(0.0, 2.0, n)]                  # far outliers
+    rows[2][0] = 0.0  # the speed limit of a constrained direction
+    stack = np.array(rows)
+    stacked = summary_stats(stack)
+    assert isinstance(stacked, tuple) and len(stacked) == len(rows)
+    for row, st in zip(rows, stacked):
+        own = summary_stats(row)
+        for name in ("mean", "q1", "median", "q3", "whisker_lo",
+                     "whisker_hi", "minimum", "maximum", "n"):
+            assert np.array_equal(np.float64(getattr(st, name)),
+                                  np.float64(getattr(own, name))), name
+        assert dataclasses.astuple(own) == _reference_stats(row)
+    with pytest.raises(InputError, match="empty sample set"):
+        summary_stats(np.empty((3, 0)))
+
+
 def test_scaling_report_percentages(tiny_result):
     rows = scaling_report(tiny_result)
     assert len(rows) == 12
@@ -430,15 +462,18 @@ def test_box_statistics_are_computed_once_per_result(tiny_result, tmp_path,
     calls = []
 
     def counted(samples):
-        calls.append(len(samples))
+        calls.append(np.shape(samples))
         return summary_stats(samples)
 
     monkeypatch.setattr(sweep, "summary_stats", counted)
     result = dataclasses.replace(tiny_result)  # a new result, no statistics yet
     write_boxstats_json(result, tmp_path / "stats.json")
     svg = render_sweep_svg(result)
-    # one per region and contact mode on the reflected masses
-    assert len(calls) == len(REGION_IDS) * len(ContactMode)
+    scaling_report(result)
+    # one stacked call, a row per region and contact mode on the reflected
+    # masses, which the JSON, the box plot and the scaling report share
+    assert calls == [(len(REGION_IDS) * len(ContactMode),
+                      tiny_result.reflected_masses.size)]
     assert svg == render_sweep_svg(tiny_result)
     assert (json.loads((tmp_path / "stats.json").read_text())
             == boxstats_payload(tiny_result))
