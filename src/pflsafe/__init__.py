@@ -11,8 +11,8 @@ from .body import (BodyRegionParams, BodyRegionTable, ContactMode,
                    REGION_IDS, REGION_LABELS, effective_force_limit,
                    load_body_table, max_elastic_energy)
 from .collision import (CollisionOutcome, CollisionScenario,
-                        CollisionTrajectory, common_velocity, energy_transfer,
-                        natural_period, peak_contact_state, simulate)
+                        CollisionTrajectory, natural_period,
+                        peak_contact_state, simulate)
 from .dynamics import (ManipulatorModel, ReflectedMassQuery, forward_kinematics,
                        inverse_kinematics, iso_effective_mass, load_robot_model,
                        mass_matrix, point_jacobian, reflected_mass)

@@ -125,32 +125,24 @@ class CollisionTrajectory:
     dt: float
 
 
-def common_velocity(scenario: CollisionScenario) -> float:
-    """Shared velocity at maximum compression (momentum conservation)."""
-    return scenario.m_r * scenario.v0 / (scenario.m_r + scenario.m_h)
-
-
-def energy_transfer(scenario: CollisionScenario) -> float:
-    """Kinetic energy converted into elastic energy at peak compression [J]."""
-    return 0.5 * scenario.reduced_mass * scenario.v0 ** 2
-
-
 def natural_period(scenario: CollisionScenario) -> float:
     """Period of the relative-coordinate oscillator, 2*pi*sqrt(mu/k)."""
     return 2.0 * math.pi * math.sqrt(scenario.reduced_mass / scenario.k)
 
 
 def peak_contact_state(scenario: CollisionScenario) -> CollisionOutcome:
-    """Closed-form state at maximum compression."""
+    """Closed-form state at maximum compression: v_star from the momentum
+    balance, delta_k from the energy balance (module docstring)."""
     if scenario.v0 == 0.0:
         return _AT_REST
     mu = scenario.reduced_mass
-    dx_max = scenario.v0 * math.sqrt(mu / scenario.k)
-    delta_k = energy_transfer(scenario)
+    root = math.sqrt(mu / scenario.k)
+    dx_max = scenario.v0 * root
+    delta_k = 0.5 * mu * scenario.v0 ** 2
     k0 = 0.5 * scenario.m_r * scenario.v0 ** 2
     return CollisionOutcome(
-        v_star=common_velocity(scenario),
-        t_star=(math.pi / 2.0) * math.sqrt(mu / scenario.k),
+        v_star=scenario.m_r * scenario.v0 / (scenario.m_r + scenario.m_h),
+        t_star=(math.pi / 2.0) * root,
         dx_max=dx_max,
         f_peak=scenario.k * dx_max,
         delta_k=delta_k,

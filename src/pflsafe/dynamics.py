@@ -532,31 +532,57 @@ def _outside_reach(model: ManipulatorModel, target: np.ndarray,
     return gap > wrist_radius + pos_tol + (ee_reach + math.hypot(*v)) * ori_tol
 
 
-def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
-                seeds: np.ndarray,
-                orientation: np.ndarray | None = None) -> IKResult:
-    """``inverse_kinematics`` for B lanes at once: lane b solves for
-    ``targets[b]`` from ``seeds[b]``, both (B, 3) and (B, n) stacks.
+def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
+                       seed: np.ndarray,
+                       orientation: np.ndarray | None = None) -> IKResult:
+    """Damped-least-squares IK for the tool point (optionally full pose).
 
-    The lanes iterate in lockstep; each stops when it converges or spends
-    its budget (none for a target out of reach), and every iteration works
-    on the lanes still running only.  A lane's iterates are bit for bit
-    those of a call with that lane alone.
+    Iterates q += J^T (J J^T + IK_DAMPING^2 I)^-1 e with each update clamped
+    to IK_STEP_CLAMP (largest joint move per iteration) and the result
+    clipped to joint limits.  Success requires position error < IK_POS_TOL,
+    and orientation error < IK_ORI_TOL when a target orientation (a rotation
+    matrix) is given.
+
+    A (3,) target with an (n,) seed gives an ``IKResult`` of Python scalars.
+    (B, 3) targets with (B, n) seeds run B lanes in lockstep, lane b solving
+    for ``target[b]`` from ``seed[b]``, and give (B,) arrays; one target is
+    a batch of one.  Each lane stops when it converges or spends its budget,
+    and every iteration works on the lanes still running only, so a lane's
+    iterates are bit for bit those of a call with that lane alone.
+
+    A target no in-limit q can reach is rejected before the first
+    iteration.  ``_chain_reach`` bounds the distance of the last link's
+    origin p_n from a fixed shoulder s by R, and that of the wrist, link
+    n-1's origin, by R_w.  Without an orientation, the tool point must lie
+    within R + ||ee_xyz|| + IK_POS_TOL of s.  An orientation R_t fixes
+    R_n = R_t R_ee^T and p_n = target - R_n ee_xyz, and a converged pose
+    puts its p_n within IK_POS_TOL + ||ee_xyz|| * IK_ORI_TOL of that one (a
+    turn by theta moves a point at distance r by at most r theta), so p_n
+    must lie within R of s plus this margin.  A revolute last joint, with
+    axis a and fixed origin v = R_o^T xyz_n in its own frame, puts the
+    wrist on the circle p_n - R_n Rot(a, q_n)^T v about the axis R_n a, and
+    the circle's point nearest s must lie within
+    R_w + IK_POS_TOL + (||ee_xyz|| + ||v||) * IK_ORI_TOL of s.  Every bound
+    is widened by REACH_ROUNDING.  A rejected target returns the clipped
+    seed with ``success=False``, ``iterations == 0`` and the seed's errors.
     """
-    targets = number("ik_lockstep", "targets", np.asarray(targets))
-    seeds = number("ik_lockstep", "seeds", np.asarray(seeds))
-    if (targets.ndim != 2 or targets.shape[1] != 3
-            or seeds.shape != (len(targets), model.n)):
-        raise InputError(f"targets and seeds must be (B, 3) and "
-                         f"(B, {model.n}) stacks, got {targets.shape} and "
-                         f"{seeds.shape}")
+    plural = "s" if np.ndim(target) == 2 else ""
+    target = number("inverse_kinematics", "target" + plural, np.asarray(target))
+    seed = number("inverse_kinematics", "seed" + plural, np.asarray(seed))
     if orientation is not None:
-        orientation = number("ik_lockstep", "orientation", np.asarray(orientation))
+        orientation = number("inverse_kinematics", "orientation",
+                             np.asarray(orientation))
+    if (target.shape[-1:] != (3,) or target.ndim > 2
+            or seed.shape != target.shape[:-1] + (model.n,)):
+        raise InputError(
+            f"target and seed must be (3,) and ({model.n},), or (B, 3) and "
+            f"(B, {model.n}) stacks, got {target.shape} and {seed.shape}")
+    targets = target.reshape(-1, 3)
     lower, upper = model.lower_limits, model.upper_limits
-    q = np.minimum(np.maximum(seeds, lower), upper)
-    budget = np.array([0 if _outside_reach(model, target, orientation,
+    q = np.minimum(np.maximum(seed.reshape(-1, model.n), lower), upper)
+    budget = np.array([0 if _outside_reach(model, point, orientation,
                                            IK_POS_TOL, IK_ORI_TOL)
-                       else IK_MAX_ITER for target in targets], dtype=int)
+                       else IK_MAX_ITER for point in targets], dtype=int)
     lanes = len(targets)
     out = IKResult(q=q.copy(), success=np.zeros(lanes, dtype=bool),
                    iterations=np.zeros(lanes, dtype=int),
@@ -601,43 +627,8 @@ def ik_lockstep(model: ManipulatorModel, targets: np.ndarray,
         biggest = np.maximum.reduce(np.abs(step), axis=1)
         scale = IK_STEP_CLAMP / np.maximum(biggest, IK_STEP_CLAMP)
         q = np.minimum(np.maximum(q + step * scale[:, None], lower), upper)
-    return out
-
-
-def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
-                       seed: np.ndarray,
-                       orientation: np.ndarray | None = None) -> IKResult:
-    """Damped-least-squares IK for the tool point (optionally full pose).
-
-    Iterates q += J^T (J J^T + IK_DAMPING^2 I)^-1 e with each update clamped
-    to IK_STEP_CLAMP (largest joint move per iteration) and the result
-    clipped to joint limits.  Success requires position error < IK_POS_TOL,
-    and orientation error < IK_ORI_TOL when a target orientation (a rotation
-    matrix) is given.  This is ``ik_lockstep`` with one lane.
-
-    A target no in-limit q can reach is rejected before the first
-    iteration.  ``_chain_reach`` bounds the distance of the last link's
-    origin p_n from a fixed shoulder s by R, and that of the wrist, link
-    n-1's origin, by R_w.  Without an orientation, the tool point must lie
-    within R + ||ee_xyz|| + IK_POS_TOL of s.  An orientation R_t fixes
-    R_n = R_t R_ee^T and p_n = target - R_n ee_xyz, and a converged pose
-    puts its p_n within IK_POS_TOL + ||ee_xyz|| * IK_ORI_TOL of that one (a
-    turn by theta moves a point at distance r by at most r theta), so p_n
-    must lie within R of s plus this margin.  A revolute last joint, with
-    axis a and fixed origin v = R_o^T xyz_n in its own frame, puts the
-    wrist on the circle p_n - R_n Rot(a, q_n)^T v about the axis R_n a, and
-    the circle's point nearest s must lie within
-    R_w + IK_POS_TOL + (||ee_xyz|| + ||v||) * IK_ORI_TOL of s.  Every bound
-    is widened by REACH_ROUNDING.  A rejected target returns the clipped
-    seed with ``success=False``, ``iterations == 0`` and the seed's errors.
-    """
-    target = number("inverse_kinematics", "target", np.asarray(target))
-    if target.shape != (3,):
-        raise InputError(f"target must be a 3-vector, got {target.shape}")
-    seed = number("inverse_kinematics", "seed", np.asarray(seed))
-    if seed.shape != (model.n,):
-        raise InputError(f"seed must have shape ({model.n},), got {seed.shape}")
-    lanes = ik_lockstep(model, target[None], seed[None], orientation)
-    return IKResult(lanes.q[0], bool(lanes.success[0]),
-                    int(lanes.iterations[0]), float(lanes.position_error[0]),
-                    float(lanes.orientation_error[0]))
+    if target.ndim == 2:
+        return out
+    return IKResult(out.q[0], bool(out.success[0]), int(out.iterations[0]),
+                    float(out.position_error[0]),
+                    float(out.orientation_error[0]))

@@ -170,7 +170,6 @@ class SweepResult:
     reflected_masses: np.ndarray      # (n_reachable, n_directions)
     n_grid: int
     n_reachable: int
-    n_unreachable: int               # n_rejected + n_budget_spent
     n_rejected: int                  # by the reach proof, before any IK
     n_budget_spent: int              # IK ran IK_MAX_ITER iterations
     ik_iterations: int               # over every grid point
@@ -178,18 +177,13 @@ class SweepResult:
     n_constrained_directions: int
 
     @cached_property
-    def _stats(self) -> dict:
+    def stats(self) -> dict[tuple[str, ContactMode], BoxStats]:
+        """Box statistics of each (region, mode) reflected-mass distribution,
+        from one stacked call on first use, which the JSON, SVG and scaling
+        share; a constant-mass sample is its one value, ``samples[key][0]``."""
         keys = [key for key in self.samples if key[2] is MassSource.REFLECTED]
-        return dict(zip(keys, summary_stats(
-            np.stack([self.samples[key] for key in keys]))))
-
-    def stats(self, region: str, mode: ContactMode,
-              source: MassSource) -> BoxStats:
-        """A key's box statistics: every reflected-mass key's come from one
-        stacked call on first use, which the JSON, SVG and scaling share."""
-        key = (region, mode, source)
-        return (self._stats[key] if source is MassSource.REFLECTED
-                else summary_stats(self.samples[key]))
+        return {key[:2]: box for key, box in zip(keys, summary_stats(
+            np.stack([self.samples[key] for key in keys])))}
 
 
 # ---------------------------------------------------------------- workers
@@ -320,7 +314,6 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         reflected_masses=reflected,
         n_grid=n_grid,
         n_reachable=len(reflected),
-        n_unreachable=n_grid - len(reflected),
         n_rejected=rejected,
         n_budget_spent=budget_spent,
         ik_iterations=iterations,
@@ -350,7 +343,7 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
     body part might be hit".
     """
     rows = []
-    means = {key: result.stats(*key).mean if key[2] is MassSource.REFLECTED
+    means = {key: result.stats[key[:2]].mean if key[2] is MassSource.REFLECTED
              else float(v[0]) for key, v in result.samples.items()}
     for rid in REGION_IDS:
         base_mean = means[(rid, *BASELINE_COMBO)]
@@ -414,7 +407,7 @@ def boxstats_payload(result: SweepResult) -> dict:
         "counts": {
             "grid_points": result.n_grid,
             "reachable": result.n_reachable,
-            "unreachable": result.n_unreachable,
+            "unreachable": result.n_grid - result.n_reachable,
             "near_singular": result.n_singular,
             "constrained_directions": result.n_constrained_directions,
         },
@@ -429,7 +422,7 @@ def boxstats_payload(result: SweepResult) -> dict:
             if source is MassSource.CONSTANT:
                 entry[name] = {"value": float(result.samples[key][0])}
             else:
-                st = result.stats(rid, mode, source)
+                st = result.stats[rid, mode]
                 entry[name] = {
                     "mean": st.mean, "q1": st.q1, "median": st.median,
                     "q3": st.q3, "whisker_lo": st.whisker_lo,
@@ -457,8 +450,7 @@ def render_sweep_svg(result: SweepResult) -> str:
     boxes: dict[str, list] = {}
     stars: dict[str, list] = {}
     for mode, label in mode_labels.items():
-        boxes[label] = [result.stats(rid, mode, MassSource.REFLECTED)
-                        for rid in REGION_IDS]
+        boxes[label] = [result.stats[rid, mode] for rid in REGION_IDS]
         stars[label] = [float(result.samples[rid, mode, MassSource.CONSTANT][0])
                         for rid in REGION_IDS]
     return grouped_boxplot(

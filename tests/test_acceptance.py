@@ -16,8 +16,8 @@ import pytest
 
 from conftest import random_joint_configs
 from pflsafe.body import ContactMode, effective_force_limit
-from pflsafe.collision import (CollisionScenario, energy_transfer,
-                               peak_contact_state, simulate, total_energy)
+from pflsafe.collision import (CollisionScenario, peak_contact_state,
+                               simulate, total_energy)
 from pflsafe.dynamics import (ReflectedMassQuery, iso_effective_mass,
                               mass_matrix, point_jacobian, forward_kinematics,
                               reflected_mass)
@@ -76,7 +76,7 @@ def test_a02_simulation_matches_closed_forms(rng):
         peak = peak_contact_state(scenario)
         for got, want in ((outcome.dx_max, peak.dx_max),
                           (outcome.f_peak, peak.f_peak),
-                          (outcome.delta_k, energy_transfer(scenario))):
+                          (outcome.delta_k, peak.delta_k)):
             rel = abs(got - want) / want
             worst = max(worst, rel)
             assert rel < 5e-3

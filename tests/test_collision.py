@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from pflsafe.collision import (CollisionScenario, _extract_outcome,
-                               common_velocity, energy_transfer,
                                natural_period, peak_contact_state, simulate,
                                total_energy)
 from pflsafe.errors import InputError
@@ -30,13 +29,13 @@ CLAMPED_F = 3.872983346207417
 
 def test_reduced_mass_and_common_velocity():
     assert FREE.reduced_mass == pytest.approx(0.75, rel=1e-15)
-    assert common_velocity(FREE) == pytest.approx(0.75, rel=1e-15)
+    assert peak_contact_state(FREE).v_star == pytest.approx(0.75, rel=1e-15)
     assert CLAMPED.reduced_mass == 3.0
-    assert common_velocity(CLAMPED) == 0.0
+    assert peak_contact_state(CLAMPED).v_star == 0.0
 
 
 def test_energy_transfer_and_period():
-    assert energy_transfer(FREE) == pytest.approx(0.375, rel=1e-15)
+    assert peak_contact_state(FREE).delta_k == pytest.approx(0.375, rel=1e-15)
     assert natural_period(FREE) == pytest.approx(FREE_PERIOD, rel=1e-12)
 
 
@@ -229,8 +228,7 @@ def test_random_scenarios_match_closed_forms(rng):
         _, outcome = simulate(scenario)
         assert outcome.dx_max == pytest.approx(peak.dx_max, rel=5e-3)
         assert outcome.f_peak == pytest.approx(peak.f_peak, rel=5e-3)
-        assert outcome.delta_k == pytest.approx(
-            energy_transfer(scenario), rel=5e-3)
+        assert outcome.delta_k == pytest.approx(peak.delta_k, rel=5e-3)
 
 
 def test_total_energy_clamped_counts_robot_and_spring_only():

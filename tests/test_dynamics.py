@@ -8,6 +8,7 @@ Oracles used here are deliberately independent routes:
     (the optimum of min 1/2 qd' M qd s.t. u' J qd = 1 equals m_u / 2).
 """
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -702,7 +703,7 @@ def test_ik_respects_joint_limits(panda, rng):
 def assert_lanes_match_the_scalar_loop(model, targets, seeds, orientation):
     """Every lane of one lockstep call equals the reference scalar loop
     run on that lane alone, bit for bit."""
-    lanes = dynamics.ik_lockstep(model, targets, seeds, orientation)
+    lanes = inverse_kinematics(model, targets, seeds, orientation)
     for b, (target, seed) in enumerate(zip(targets, seeds)):
         q, success, iterations, pos_err, ori_err = \
             ik_reference.inverse_kinematics(model, target, seed, orientation)
@@ -781,9 +782,30 @@ def test_lockstep_ik_rejects_mismatched_stacks(panda):
     seeds = np.zeros((2, panda.n))
     for targets, seeds in ((np.zeros((3, 3)), seeds),
                            (np.zeros((2, 3)), np.zeros((2, 5))),
-                           (np.zeros(3), seeds[0])):
+                           (np.zeros(3), seeds)):
         with pytest.raises(InputError, match="stacks"):
-            dynamics.ik_lockstep(panda, targets, seeds)
+            inverse_kinematics(panda, targets, seeds)
+
+
+def test_one_target_is_a_batch_of_one(panda):
+    seed = 0.5 * (panda.lower_limits + panda.upper_limits)
+    # a target that converges, one the reach proof rejects and one that
+    # spends the whole budget, as a point and as a flange-down pose
+    cases = (((0.4, 0.0, 0.45), None), ((2.0, 0.0, 0.5), 0),
+             ((-0.6, 0.0, 0.05), 200))
+    for (target, iterations), orientation in itertools.product(
+            cases, (None, FLANGE_DOWN)):
+        one = inverse_kinematics(panda, np.array(target), seed, orientation)
+        lanes = inverse_kinematics(panda, np.array([target]), seed[None],
+                                   orientation)
+        fields = (one.success, one.iterations, one.position_error,
+                  one.orientation_error)
+        assert np.array_equal(one.q, lanes.q[0])
+        assert fields == (lanes.success[0], lanes.iterations[0],
+                          lanes.position_error[0], lanes.orientation_error[0])
+        assert [type(value) for value in fields] == [bool, int, float, float]
+        assert one.success is (iterations is None)
+        assert iterations in (None, one.iterations)
 
 
 def test_rotation_errors_match_the_scalar_form(rng):

@@ -5,9 +5,12 @@ each pair of flags to each pair of ``PAIRED``, on a free and on a clamped
 base scenario.  The sweep-config slice sets each key of a one-point sweep
 config, and each component of its box corners, to each of ``YAML_VALUES``.
 The body-table slice sets each cell of the Face row to each of
-``CELL_VALUES`` and runs ``sweep``, ``limits`` and ``filter`` on it.  Every
-case must exit 0, 2, 3 or 4 (``simulate``: 0, 2 or 3), print one ``error:``
-line on failure and no warning, and write only finite numbers.
+``CELL_VALUES`` and runs ``sweep``, ``limits`` and ``filter`` on it.  The
+filter slice sets each key of a short filter scenario to each of
+``YAML_VALUES``, and each pair of its number keys to each pair of
+``PAIRED``; the ``limits`` slice sets each number flag to each of ``ALONE``.
+Every case must exit 0, 2, 3 or 4 (``simulate``: 0, 2 or 3), print one
+``error:`` line on failure and no warning, and write only finite numbers.
 """
 import itertools
 import json
@@ -166,4 +169,53 @@ def test_body_table_keeps_the_exit_code_contract(tmp_path, capsys):
                 reason, err = _breach(argv, capsys, out / command / artefact)
                 if reason:
                     broken.append((command, row, reason, err))
+    assert broken == []
+
+
+#: the filter scenario keys that take a number (some also take a word)
+FILTER_NUMBER_KEYS = ("contact_area", "robot_mass", "payload", "plant_mass",
+                      "budget", "duration", "period", "gain", "power_cap",
+                      "nominal_speed")
+
+#: the other filter scenario keys
+FILTER_OTHER_KEYS = ("region", "mode", "recycling", "velocity_filter")
+
+
+def _filter_cases() -> list[dict[str, str]]:
+    """A 0.01 s filter scenario with one key set to each of ``YAML_VALUES``,
+    or one pair of number keys set to each pair of ``PAIRED``."""
+    base = {"duration": "0.01"}
+    cases = [dict(base, **{key: value})
+             for key in FILTER_NUMBER_KEYS + FILTER_OTHER_KEYS
+             for value in YAML_VALUES]
+    for pair in itertools.combinations(FILTER_NUMBER_KEYS, 2):
+        cases += [dict(base, **dict(zip(pair, values)))
+                  for values in itertools.product(PAIRED, repeat=2)]
+    return cases
+
+
+def test_filter_scenario_keeps_the_exit_code_contract(tmp_path, capsys):
+    cases = _filter_cases()
+    assert len(cases) == 14 * len(YAML_VALUES) + 45 * len(PAIRED) ** 2
+    scenario, out = tmp_path / "filter.yaml", tmp_path / "out"
+    broken = []
+    for case in cases:
+        scenario.write_text(_yaml(case), encoding="utf-8")
+        reason, err = _breach(["filter", "--scenario", str(scenario),
+                               "--out", str(out)], capsys,
+                              out / "filter_summary.json")
+        if reason:
+            broken.append((case, reason, err))
+    assert broken == []
+
+
+def test_limits_flags_keep_the_exit_code_contract(tmp_path, capsys):
+    out = tmp_path / "out"
+    broken = []
+    for flag, value in itertools.product(("--mass", "--payload", "--area"),
+                                         ALONE):
+        reason, err = _breach(["limits", flag, value, "--format", "json",
+                               "--out", str(out)], capsys, out / "limits.json")
+        if reason:
+            broken.append((flag, value, reason, err))
     assert broken == []

@@ -22,7 +22,7 @@ from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
                      reflected_mass, robot_model_path, simulate_loop,
                      tank_init, tank_step, v0_max, velocity_bounds)
 from pflsafe.body import binding_criterion
-from pflsafe.dynamics import FLANGE_DOWN, ik_lockstep
+from pflsafe.dynamics import FLANGE_DOWN
 from pflsafe.cli import FilterScenario, _build_parser
 from pflsafe.schema import MAX_YAML_OPENERS, _Loader, read_mapping
 from pflsafe.sweep import SweepConfig, horizontal_directions, sphere_directions
@@ -278,12 +278,15 @@ LIBRARY_NUMBERS = [
      lambda x: inverse_kinematics(PANDA, _entry(x, TARGET), Q0), math.inf, None),
     ("inverse_kinematics", "seed",
      lambda x: inverse_kinematics(PANDA, TARGET, _entry(x, Q0)), math.inf, None),
-    ("ik_lockstep", "targets",
-     lambda x: ik_lockstep(PANDA, _entry(x, [TARGET]), [Q0]), math.inf, None),
-    ("ik_lockstep", "seeds",
-     lambda x: ik_lockstep(PANDA, [TARGET], _entry(x, [Q0])), -math.inf, None),
-    ("ik_lockstep", "orientation",
-     lambda x: ik_lockstep(PANDA, [TARGET], [Q0], _entry(x, FLANGE_DOWN)),
+    ("inverse_kinematics", "targets",
+     lambda x: inverse_kinematics(PANDA, _entry(x, [TARGET]), [Q0]),
+     math.inf, None),
+    ("inverse_kinematics", "seeds",
+     lambda x: inverse_kinematics(PANDA, [TARGET], _entry(x, [Q0])),
+     -math.inf, None),
+    ("inverse_kinematics", "orientation",
+     lambda x: inverse_kinematics(PANDA, [TARGET], [Q0],
+                                  _entry(x, FLANGE_DOWN)),
      math.inf, None),
     ("v0_max_array", "u_s_max", lambda x: v0_max(_entry(x, U2), M2, H2),
      0.0, 5e-324),

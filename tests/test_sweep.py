@@ -81,7 +81,6 @@ def test_config_validation():
 def test_tiny_sweep_counts(tiny_result):
     assert tiny_result.n_grid == 27
     assert tiny_result.n_reachable == 27  # box chosen fully reachable
-    assert tiny_result.n_unreachable == 0
     assert tiny_result.reflected_masses.shape == (27, 6)
     assert np.all(np.isfinite(tiny_result.reflected_masses))
     assert tiny_result.iso_mass == pytest.approx(5.545724, abs=1e-9)
@@ -314,7 +313,7 @@ def test_reach_ball_only_skips_points_that_fail(panda, body_table,
         assert all(not r.success and r.iterations == 200 for r in unskipped)
         assert np.array_equal(with_proof.reflected_masses,
                               without.reflected_masses)
-        for name in ("n_grid", "n_reachable", "n_unreachable", "n_singular",
+        for name in ("n_grid", "n_reachable", "n_singular",
                      "n_constrained_directions"):
             assert getattr(with_proof, name) == getattr(without, name), name
         assert (with_proof.n_reachable, with_proof.n_rejected,
@@ -452,7 +451,7 @@ def test_boxstats_json(tiny_result, tmp_path):
     assert payload["constant_effective_mass_kg"] == pytest.approx(5.545724)
     face = payload["regions"]["face"]
     key = f"{ContactMode.TRANSIENT.value}|{MassSource.REFLECTED.value}"
-    st = tiny_result.stats("face", ContactMode.TRANSIENT, MassSource.REFLECTED)
+    st = tiny_result.stats["face", ContactMode.TRANSIENT]
     assert face[key]["median"] == st.median
     assert payload == boxstats_payload(tiny_result)
 
