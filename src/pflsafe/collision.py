@@ -151,34 +151,34 @@ def peak_contact_state(scenario: CollisionScenario) -> CollisionOutcome:
     )
 
 
-def _rk4_step(state: tuple[float, float, float], h: float,
+def _rk4_step(v_r: float, v_h: float, dx: float, h: float,
               m_r: float, m_h: float, k: float) -> tuple[float, float, float]:
-    """One classic Runge-Kutta step of the in-contact dynamics.  A clamped
-    contact (m_h = inf) needs no branch: f / m_h is exactly 0.0."""
+    """One classic Runge-Kutta step of the in-contact dynamics, on floats:
+    stage j's slopes are the robot's acceleration ``r``, the body part's
+    ``u`` and the compression rate ``d``.  A clamped contact (m_h = inf)
+    needs no branch: f / m_h is exactly 0.0."""
+    half = 0.5 * h
+    f = k * dx
+    r1, u1, d1 = -f / m_r, f / m_h, v_r - v_h
+    f = k * (dx + half * d1)
+    r2, u2, d2 = -f / m_r, f / m_h, (v_r + half * r1) - (v_h + half * u1)
+    f = k * (dx + half * d2)
+    r3, u3, d3 = -f / m_r, f / m_h, (v_r + half * r2) - (v_h + half * u2)
+    f = k * (dx + h * d3)
+    r4, u4, d4 = -f / m_r, f / m_h, (v_r + h * r3) - (v_h + h * u3)
+    sixth = h / 6.0
+    return (v_r + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4),
+            v_h + sixth * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
+            dx + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
 
-    def deriv(v_r: float, v_h: float, dx: float) -> tuple[float, float, float]:
-        f = k * dx
-        return (-f / m_r, f / m_h, v_r - v_h)
 
-    v_r, v_h, dx = state
-    a1 = deriv(v_r, v_h, dx)
-    a2 = deriv(v_r + 0.5 * h * a1[0], v_h + 0.5 * h * a1[1], dx + 0.5 * h * a1[2])
-    a3 = deriv(v_r + 0.5 * h * a2[0], v_h + 0.5 * h * a2[1], dx + 0.5 * h * a2[2])
-    a4 = deriv(v_r + h * a3[0], v_h + h * a3[1], dx + h * a3[2])
-    return (
-        v_r + h / 6.0 * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-        v_h + h / 6.0 * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-        dx + h / 6.0 * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
-    )
-
-
-def _release_time(state: tuple[float, float, float], h: float,
+def _release_time(v_r: float, v_h: float, dx: float, h: float,
                   m_r: float, m_h: float, k: float) -> float:
     """Bisect the sub-step time at which compression returns to zero."""
     lo, hi = 0.0, h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _rk4_step(state, mid, m_r, m_h, k)[2] > 0.0:
+        if _rk4_step(v_r, v_h, dx, mid, m_r, m_h, k)[2] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -200,22 +200,22 @@ def simulate(scenario: CollisionScenario,
     if scenario.v0 == 0.0:
         return CollisionTrajectory(t, *np.zeros((3, _SAMPLES)), dt), _AT_REST
 
-    v_r, v_h, dx = np.empty((3, _SAMPLES))
-    v_r[0], v_h[0], dx[0] = state = (scenario.v0, 0.0, 0.0)
     m_r, m_h, k = scenario.m_r, scenario.m_h, scenario.k
-    released = False
-    for i in range(1, _SAMPLES):
-        if not released:
-            new = _rk4_step(state, dt, m_r, m_h, k)
-            if new[2] < 0.0 and state[2] > 0.0:
-                # surfaces separate inside this step: advance to the exact
-                # crossing, then coast (free flight is integrated exactly)
-                tau = _release_time(state, dt, m_r, m_h, k)
-                new = _rk4_step(state, tau, m_r, m_h, k)[:2] + (0.0,)
-                released = True
-            state = new
-        v_r[i], v_h[i], dx[i] = state
+    states = [(scenario.v0, 0.0, 0.0)]
+    v_r, v_h, dx = states[0]
+    while len(states) < _SAMPLES:
+        new = _rk4_step(v_r, v_h, dx, dt, m_r, m_h, k)
+        if new[2] < 0.0 and dx > 0.0:
+            # surfaces separate inside this step: advance to the exact
+            # crossing, then coast (free flight is integrated exactly)
+            tau = _release_time(v_r, v_h, dx, dt, m_r, m_h, k)
+            new = _rk4_step(v_r, v_h, dx, tau, m_r, m_h, k)[:2] + (0.0,)
+            states += [new] * (_SAMPLES - len(states))
+            break
+        states.append(new)
+        v_r, v_h, dx = new
 
+    v_r, v_h, dx = np.array(states).T.copy()
     traj = CollisionTrajectory(t=t, v_r=v_r, v_h=v_h, dx=dx, dt=dt)
     return traj, _extract_outcome(scenario, traj)
 

@@ -546,7 +546,7 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     A (3,) target with an (n,) seed gives an ``IKResult`` of Python scalars.
     (B, 3) targets with (B, n) seeds run B lanes in lockstep, lane b solving
     for ``target[b]`` from ``seed[b]``, and give (B,) arrays; one target is
-    a batch of one.  Each lane stops when it converges or spends its budget,
+    a batch of one, and an empty stack a batch of zero.  Each lane stops when it converges or spends its budget,
     and every iteration works on the lanes still running only, so a lane's
     iterates are bit for bit those of a call with that lane alone.
 
@@ -588,6 +588,8 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
                    iterations=np.zeros(lanes, dtype=int),
                    position_error=np.full(lanes, math.inf),
                    orientation_error=np.full(lanes, math.inf))
+    if not lanes:  # an empty stack: a batch of zero
+        return out
     live = np.arange(lanes)
     for iteration in range(IK_MAX_ITER + 1):
         pose, jac = _contact_kinematics(model, _frames(model, q))

@@ -118,17 +118,22 @@ def _tank_grant(energy: float, budget: float, injected: float,
     return granted, energy_new, injected, recycled
 
 
-def filter_velocity(nominal: float, limit: SpeedLimit) -> float:
+def filter_velocity(nominal, limit: SpeedLimit):
     """Clamp a commanded speed into [-v0_max, +v0_max].
 
     This is the minimal intervention for a scalar bound: admissible
     commands pass unchanged, so the filter is idempotent.  An infinite
     command saturates at -v0_max or +v0_max; a NaN one is an error.
+    ``nominal`` is a float or an array, clamped entry by entry; a float
+    gives a float.  Each entry is ``max(-v0_max, min(v0_max, x))`` bit for
+    bit, signed zeros included (``np.clip`` gives +0.0 where that gives
+    -0.0 at ``v0_max == 0``).
     """
-    if math.isnan(nominal):  # max and min would pass it on as +v0_max
-        raise InputError("filter_velocity: nominal must be a number, got nan")
+    x = number("filter_velocity", "nominal", nominal, allow_inf=True)
     v_max = limit.v0_max
-    return max(-v_max, min(v_max, nominal))
+    clamped = np.where(x < v_max, x, v_max)
+    clamped = np.where(clamped > -v_max, clamped, -v_max)
+    return float(clamped) if clamped.ndim == 0 else clamped
 
 
 @dataclass(eq=False)
@@ -158,12 +163,13 @@ def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
     """Run the filtered velocity loop for ``duration`` seconds.
 
     The plant of ``mass`` starts from rest and the tank full, holding
-    ``budget``.  ``nominal_profile`` maps time to the desired speed.  Each
-    ``period``: clamp the nominal speed to ``limit`` (if the velocity
-    filter is on), compute the proportional control force, ask the tank
-    for the work that force would do over the step, then apply the force
-    scaled so its work equals the granted energy exactly.  Dissipative
-    steps bypass the tank grant and may refill it (with ``recycling``).
+    ``budget``.  ``nominal_profile`` maps time to the desired speed; it is
+    called for every step before the first one runs.  Each ``period``:
+    clamp the nominal speed to ``limit`` (if the velocity filter is on),
+    compute the proportional control force, ask the tank for the work that
+    force would do over the step, then apply the force scaled so its work
+    equals the granted energy exactly.  Dissipative steps bypass the tank
+    grant and may refill it (with ``recycling``).
     """
     dt = number("simulate_loop", "period", period, gt=0)
     if power_cap is not None:
@@ -180,29 +186,29 @@ def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
         raise InputError(f"duration / period = {steps:.4g} steps: over the cap "
                          f"of {MAX_FILTER_STEPS:,}")
     n = int(round(steps)) + 1
-    log = LoopLog(
-        t=np.arange(n) * dt,
-        v_nominal=np.empty(n), v_commanded=np.empty(n), velocity=np.empty(n),
-        ke=np.empty(n), tank_energy=np.empty(n), injected_cum=np.empty(n))
+    t = np.arange(n) * dt
+    times = t.tolist()
+    # the profile is read for every step up front, and clamped in one call
+    # up to its first NaN, which stops the loop at its own step
+    v_nom = np.array([float(nominal_profile(ti)) for ti in times])
+    nan = np.flatnonzero(np.isnan(v_nom))
+    stop = int(nan[0]) if nan.size else n
+    v_cmd = (filter_velocity(v_nom[:stop], limit) if velocity_filter
+             else v_nom[:stop].copy())
 
+    velocity, tank_energy, injected_cum = [], [], []
     v, energy, injected, recycled = 0.0, budget, 0.0, 0.0
-    for i in range(n):
-        t = i * dt
-        v_nom = float(nominal_profile(t))
-        if math.isnan(v_nom):
-            raise InputError(f"simulate_loop: nominal speed at t = {t!r} s is nan")
-        v_cmd = filter_velocity(v_nom, limit) if velocity_filter else v_nom
-
-        force = gain * (v_cmd - v)
+    for ti, command in zip(times, v_cmd.tolist()):
+        force = gain * (command - v)
         # ungated candidate step and the exact work it would perform
         v_next = v + force / m * dt
         work = 0.5 * m * (v_next * v_next - v * v)
         power = work / dt
         if not math.isfinite(power):
             raise InputError(
-                f"simulate_loop: the commanded speed {v_cmd!r} m/s (plant at "
+                f"simulate_loop: the commanded speed {command!r} m/s (plant at "
                 f"{v!r} m/s, gain {gain!r} N s/m) over a period of {dt!r} s "
-                f"asks for non-finite power at t = {t!r} s")
+                f"asks for non-finite power at t = {ti!r} s")
         granted, energy, injected, recycled = _tank_grant(
             energy, budget, injected, recycled, recycling, power, dt, power_cap)
         e_grant = granted * dt
@@ -210,13 +216,17 @@ def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
             # throttled injection: apply the force scaled so its work over
             # the step equals the granted energy exactly
             v_next = math.copysign(math.sqrt(max(v * v + 2.0 * e_grant / m, 0.0)),
-                                   v_next if v_next != 0.0 else v_cmd - v)
+                                   v_next if v_next != 0.0 else command - v)
         v = v_next
+        velocity.append(v)
+        tank_energy.append(energy)
+        injected_cum.append(injected)
+    if stop < n:
+        raise InputError(f"simulate_loop: nominal speed at t = {times[stop]!r} "
+                         f"s is nan")
 
-        log.v_nominal[i] = v_nom
-        log.v_commanded[i] = v_cmd
-        log.velocity[i] = v
-        log.ke[i] = 0.5 * m * v * v
-        log.tank_energy[i] = energy
-        log.injected_cum[i] = injected
-    return log
+    velocity = np.array(velocity)
+    return LoopLog(t=t, v_nominal=v_nom, v_commanded=v_cmd, velocity=velocity,
+                   ke=0.5 * m * velocity * velocity,
+                   tank_energy=np.array(tank_energy),
+                   injected_cum=np.array(injected_cum))

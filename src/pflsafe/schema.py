@@ -147,12 +147,12 @@ def flag(what: str, key: str, value) -> bool:
 CSV_BLOCK_ROWS = 512
 
 
-def _repr_cells(column: np.ndarray) -> list[str]:
-    """The ``repr`` of each entry of a contiguous float64 column, made once
-    per distinct bit pattern: by value ``-0.0 == 0.0``, and the two would
-    share a cell."""
+def distinct_cells(column: np.ndarray, fmt=repr) -> list[str]:
+    """``fmt`` of each entry of a contiguous float64 column, made once per
+    distinct bit pattern: by value ``-0.0 == 0.0``, and the two would share
+    a cell."""
     bits, where = np.unique(column.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(np.float64).tolist()))
+    text = list(map(fmt, bits.view(np.float64).tolist()))
     return list(map(text.__getitem__, where.tolist()))
 
 
@@ -165,13 +165,13 @@ def write_csv(path: str | Path, header: Iterable[str], columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, CSV_BLOCK_ROWS):
-            cells = [_repr_cells(c[start:start + CSV_BLOCK_ROWS])
+            cells = [distinct_cells(c[start:start + CSV_BLOCK_ROWS])
                      for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(obj, path: str | Path) -> None:
     """Write ``obj`` as sorted, 2-space-indented JSON and a final newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

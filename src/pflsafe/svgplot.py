@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .schema import number
+from .schema import distinct_cells, number
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -94,8 +94,9 @@ class _Canvas:
             f'height="{_fmt(h)}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"/>')
 
-    def polyline(self, xs: list[float], ys: list[float], stroke, width=1.5):
-        pts = " ".join(map("{:.6g},{:.6g}".format, xs, ys))
+    def polyline(self, xs: list[str], ys: list[str], stroke, width=1.5):
+        """A polyline through the points of the formatted coordinates."""
+        pts = " ".join(map(",".join, zip(xs, ys)))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}"/>')
@@ -187,9 +188,16 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
                    "#888", 1.0, dash="5,4")
             c.text(margin_l + plot_w - 4, sy(value) - 4, label, size=10,
                    anchor="end", fill="#555")
+    # each distinct pixel is formatted once; series on bit-equal x arrays
+    # (one time base) share their x cells, and -0.0 keeps apart from 0.0
+    x_cells: dict[bytes, list[str]] = {}
     for idx, (label, (xa, ya)) in enumerate(arrays.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        c.polyline(sx(xa).tolist(), sy(ya).tolist(), stroke=color)
+        key = xa.tobytes()
+        if key not in x_cells:
+            x_cells[key] = distinct_cells(sx(xa), _fmt)
+        c.polyline(x_cells[key], distinct_cells(sy(ya), _fmt),
+                   stroke=color)
         c.text(margin_l + plot_w - 4, margin_t + 14 + 14 * idx, label,
                size=11, anchor="end", fill=color)
     if title:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from pflsafe.collision import (CollisionScenario, _extract_outcome,
-                               natural_period, peak_contact_state, simulate,
-                               total_energy)
+                               _release_time, _rk4_step, natural_period,
+                               peak_contact_state, simulate, total_energy)
 from pflsafe.errors import InputError
 
 # hand-evaluated closed forms for (m_r=3, m_h=1, k=5, v0=1):
@@ -262,3 +262,62 @@ def test_trajectory_matches_linear_oscillator_until_release(rng):
         assert np.max(np.abs(traj.dx[contact] - dx)) < 1e-9 * v0 / omega
         assert np.max(np.abs(traj.v_r[contact] - v_r)) < 1e-9 * v0
         assert np.max(np.abs(traj.v_h[contact] - v_h)) < 1e-9 * v0
+
+
+def _closure_rk4_step(state, h, m_r, m_h, k):
+    """The reference step: one slope closure, each stage a tuple."""
+
+    def deriv(v_r, v_h, dx):
+        f = k * dx
+        return (-f / m_r, f / m_h, v_r - v_h)
+
+    v_r, v_h, dx = state
+    a1 = deriv(v_r, v_h, dx)
+    a2 = deriv(v_r + 0.5 * h * a1[0], v_h + 0.5 * h * a1[1], dx + 0.5 * h * a1[2])
+    a3 = deriv(v_r + 0.5 * h * a2[0], v_h + 0.5 * h * a2[1], dx + 0.5 * h * a2[2])
+    a4 = deriv(v_r + h * a3[0], v_h + h * a3[1], dx + h * a3[2])
+    return (
+        v_r + h / 6.0 * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
+        v_h + h / 6.0 * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
+        dx + h / 6.0 * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]),
+    )
+
+
+def _closure_trajectory(scenario):
+    """The reference integration: every sample stepped with the closure
+    step, the release found by bisecting it; returns the (v_r, v_h, dx)
+    rows and the release time."""
+    dt = natural_period(scenario) / 1000.0
+    m_r, m_h, k = scenario.m_r, scenario.m_h, scenario.k
+    state, rows, tau = (scenario.v0, 0.0, 0.0), [(scenario.v0, 0.0, 0.0)], None
+    for _ in range(1, 751):
+        if tau is None:
+            new = _closure_rk4_step(state, dt, m_r, m_h, k)
+            if new[2] < 0.0 and state[2] > 0.0:
+                lo, hi = 0.0, dt
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    if _closure_rk4_step(state, mid, m_r, m_h, k)[2] > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                tau = 0.5 * (lo + hi)
+                assert _release_time(*state, dt, m_r, m_h, k) == tau
+                new = _closure_rk4_step(state, tau, m_r, m_h, k)[:2] + (0.0,)
+            else:
+                assert _rk4_step(*state, dt, m_r, m_h, k) == new
+            state = new
+        rows.append(state)
+    return np.array(rows).T, tau
+
+
+@pytest.mark.parametrize("scenario", [FREE, CLAMPED,
+                                      CollisionScenario(7.3, 4.4, 7.5e4, 0.2)],
+                         ids=["free", "clamped", "free-stiff"])
+def test_rk4_step_matches_the_closure_step(scenario):
+    (v_r, v_h, dx), tau = _closure_trajectory(scenario)
+    traj, _ = simulate(scenario)
+    assert tau is not None  # the trajectory runs through the release
+    for name, column in (("v_r", v_r), ("v_h", v_h), ("dx", dx)):
+        assert np.array_equal(getattr(traj, name).view(np.int64),
+                              column.view(np.int64)), name

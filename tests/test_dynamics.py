@@ -808,6 +808,18 @@ def test_one_target_is_a_batch_of_one(panda):
         assert iterations in (None, one.iterations)
 
 
+@pytest.mark.parametrize("orientation", [None, FLANGE_DOWN],
+                         ids=["point", "flange-down"])
+def test_an_empty_stack_is_a_batch_of_zero(panda, orientation):
+    result = inverse_kinematics(panda, np.zeros((0, 3)),
+                                np.zeros((0, panda.n)), orientation)
+    assert result.q.shape == (0, panda.n)
+    fields = (result.success, result.iterations, result.position_error,
+              result.orientation_error)
+    assert [field.shape for field in fields] == [(0,)] * 4
+    assert [field.dtype.kind for field in fields] == ["b", "i", "f", "f"]
+
+
 def test_rotation_errors_match_the_scalar_form(rng):
     rotations = [rpy_matrix(*rng.uniform(-math.pi, math.pi, 3))
                  for _ in range(200)]

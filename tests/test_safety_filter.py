@@ -176,6 +176,36 @@ def test_filter_saturates_an_infinite_command_and_rejects_nan(face_limit):
                           0.01, PERIOD, velocity_filter=velocity_filter)
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("v0_max", [None, 0.0], ids=["face", "zero-limit"])
+def test_filter_on_an_array_matches_the_float_form(face_limit, v0_max):
+    limit = (face_limit if v0_max is None
+             else dataclasses.replace(face_limit, v0_max=v0_max, k0_max=0.0))
+    v = limit.v0_max
+    nominal = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, v, -v,
+               0.5 * v, 10.0, -10.0]
+    singles = [filter_velocity(x, limit) for x in nominal]
+    assert {type(x) for x in singles} == {float}
+    # bit for bit, signed zeros included: np.clip gives +0.0 for x >= 0 at
+    # v0_max == 0, where the scalar min and max give -0.0
+    assert (_bits(filter_velocity(np.array(nominal), limit)) == _bits(singles)
+            == _bits([max(-v, min(v, x)) for x in nominal]))
+    with pytest.raises(InputError, match="^filter_velocity: nominal must be "):
+        filter_velocity(np.array([0.0, math.nan, 1.0]), limit)
+
+
+def test_loop_raises_the_first_error_by_step(face_limit):
+    # a non-finite power at step 2 comes before the NaN at step 5
+    speeds = {2: math.inf, 5: math.nan}
+    with pytest.raises(InputError, match=r"non-finite power at t = 0\.002 s"):
+        simulate_loop(face_limit, MASS,
+                      lambda t: speeds.get(round(t / PERIOD), 0.1), 1.0,
+                      0.01, PERIOD, velocity_filter=False)
+
+
 def test_filter_config_validation(face_limit):
     with pytest.raises(InputError, match="^simulate_loop: period"):
         simulate_loop(face_limit, MASS, lambda t: 1.0, 1.0, 0.01, 0.0)

@@ -150,6 +150,15 @@ ORACLE_CHARTS = {
          "speed": (_T, 0.3 * (1.0 - np.exp(-_T / 0.05))),
          "tank": (_T, np.maximum(0.05 - 0.04 * _T, 0.0))},
         {"hlines": {"v0_max": 0.3}, "xlabel": "time [s]"}),
+    "four series on one time base": (
+        {"nominal": (_T, np.full_like(_T, 0.6)),
+         "commanded": (_T, np.full_like(_T, 0.3)),
+         "speed": (_T, 0.3 * (1.0 - np.exp(-_T / 0.05))),
+         "tank": (_T, np.maximum(0.05 - 0.04 * _T, 0.0))},
+        {"hlines": {"v0_max": 0.3}, "xlabel": "time [s]"}),
+    "x arrays apart by a signed zero": (
+        {"a": (np.array([0.0, 0.5, 1.0]), [0.2, 0.4, 0.1]),
+         "b": (np.array([-0.0, 0.5, 1.0]), [0.3, -0.0, 0.0])}, {}),
 }
 
 
