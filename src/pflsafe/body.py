@@ -70,6 +70,8 @@ class ContactMode(enum.Enum):
     QUASI_STATIC_FREE = "quasi_static_free"
     QUASI_STATIC_CLAMPED = "quasi_static_clamped"
 
+    __hash__ = object.__hash__  # a member is its own key: no name to hash
+
 
 def normalize_region(name: str) -> str:
     """Map a region label or id to its canonical id (lossy, lowercase)."""

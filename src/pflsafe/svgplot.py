@@ -16,6 +16,16 @@ from .schema import distinct_cells, number
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
+#: outer radius of a star marker [px]; the inner corners sit at 0.4 of it
+_STAR_RADIUS = 5.0
+
+#: a star's ten corners relative to its centre, outer first, from the top
+_STAR = tuple(
+    (radius * math.cos(angle), radius * math.sin(angle))
+    for radius, angle in (
+        (_STAR_RADIUS if i % 2 == 0 else 0.4 * _STAR_RADIUS,
+         -math.pi / 2 + i * math.pi / 5) for i in range(10)))
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
@@ -76,6 +86,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 
 class _Canvas:
+    """SVG elements as text; every number is one ``:.6g`` field."""
+
     def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
@@ -84,38 +96,34 @@ class _Canvas:
     def line(self, x1, y1, x2, y2, stroke="#000", width=1.0, dash=None):
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{_fmt(width)}"'
+            f'<line x1="{x1:.6g}" y1="{y1:.6g}" x2="{x2:.6g}" '
+            f'y2="{y2:.6g}" stroke="{stroke}" stroke-width="{width:.6g}"'
             f'{dash_attr}/>')
 
     def rect(self, x, y, w, h, fill="none", stroke="#000", width=1.0):
         self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>')
+            f'<rect x="{x:.6g}" y="{y:.6g}" width="{w:.6g}" '
+            f'height="{h:.6g}" fill="{fill}" stroke="{stroke}" '
+            f'stroke-width="{width:.6g}"/>')
 
     def polyline(self, xs: list[str], ys: list[str], stroke, width=1.5):
         """A polyline through the points of the formatted coordinates."""
         pts = " ".join(map(",".join, zip(xs, ys)))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}"/>')
+            f'stroke-width="{width:.6g}"/>')
 
     def text(self, x, y, s, size=11, anchor="middle", rotate=None, fill="#000"):
-        transform = (f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"'
+        transform = (f' transform="rotate({rotate:.6g} {x:.6g} {y:.6g})"'
                      if rotate is not None else "")
         self.parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
+            f'<text x="{x:.6g}" y="{y:.6g}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
             f'fill="{fill}"{transform}>{_esc(s)}</text>')
 
-    def star(self, x, y, r, fill):
-        pts = []
-        for i in range(10):
-            radius = r if i % 2 == 0 else 0.4 * r
-            angle = -math.pi / 2 + i * math.pi / 5
-            pts.append((x + radius * math.cos(angle), y + radius * math.sin(angle)))
-        path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+    def star(self, x, y, fill):
+        """A five-pointed star of radius ``_STAR_RADIUS`` centred on (x, y)."""
+        path = " ".join([f"{x + dx:.6g},{y + dy:.6g}" for dx, dy in _STAR])
         self.parts.append(
             f'<polygon points="{path}" fill="{fill}" stroke="#000" '
             f'stroke-width="0.6"/>')
@@ -246,8 +254,10 @@ def grouped_boxplot(groups: Sequence[str],
     for tick in _nice_ticks(y_lo, y_hi):
         c.line(margin_l - 4, sy(tick), margin_l, sy(tick), "#444")
         c.line(margin_l, sy(tick), margin_l + plot_w, sy(tick), "#ddd", 0.5)
-        c.text(margin_l - 8, sy(tick) + 3.5, _fmt(tick), size=10, anchor="end")
+        c.text(margin_l - 8, sy(tick) + 3.5, f"{tick:.6g}", size=10,
+               anchor="end")
 
+    third, half = box_w / 3, box_w / 2
     for g_idx, group in enumerate(groups):
         center = margin_l + (g_idx + 0.5) * group_w
         c.text(center, margin_t + plot_h + 14, group, size=10, anchor="end",
@@ -258,20 +268,18 @@ def grouped_boxplot(groups: Sequence[str],
             st = stats_row[g_idx]
             x = center + offsets[s_idx]
             color = _PALETTE[s_idx % len(_PALETTE)]
-            c.line(x, sy(st.whisker_lo), x, sy(st.q1), color)
-            c.line(x, sy(st.q3), x, sy(st.whisker_hi), color)
-            c.line(x - box_w / 3, sy(st.whisker_lo), x + box_w / 3,
-                   sy(st.whisker_lo), color)
-            c.line(x - box_w / 3, sy(st.whisker_hi), x + box_w / 3,
-                   sy(st.whisker_hi), color)
-            c.rect(x - box_w / 2, sy(st.q3), box_w, sy(st.q1) - sy(st.q3),
-                   fill="#fff", stroke=color, width=1.4)
-            c.line(x - box_w / 2, sy(st.median), x + box_w / 2, sy(st.median),
-                   color, 1.6)
+            lo, q1, median, q3, hi = map(sy, (st.whisker_lo, st.q1, st.median,
+                                              st.q3, st.whisker_hi))
+            c.line(x, lo, x, q1, color)
+            c.line(x, q3, x, hi, color)
+            c.line(x - third, lo, x + third, lo, color)
+            c.line(x - third, hi, x + third, hi, color)
+            c.rect(x - half, q3, box_w, q1 - q3, fill="#fff", stroke=color,
+                   width=1.4)
+            c.line(x - half, median, x + half, median, color, 1.6)
         for s_idx, row in enumerate(stars.values()):
             x = center + offsets[s_idx % max(n_series, 1)]
-            c.star(x, sy(float(row[g_idx])), 5.0,
-                   _PALETTE[s_idx % len(_PALETTE)])
+            c.star(x, sy(float(row[g_idx])), _PALETTE[s_idx % len(_PALETTE)])
 
     for s_idx, label in enumerate(boxes):
         color = _PALETTE[s_idx % len(_PALETTE)]

@@ -34,7 +34,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .body import BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS
+from .body import (BodyRegionTable, ContactMode, REGION_IDS, REGION_LABELS,
+                   max_elastic_energy)
 from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        inverse_kinematics, iso_effective_mass, manipulability,
                        reflected_mass)
@@ -60,6 +61,8 @@ class MassSource(enum.Enum):
     REFLECTED = "reflected"   # directional m_u(q) at the contact point
     CONSTANT = "constant"     # half moving mass + payload
 
+    __hash__ = object.__hash__  # a member is its own key: no name to hash
+
 
 ALL_COMBOS: tuple[tuple[ContactMode, MassSource], ...] = tuple(
     (mode, source)
@@ -68,6 +71,10 @@ ALL_COMBOS: tuple[tuple[ContactMode, MassSource], ...] = tuple(
     for source in (MassSource.REFLECTED, MassSource.CONSTANT))
 
 BASELINE_COMBO = (ContactMode.TRANSIENT, MassSource.REFLECTED)
+
+#: each pair's (mode, mass source) words in the artefacts, in ALL_COMBOS order
+_COMBO_WORDS: Mapping[tuple[ContactMode, MassSource], tuple[str, str]] = {
+    (mode, source): (mode.value, source.value) for mode, source in ALL_COMBOS}
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,33 @@ def _default_seed(model: ManipulatorModel) -> np.ndarray:
                   where=bounded)
 
 
+def _constant_limits(table: BodyRegionTable, iso_mass: float,
+                     contact_area: float) -> tuple[list, np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """The (region, mode) rows in table x mode order, and their budgets
+    u_s_max, body-part masses m_h and constant-mass speed limits, each a
+    (rows, 1) column from one broadcast ``v0_max`` call.  Where a row may
+    fail, ``compute_limit`` runs row by row: the first failing row raises
+    its own error."""
+    rows = [(params, mode) for params in table for mode in ContactMode]
+    try:
+        u_s_max = np.array([[max_elastic_energy(params, mode, contact_area)]
+                            for params, mode in rows])
+        m_h = np.array([[body_part_mass(params, mode)] for params, mode in rows])
+        limits = v0_max(u_s_max, iso_mass, m_h)
+        # then compute_limit's k0_max = m v^2 / 2 is finite, however it
+        # rounds v^2
+        with np.errstate(over="ignore", invalid="ignore"):
+            v2 = limits ** 2
+            checked = bool(np.all((v2 < 1e300) & (iso_mass * v2 < 1e300)))
+    except InputError:
+        checked = False
+    if not checked:
+        for params, mode in rows:
+            compute_limit(table, params.region_id, mode, iso_mass, contact_area)
+    return rows, u_s_max, m_h, limits
+
+
 def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
               config: SweepConfig = SweepConfig()) -> SweepResult:
     """Sweep the box and build speed-limit distributions per region/mode."""
@@ -257,11 +291,8 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             f"constant effective mass (half the moving link mass + payload) "
             f"is {iso_mass!r} kg with payload {config.payload!r} kg; it must "
             f"be > 0: mark a link as moving or set a payload")
-    # every limit on the constant mass, and every budget, before any IK
-    constant = {(params.region_id, mode):
-                compute_limit(table, params.region_id, mode, iso_mass,
-                              config.contact_area)
-                for params in table for mode in ContactMode}
+    rows, u_s_max, m_h, constant = _constant_limits(table, iso_mass,
+                                                    config.contact_area)
 
     # one scanline per (z, y): deterministic order, warm start along x
     payloads = []
@@ -291,21 +322,19 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         raise NumericalError("no reachable grid points in the configured box")
     flat_masses = reflected.reshape(-1)
 
-    # every reflected-mass limit in one call, a row per key of ``constant``
-    u_s_max = np.array([[limit.u_s_max] for limit in constant.values()])
-    m_h = np.array([[body_part_mass(table[rid], m)] for rid, m in constant])
+    # every reflected-mass limit in one call, a row per (region, mode) row
     try:  # only a reflected-mass limit can overflow here
         limits = v0_max(u_s_max, flat_masses, m_h)
     except InputError:  # name the first row that overflows
-        for (rid, mode), u, h in zip(constant, u_s_max, m_h):
+        for (params, mode), u, h in zip(rows, u_s_max, m_h):
             try:
                 v0_max(u, flat_masses, h)
             except InputError as exc:
-                raise InputError(f"{table[rid].label} {mode.value}: {exc}") from None
+                raise InputError(f"{params.label} {mode.value}: {exc}") from None
     samples = {}
-    for ((rid, mode), limit), row in zip(constant.items(), limits):
-        samples[rid, mode, MassSource.REFLECTED] = row
-        samples[rid, mode, MassSource.CONSTANT] = np.array([limit.v0_max])
+    for (params, mode), row, value in zip(rows, limits, constant):
+        samples[params.region_id, mode, MassSource.REFLECTED] = row
+        samples[params.region_id, mode, MassSource.CONSTANT] = value
 
     return SweepResult(
         config=config,
@@ -379,19 +408,20 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("region,mode,mass_source,sample\n")
         for rid in REGION_IDS:
-            for mode, source in ALL_COMBOS:
-                prefix = f"{rid},{mode.value},{source.value},"
-                values = result.samples[(rid, mode, source)].tolist()
+            for (mode, source), (m, s) in _COMBO_WORDS.items():
+                prefix = f"{rid},{m},{s},"
+                values = result.samples[rid, mode, source].tolist()
                 if values:  # else the join would write one bare prefix
                     fh.write(prefix + ("\n" + prefix).join(map(repr, values)) + "\n")
 
 
 def write_scaling_csv(rows: tuple[ScalingRow, ...], path: str | Path) -> None:
     combos = sorted({combo for row in rows for combo in row.scaling_pct},
-                    key=lambda c: (c[0].value, c[1].value))
+                    key=_COMBO_WORDS.__getitem__)
+    words = [_COMBO_WORDS[combo] for combo in combos]
     header = ["region", "baseline_mean_mps"]
-    header += [f"pct_{m.value}_{s.value}" for m, s in combos]
-    header += [f"worst_pct_{m.value}_{s.value}" for m, s in combos]
+    header += [f"pct_{m}_{s}" for m, s in words]
+    header += [f"worst_pct_{m}_{s}" for m, s in words]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -416,9 +446,9 @@ def boxstats_payload(result: SweepResult) -> dict:
     }
     for rid in REGION_IDS:
         entry: dict = {}
-        for mode, source in ALL_COMBOS:
+        for (mode, source), (m, s) in _COMBO_WORDS.items():
             key = (rid, mode, source)
-            name = f"{mode.value}|{source.value}"
+            name = f"{m}|{s}"
             if source is MassSource.CONSTANT:
                 entry[name] = {"value": float(result.samples[key][0])}
             else:

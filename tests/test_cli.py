@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,22 @@ TINY_MASS = 1.0e-3
 #: it is not, so that every speed limit on the Face overflows
 OVERFLOW_K = 2.1e-308
 
+#: the whole error line of each sweep config contact area, and of the Face
+#: stiffness ``OVERFLOW_K``, in ``test_malformed_input_exits_3``
+SWEEP_ERRORS = {
+    0: "sweep config: contact_area must be > 0, got 0.0",
+    1.0e-300:
+        "Skull/Forehead transient: contact_area = 1e-300 cm^2 leaves an "
+        "elastic energy budget F^2 / 2k of 0.0 J; it must be > 0",
+    HUGE_AREA:
+        "Chest transient: f_max_qs_N = 1e+200 at contact_area = 1e+300 cm^2 "
+        "gives an elastic energy budget F^2 / 2k of inf J; it must be finite",
+    OVERFLOW_K:
+        "Face transient, robot_mass = 5.545724 kg: v0_max: u_s_max = "
+        "1.005952380952381e+308 J, m_r = 5.545724 kg and m_h = 4.4 kg give "
+        "an infinite speed limit; it must be finite",
+}
+
 
 @pytest.mark.parametrize("command, key, value", [
     ("filter", "budget", "lots"),
@@ -428,6 +448,10 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
         # the constant-mass limit, checked before any IK, names the region
         assert err.startswith("error: Face transient, robot_mass = ")
         assert "v0_max: u_s_max = " in err and not (tmp_path / "o").exists()
+    if command == "sweep" and key in ("contact_area", "u_s_max"):
+        # a budget or limit names the first failing (region, mode) row, in
+        # table x mode order
+        assert err == f"error: {SWEEP_ERRORS[value]}\n"
 
 
 @pytest.mark.parametrize("mr, mh, k, v0, keys", [
@@ -703,6 +727,31 @@ def test_a_warm_loader_cache_writes_the_same_bytes(tmp_path, capsys, argv,
     assert sum(cache.cache_info().misses for cache in caches) == loads
     cold, warm = _artefacts(tmp_path / "cold"), _artefacts(tmp_path / "warm")
     assert cold == warm and len(cold) >= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--config", SWEEP_BOX),
+    ("limits", "--format", "json"),
+], ids=["sweep", "limits"])
+def test_no_artefact_depends_on_hash_order(tmp_path, argv):
+    # each run in its own interpreter, under a different string hash seed
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(argv[-1]))
+        argv[-1] = path
+    src = Path(cli.__file__).parents[1]
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "pflsafe.cli", *map(str, argv),
+             "--out", str(out)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout, _artefacts(out)))
+    assert runs[0] == runs[1] and len(runs[0][1]) >= 2
 
 
 def _not_utf8(tmp_path):

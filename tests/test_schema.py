@@ -6,7 +6,9 @@ import ast
 import collections
 import dataclasses
 import io
+import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
 from pflsafe.body import binding_criterion
 from pflsafe.dynamics import FLANGE_DOWN
 from pflsafe.cli import FilterScenario, _build_parser
-from pflsafe.schema import MAX_YAML_OPENERS, _Loader, read_mapping
+from pflsafe.schema import MAX_YAML_OPENERS, _Loader, read_mapping, write_json
 from pflsafe.sweep import SweepConfig, horizontal_directions, sphere_directions
 from test_cli import EXPONENT_CONFIG, EXPONENT_SCENARIO
 from test_dynamics import TWO_R_YAML
@@ -311,3 +313,54 @@ def test_library_numbers_follow_the_file_rule(key, call, bad, boundary):
             call(value)
     if boundary is not None:
         call(boundary)
+
+
+#: JSON scalars with a text of their own: signed zeros, the float extremes,
+#: the non-finite constants, a float subclass, escapes and non-ASCII text
+JSON_SCALARS = (None, True, False, 0, -1, 2 ** 70, 0.0, -0.0, 5e-324, 1e308,
+                -1.75e308, 0.1, math.nan, math.inf, -math.inf,
+                np.float64(2.5), "", "a", 'q"\\/\n\t\x00', "Schädel 力 \U0001f600")
+
+#: dict key kinds that sort among themselves
+JSON_KEYS = ((lambda rng: rng.choice(["", "a", "b", "é", "\n", "Z"])
+              + str(rng.randrange(5))),
+             lambda rng: rng.randrange(-3, 4),
+             lambda rng: rng.choice([0.5, -0.0, 1e300, 5e-324, math.inf, 2]),
+             lambda rng: rng.random() < 0.5)
+
+
+def _json_object(rng: random.Random, depth: int = 0):
+    """A random JSON value: scalars, and below depth 4 dicts, lists and
+    tuples of 0-4 items, some nested and some of scalars only."""
+    kind = rng.randrange(6 if depth < 4 else 1)
+    if kind == 0:
+        return rng.choice(JSON_SCALARS + (rng.uniform(-1e3, 1e3),))
+    items = [_json_object(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind in (1, 2):
+        key = rng.choice(JSON_KEYS[:1] if kind == 1 else JSON_KEYS)
+        return {key(rng): item for item in items}
+    return items if kind in (3, 4) else tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_json_writes_the_indenting_encoders_text(tmp_path, seed):
+    rng = random.Random(seed)
+    path = tmp_path / "out.json"
+    for _ in range(300):
+        obj = _json_object(rng)
+        write_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True)
+                                     + "\n").encode("utf-8"), obj
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": [1, {2, 3}]},                   # a set is not JSON
+    {"a": {1: [1], "1": [2]}},            # keys that do not sort together
+    {"a": {(1, 2): [1]}},                 # a key that is not a scalar
+], ids=["set", "mixed-keys", "tuple-key"])
+def test_write_json_rejects_what_json_rejects(tmp_path, obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as raised:
+        write_json(obj, tmp_path / "out.json")
+    assert str(raised.value) == str(expected.value)

@@ -6,9 +6,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from pflsafe.body import REGION_IDS, REGION_LABELS, ContactMode
 from pflsafe.errors import InputError
 from pflsafe.svgplot import (_PALETTE, BoxStats, _Canvas, _fmt, _nice_ticks,
                              grouped_boxplot, line_chart)
+from pflsafe.sweep import MassSource, SweepConfig, run_sweep
 
 
 def test_nice_ticks_steps():
@@ -259,3 +261,163 @@ def test_grouped_boxplot_deterministic():
 def test_grouped_boxplot_rejects_empty():
     with pytest.raises(ValueError, match="no data"):
         grouped_boxplot([], {"x": []}, {"x": []})
+
+
+class _PerNumberCanvas:
+    """The reference canvas: each number through its own ``_fmt`` call and
+    each star's corners computed per star."""
+
+    def __init__(self, width, height):
+        self.width, self.height, self.parts = width, height, []
+
+    def line(self, x1, y1, x2, y2, stroke="#000", width=1.0):
+        self.parts.append(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{_fmt(width)}"/>')
+
+    def rect(self, x, y, w, h, fill="none", stroke="#000", width=1.0):
+        self.parts.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
+            f'height="{_fmt(h)}" fill="{fill}" stroke="{stroke}" '
+            f'stroke-width="{_fmt(width)}"/>')
+
+    def text(self, x, y, s, size=11, anchor="middle", rotate=None, fill="#000"):
+        transform = (f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"'
+                     if rotate is not None else "")
+        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        self.parts.append(
+            f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
+            f'font-family="sans-serif" text-anchor="{anchor}" '
+            f'fill="{fill}"{transform}>{s}</text>')
+
+    def star(self, x, y, r, fill):
+        pts = []
+        for i in range(10):
+            radius = r if i % 2 == 0 else 0.4 * r
+            angle = -math.pi / 2 + i * math.pi / 5
+            pts.append((x + radius * math.cos(angle), y + radius * math.sin(angle)))
+        path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+        self.parts.append(
+            f'<polygon points="{path}" fill="{fill}" stroke="#000" '
+            f'stroke-width="0.6"/>')
+
+    def render(self):
+        body = "\n".join(self.parts)
+        return (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+            f'<rect width="{self.width}" height="{self.height}" fill="#fff"/>\n'
+            f"{body}\n</svg>\n")
+
+
+def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
+    """The reference box plot: every pixel computed where it is drawn and
+    every number formatted there."""
+    width, height = 1000, 520
+    margin_l, margin_r, margin_t, margin_b = 70, 20, 46, 110
+    plot_w = width - margin_l - margin_r
+    plot_h = height - margin_t - margin_b
+    values = []
+    for stats_row in boxes.values():
+        for st in stats_row:
+            values.extend([st.whisker_lo, st.whisker_hi, st.minimum,
+                           st.maximum])
+    for row in stars.values():
+        values.extend(float(v) for v in row)
+    y_lo = 0.0
+    y_hi = max(values) * 1.06
+
+    def sy(y): return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+
+    n_groups = len(groups)
+    n_series = len(boxes)
+    group_w = plot_w / n_groups
+    box_w = min(16.0, group_w / (n_series + 2))
+    c = _PerNumberCanvas(width, height)
+    c.rect(margin_l, margin_t, plot_w, plot_h, stroke="#444")
+    for tick in _nice_ticks(y_lo, y_hi):
+        c.line(margin_l - 4, sy(tick), margin_l, sy(tick), "#444")
+        c.line(margin_l, sy(tick), margin_l + plot_w, sy(tick), "#ddd", 0.5)
+        c.text(margin_l - 8, sy(tick) + 3.5, _fmt(tick), size=10, anchor="end")
+    for g_idx, group in enumerate(groups):
+        center = margin_l + (g_idx + 0.5) * group_w
+        c.text(center, margin_t + plot_h + 14, group, size=10, anchor="end",
+               rotate=-40)
+        offsets = [(s_idx - (n_series - 1) / 2) * (box_w + 4)
+                   for s_idx in range(n_series)]
+        for s_idx, stats_row in enumerate(boxes.values()):
+            st = stats_row[g_idx]
+            x = center + offsets[s_idx]
+            color = _PALETTE[s_idx % len(_PALETTE)]
+            c.line(x, sy(st.whisker_lo), x, sy(st.q1), color)
+            c.line(x, sy(st.q3), x, sy(st.whisker_hi), color)
+            c.line(x - box_w / 3, sy(st.whisker_lo), x + box_w / 3,
+                   sy(st.whisker_lo), color)
+            c.line(x - box_w / 3, sy(st.whisker_hi), x + box_w / 3,
+                   sy(st.whisker_hi), color)
+            c.rect(x - box_w / 2, sy(st.q3), box_w, sy(st.q1) - sy(st.q3),
+                   fill="#fff", stroke=color, width=1.4)
+            c.line(x - box_w / 2, sy(st.median), x + box_w / 2, sy(st.median),
+                   color, 1.6)
+        for s_idx, row in enumerate(stars.values()):
+            x = center + offsets[s_idx % max(n_series, 1)]
+            c.star(x, sy(float(row[g_idx])), 5.0,
+                   _PALETTE[s_idx % len(_PALETTE)])
+    for s_idx, label in enumerate(boxes):
+        color = _PALETTE[s_idx % len(_PALETTE)]
+        x = margin_l + 10 + 150 * s_idx
+        c.rect(x, 14, 12, 10, fill="#fff", stroke=color, width=1.4)
+        c.text(x + 18, 23, label, size=11, anchor="start", fill=color)
+    if title:
+        c.text(width / 2, 40, title, size=13)
+    if ylabel:
+        c.text(18, margin_t + plot_h / 2, ylabel, size=11, rotate=-90)
+    return c.render()
+
+
+def _sweep_boxplot_input(panda, body_table):
+    """The groups, boxes and stars ``render_sweep_svg`` draws for a sweep of
+    18 points."""
+    result = run_sweep(panda, body_table, SweepConfig(
+        box_min=(0.3, -0.2, 0.2), box_max=(0.5, 0.2, 0.6), grid_spacing=0.2,
+        n_directions=20))
+    boxes = {mode.value: [result.stats[rid, mode] for rid in REGION_IDS]
+             for mode in ContactMode}
+    stars = {mode.value: [result.samples[rid, mode, MassSource.CONSTANT][0]
+                          for rid in REGION_IDS] for mode in ContactMode}
+    return [REGION_LABELS[rid] for rid in REGION_IDS], boxes, stars
+
+
+def _box(*five, mean=None):
+    """A box of (whisker_lo, q1, median, q3, whisker_hi), its whiskers
+    also its extremes."""
+    lo, q1, med, q3, hi = five
+    return BoxStats(mean=med if mean is None else mean, q1=q1, median=med,
+                    q3=q3, whisker_lo=lo, whisker_hi=hi, minimum=lo,
+                    maximum=hi, n=5)
+
+
+@pytest.mark.parametrize("case", ["sweep", "equal quartiles", "decades",
+                                  "extremes"])
+def test_grouped_boxplot_matches_the_per_number_chart(panda, body_table, case):
+    if case == "sweep":
+        groups, boxes, stars = _sweep_boxplot_input(panda, body_table)
+    elif case == "equal quartiles":
+        groups = ["A", "B <&>"]
+        boxes = {"x": [_box(0.5, 0.5, 0.5, 0.5, 0.5), _box(0.2, 0.7, 0.7, 0.7, 0.9)],
+                 "y": [_box(0.0, 0.0, 0.0, 0.0, 0.0), _box(1.0, 1.0, 1.0, 1.0, 1.0)]}
+        stars = {"x": [0.5, 0.7], "y": [0, 1]}
+    else:  # log-uniform values over 10 decades, or over 600
+        exponents = (-8, 2) if case == "decades" else (-300, 300)
+        rng = np.random.default_rng(26)
+        groups = [f"g{i}" for i in range(7)]
+        boxes, stars = {}, {}
+        for label in ("a", "b", "c"):
+            five = np.sort(10.0 ** rng.uniform(*exponents, (7, 5)), axis=1)
+            boxes[label] = [_box(*row) for row in five.tolist()]
+            stars[label] = (10.0 ** rng.uniform(*exponents, 7)).tolist()
+        stars["c"][0] = 5e-324
+    options = {"title": "speeds <m/s>", "ylabel": "v [m/s]"}
+    assert (grouped_boxplot(groups, boxes, stars, **options)
+            == _per_number_boxplot(groups, boxes, stars, **options))

@@ -384,6 +384,26 @@ def test_stacked_summary_stats_equal_each_rows_own(n):
         summary_stats(np.empty((3, 0)))
 
 
+#: 18 points whose speed limits have low outliers: each row's lower fence
+#: q1 - 1.5 IQR binds, and each row holds a sample within 0.1 IQR below it
+FENCED = dict(box_min=(0.3, -0.2, 0.2), box_max=(0.5, 0.2, 0.6),
+              grid_spacing=0.2, n_directions=20)
+
+
+def test_summary_stats_where_the_lower_fence_binds(panda, body_table):
+    result = run_sweep(panda, body_table, SweepConfig(**FENCED))
+    keys = [key for key in result.samples if key[2] is MassSource.REFLECTED]
+    stacked = summary_stats(np.stack([result.samples[key] for key in keys]))
+    assert len(keys) == len(stacked) == 36
+    for key, st in zip(keys, stacked):
+        row = result.samples[key]
+        fence = st.q1 - 1.5 * (st.q3 - st.q1)
+        assert st.minimum < fence <= st.whisker_lo
+        assert np.any((row < fence) & (row >= fence - 0.1 * (st.q3 - st.q1)))
+        assert dataclasses.astuple(st) == _reference_stats(row)
+        assert st == summary_stats(row) == result.stats[key[:2]]
+
+
 def test_scaling_report_percentages(tiny_result):
     rows = scaling_report(tiny_result)
     assert len(rows) == 12
