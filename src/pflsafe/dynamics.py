@@ -252,7 +252,7 @@ def _frames(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 def forward_kinematics(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     """World pose of the tool/contact frame: (4, 4) for one configuration,
     (B, 4, 4) for a (B, n) stack."""
-    return link_frames(model, q)[..., -1, :, :] @ model.ee_offset
+    return _tool_pose(model, link_frames(model, q))
 
 
 def _jacobians(model: ManipulatorModel, frames: np.ndarray,
@@ -266,9 +266,10 @@ def _jacobians(model: ManipulatorModel, frames: np.ndarray,
     """
     axes = (frames[..., :3, :3] @ model.axes[:, :, None])[..., None, :, :, 0]
     lever = points[..., :, None, :] - frames[..., None, :, :3, 3]
-    # component i is a[i+1] b[i+2] - a[i+2] b[i+1], as np.cross computes it
-    cross = (axes[..., _NEXT] * lever[..., _LAST]
-             - axes[..., _LAST] * lever[..., _NEXT])
+    # component i is a[i+1] b[i+2] - a[i+2] b[i+1], as np.cross computes it:
+    # [1:4] and [2:5] of an (x, y, z, x, y) copy are the cyclic successors
+    a, b = (np.concatenate([v, v[..., :2]], axis=-1) for v in (axes, lever))
+    cross = a[..., 1:4] * b[..., 2:5] - a[..., 2:5] * b[..., 1:4]
     axes_t = axes.mT
     jac = np.empty(points.shape[:-1] + (6, model.n))
     jac[..., :3, :] = cross.mT
@@ -283,14 +284,18 @@ def _jacobians(model: ManipulatorModel, frames: np.ndarray,
     return jac
 
 
-def _contact_kinematics(model: ManipulatorModel, frames: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """World pose (..., 4, 4) and (..., 6, n) Jacobian, rows (linear;
-    angular), of the tool frame, from the link frames of one
+def _tool_pose(model: ManipulatorModel, frames: np.ndarray) -> np.ndarray:
+    """World pose (..., 4, 4) of the tool frame, from the link frames of one
     ``link_frames`` pass."""
-    pose = frames[..., -1, :, :] @ model.ee_offset
+    return frames[..., -1, :, :] @ model.ee_offset
+
+
+def _tool_jacobian(model: ManipulatorModel, frames: np.ndarray,
+                   pose: np.ndarray) -> np.ndarray:
+    """(..., 6, n) Jacobian, rows (linear; angular), of the tool frame, from
+    the link frames and the ``_tool_pose`` of one ``link_frames`` pass."""
     jac = _jacobians(model, frames, pose[..., None, :3, 3], [model.n - 1])
-    return pose, jac[..., 0, :, :]
+    return jac[..., 0, :, :]
 
 
 def point_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
@@ -300,7 +305,8 @@ def point_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 
 def frame_jacobian(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     """Full 6 x n Jacobian of the tool frame, rows (linear; angular)."""
-    return _contact_kinematics(model, link_frames(model, q))[1]
+    frames = link_frames(model, q)
+    return _tool_jacobian(model, frames, _tool_pose(model, frames))
 
 
 def manipulability(model: ManipulatorModel,
@@ -366,7 +372,7 @@ def reflected_mass(model: ManipulatorModel,
     of configurations puts B in front, (B,) or (B, d).
     """
     frames = link_frames(model, query.q)
-    jac = _contact_kinematics(model, frames)[1][..., :3, :]
+    jac = _tool_jacobian(model, frames, _tool_pose(model, frames))[..., :3, :]
     m = _mass_matrix(model, frames)
     try:
         lam_inv = jac @ np.linalg.solve(m, jac.mT)
@@ -592,19 +598,18 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
         return out
     live = np.arange(lanes)
     for iteration in range(IK_MAX_ITER + 1):
-        pose, jac = _contact_kinematics(model, _frames(model, q))
+        frames = _frames(model, q)
+        pose = _tool_pose(model, frames)
         err = targets - pose[:, :3, 3]
         pos_err = _norms(err)
         if orientation is None:
             ori_err = np.zeros(live.size)
             converged = pos_err < IK_POS_TOL
-            step_jac = jac[:, :3]
         else:
             err_o = _rotation_errors(orientation, pose[:, :3, :3])
             ori_err = _norms(err_o)
             converged = (pos_err < IK_POS_TOL) & (ori_err < IK_ORI_TOL)
             err = np.concatenate([err, err_o], axis=1)
-            step_jac = jac
         done = converged | (budget == iteration)
         if np.count_nonzero(done):
             ended = live[done]
@@ -616,9 +621,11 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
             running = ~done
             live, q, err = live[running], q[running], err[running]
             targets, budget = targets[running], budget[running]
-            step_jac = step_jac[running]
+            frames, pose = frames[running], pose[running]
             if not live.size:
                 break
+        # the Jacobian of the lanes that take a step, and of no other
+        step_jac = _tool_jacobian(model, frames, pose)[:, :len(err[0])]
         step_jac_t = step_jac.mT
         jjt = step_jac @ step_jac_t
         # the diagonal, as a strided view of the fresh, contiguous product

@@ -25,7 +25,9 @@ velocity filter disabled.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,6 +157,13 @@ class LoopLog:
                    self.tank_energy, self.injected_cum))
 
 
+#: steps the loop runs between two checks for a stalled state
+STALL_CHECK_STEPS = 32
+
+#: the loop state whose bits decide that a step changes nothing
+_STATE = struct.Struct("3d")
+
+
 def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
                   budget: float, duration: float, period: float, *,
                   recycling: bool = False, power_cap: float | None = None,
@@ -169,7 +178,11 @@ def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
     compute the proportional control force, ask the tank for the work that
     force would do over the step, then apply the force scaled so its work
     equals the granted energy exactly.  Dissipative steps bypass the tank
-    grant and may refill it (with ``recycling``).
+    grant and may refill it (with ``recycling``).  Once a step leaves the
+    plant speed, the tank energy and the injected total bit for bit as they
+    were, and every remaining command has the same bits, each remaining
+    step would too: every ``STALL_CHECK_STEPS`` steps the loop looks for
+    such a step, and repeats its state for the rest.
     """
     dt = number("simulate_loop", "period", period, gt=0)
     if power_cap is not None:
@@ -195,32 +208,50 @@ def simulate_loop(limit: SpeedLimit, mass: float, nominal_profile,
     stop = int(nan[0]) if nan.size else n
     v_cmd = (filter_velocity(v_nom[:stop], limit) if velocity_filter
              else v_nom[:stop].copy())
+    # the first step from which every command has the same bits
+    bits = v_cmd.view(np.int64)
+    changes = np.flatnonzero(bits[1:] != bits[:-1])
+    tail = int(changes[-1]) + 1 if changes.size else 0
 
     velocity, tank_energy, injected_cum = [], [], []
     v, energy, injected, recycled = 0.0, budget, 0.0, 0.0
-    for ti, command in zip(times, v_cmd.tolist()):
-        force = gain * (command - v)
-        # ungated candidate step and the exact work it would perform
-        v_next = v + force / m * dt
-        work = 0.5 * m * (v_next * v_next - v * v)
-        power = work / dt
-        if not math.isfinite(power):
-            raise InputError(
-                f"simulate_loop: the commanded speed {command!r} m/s (plant at "
-                f"{v!r} m/s, gain {gain!r} N s/m) over a period of {dt!r} s "
-                f"asks for non-finite power at t = {ti!r} s")
-        granted, energy, injected, recycled = _tank_grant(
-            energy, budget, injected, recycled, recycling, power, dt, power_cap)
-        e_grant = granted * dt
-        if work > 0.0 and e_grant < work:
-            # throttled injection: apply the force scaled so its work over
-            # the step equals the granted energy exactly
-            v_next = math.copysign(math.sqrt(max(v * v + 2.0 * e_grant / m, 0.0)),
-                                   v_next if v_next != 0.0 else command - v)
-        v = v_next
-        velocity.append(v)
-        tank_energy.append(energy)
-        injected_cum.append(injected)
+    pending = zip(times, v_cmd.tolist())
+    while len(velocity) < stop:
+        for ti, command in itertools.islice(pending, STALL_CHECK_STEPS):
+            force = gain * (command - v)
+            # ungated candidate step and the exact work it would perform
+            v_next = v + force / m * dt
+            work = 0.5 * m * (v_next * v_next - v * v)
+            power = work / dt
+            if not math.isfinite(power):
+                raise InputError(
+                    f"simulate_loop: the commanded speed {command!r} m/s "
+                    f"(plant at {v!r} m/s, gain {gain!r} N s/m) over a "
+                    f"period of {dt!r} s asks for non-finite power at "
+                    f"t = {ti!r} s")
+            granted, energy, injected, recycled = _tank_grant(
+                energy, budget, injected, recycled, recycling, power, dt,
+                power_cap)
+            e_grant = granted * dt
+            if work > 0.0 and e_grant < work:
+                # throttled injection: apply the force scaled so its work
+                # over the step equals the granted energy exactly
+                v_next = math.copysign(
+                    math.sqrt(max(v * v + 2.0 * e_grant / m, 0.0)),
+                    v_next if v_next != 0.0 else command - v)
+            v = v_next
+            velocity.append(v)
+            tank_energy.append(energy)
+            injected_cum.append(injected)
+        # the last step left the state as the one before had: from the
+        # constant tail of the commands on, so would every later step
+        if len(velocity) > max(tail, 1) and (
+                _STATE.pack(v, energy, injected) == _STATE.pack(
+                    velocity[-2], tank_energy[-2], injected_cum[-2])):
+            rest = stop - len(velocity)
+            velocity += [v] * rest
+            tank_energy += [energy] * rest
+            injected_cum += [injected] * rest
     if stop < n:
         raise InputError(f"simulate_loop: nominal speed at t = {times[stop]!r} "
                          f"s is nan")

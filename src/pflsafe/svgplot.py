@@ -223,13 +223,23 @@ def grouped_boxplot(groups: Sequence[str],
     group and series.
 
     ``boxes`` maps a series label to one BoxStats per group; ``stars`` maps
-    a series label to one scalar per group (drawn as a star).
+    a series label to one scalar per group (drawn as a star beside a box
+    series).  The y axis runs from 0 to 1.06 times the largest value.
+    A series without one entry per group, star series without a box
+    series, and a largest value that is not positive and finite raise
+    ``ValueError``.
     """
     width, height = 1000, 520
     margin_l, margin_r, margin_t, margin_b = 70, 20, 46, 110
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
+    for kind, series in (("box", boxes), ("star", stars)):
+        for label, row in series.items():
+            if len(row) != len(groups):
+                raise ValueError(
+                    f"grouped_boxplot: {kind} series {label!r} has "
+                    f"{len(row)} entries for {len(groups)} groups")
     values: list[float] = []
     for stats_row in boxes.values():
         for st in stats_row:
@@ -239,8 +249,15 @@ def grouped_boxplot(groups: Sequence[str],
         values.extend(float(v) for v in row)
     if not values:
         raise ValueError("grouped_boxplot: no data")
+    if stars and not boxes:
+        raise ValueError("grouped_boxplot: star series need a box series "
+                         "to stand beside")
     y_lo = 0.0
     y_hi = max(values) * 1.06
+    if not 0.0 < y_hi < math.inf:
+        raise ValueError(f"grouped_boxplot: the largest value "
+                         f"{max(values)!r} leaves no y axis from 0: it must "
+                         f"be positive and finite")
 
     def sy(y): return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
@@ -278,7 +295,7 @@ def grouped_boxplot(groups: Sequence[str],
                    width=1.4)
             c.line(x - half, median, x + half, median, color, 1.6)
         for s_idx, row in enumerate(stars.values()):
-            x = center + offsets[s_idx % max(n_series, 1)]
+            x = center + offsets[s_idx % n_series]
             c.star(x, sy(float(row[g_idx])), _PALETTE[s_idx % len(_PALETTE)])
 
     for s_idx, label in enumerate(boxes):

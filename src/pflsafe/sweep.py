@@ -17,8 +17,9 @@ and once with the constant half-moving-mass convention.
 
 Everything here is deterministic: the grid order, the direction set and the
 warm-start chain are fixed, so reruns reproduce results bit for bit.  Grid
-scanlines are independent work units; the optional worker pool changes wall
-time only, not output.  ``n_workers`` is an upper bound: the pool gets at
+scanlines are independent IK work units, and the converged points of all of
+them are evaluated together; the optional worker pool changes wall time
+only, not output.  ``n_workers`` is an upper bound: the pool gets at
 most one worker per scanline and per ``POOL_POINTS_PER_WORKER`` grid points,
 and a sweep it would give one worker runs in-process.
 """
@@ -53,6 +54,15 @@ MAX_SWEEP_EVALUATIONS = 5_000_000
 #: fewest grid points per pool worker: below this, forking and joining a
 #: worker costs more wall time than it saves (measured break-even, README)
 POOL_POINTS_PER_WORKER = 32
+
+#: most converged points one mass-kernel call evaluates: each takes about
+#: 11 kB of temporaries for a 7-joint arm, so a block stays near 45 MB
+MASS_BLOCK_POINTS = 4096
+
+#: fewest samples per reflected-mass row for which the sample CSV formats
+#: one text per distinct mass: below it, the partition's check costs more
+#: than the repeated texts it saves (measured break-even 25-40 samples)
+CSV_PARTITION_MIN_SAMPLES = 32
 
 
 class MassSource(enum.Enum):
@@ -195,12 +205,13 @@ class SweepResult:
 
 # ---------------------------------------------------------------- workers
 
-def _sweep_scanline(payload: tuple) -> tuple[tuple[int, ...], np.ndarray]:
-    """Solve one scanline (fixed y, z; x ascending) of grid points, then
-    evaluate its reachable points in one call per kernel.  Returns the
-    counts (near-singular, rejected, budget spent, IK iterations) and the
-    (k, d) reflected masses."""
-    model, targets, seed, directions = payload
+def _sweep_scanline(payload: tuple) -> tuple[tuple[int, ...],
+                                              list[np.ndarray]]:
+    """Solve one scanline (fixed y, z; x ascending) of grid points, each
+    warm-started from the line's last converged point.  Returns the counts
+    (rejected, budget spent, IK iterations) and the q of each converged
+    point, in x order."""
+    model, targets, seed = payload
     solved = []
     q_seed = seed
     rejected = budget_spent = iterations = 0
@@ -214,14 +225,7 @@ def _sweep_scanline(payload: tuple) -> tuple[tuple[int, ...], np.ndarray]:
             rejected += 1
         else:
             budget_spent += 1
-    if not solved:
-        return ((0, rejected, budget_spent, iterations),
-                np.empty((0, len(directions))))
-    qs = np.array(solved)
-    singular = manipulability(model, qs) < SINGULAR_FLAG_THRESHOLD
-    return ((int(np.count_nonzero(singular)), rejected, budget_spent,
-             iterations),
-            reflected_mass(model, ReflectedMassQuery(q=qs, u=directions)))
+    return (rejected, budget_spent, iterations), solved
 
 
 def _default_seed(model: ManipulatorModel) -> np.ndarray:
@@ -299,7 +303,7 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     for z in zs:
         for y in ys:
             targets = np.column_stack([xs, np.full_like(xs, y), np.full_like(xs, z)])
-            payloads.append((model, targets, seed, directions))
+            payloads.append((model, targets, seed))
 
     # the pool forks every worker up front: no more than there are scanlines,
     # and only where each worker gets enough grid points to pay for its fork
@@ -315,11 +319,21 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     else:
         scanlines = [_sweep_scanline(p) for p in payloads]
 
-    singular, rejected, budget_spent, iterations = map(
+    rejected, budget_spent, iterations = map(
         sum, zip(*(counts for counts, _ in scanlines)))
-    reflected = np.vstack([masses for _, masses in scanlines])
-    if not len(reflected):
+    solved = [q for _, line in scanlines for q in line]
+    if not solved:
         raise NumericalError("no reachable grid points in the configured box")
+    # the converged points in scanline order, one call per kernel and block
+    qs = np.array(solved)
+    blocks = [qs[start:start + MASS_BLOCK_POINTS]
+              for start in range(0, len(qs), MASS_BLOCK_POINTS)]
+    singular = sum(int(np.count_nonzero(
+        manipulability(model, block) < SINGULAR_FLAG_THRESHOLD))
+        for block in blocks)
+    reflected = np.concatenate([
+        reflected_mass(model, ReflectedMassQuery(q=block, u=directions))
+        for block in blocks])
     flat_masses = reflected.reshape(-1)
 
     # every reflected-mass limit in one call, a row per (region, mode) row
@@ -403,16 +417,67 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
 
 # ---------------------------------------------------------------- writers
 
+def _distinct_masses(result: SweepResult) -> dict:
+    """Each reflected-mass row of ``result`` at the first sample of each
+    distinct mass, as (its bits, its floats, the class of every sample or
+    None if every mass is distinct); {} where a row breaks the partition of
+    ``reflected_masses`` into bit-equal masses.
+
+    A sweep's reflected-mass row is ``v0_max`` of those masses, so it holds
+    bit-equal samples wherever they are bit-equal; this is checked on every
+    row in one stacked comparison.  Rows shorter than
+    ``CSV_PARTITION_MIN_SAMPLES`` give {} unchecked."""
+    masses = result.reflected_masses.reshape(-1)
+    if len(masses) < CSV_PARTITION_MIN_SAMPLES:
+        return {}
+    keys = [key for key in result.samples if key[2] is MassSource.REFLECTED]
+    rows = [result.samples[key] for key in keys]
+    if any(row.shape != masses.shape for row in rows):
+        return {}
+    bits = np.array(rows, dtype=np.float64).view(np.int64)
+    _, first, where = np.unique(masses.view(np.int64), return_index=True,
+                                return_inverse=True)
+    if len(first) < len(masses):
+        distinct = bits[:, first]
+        if not np.array_equal(distinct[:, where], bits):
+            return {}
+        bits, where = distinct, where.tolist()
+    else:  # each mass is its own class
+        where = None
+    return {key: (row.tobytes(), row.view(np.float64), where)
+            for key, row in zip(keys, bits)}
+
+
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
-    """Long-format sample dump: region,mode,mass_source,sample."""
+    """Long-format sample dump: region,mode,mass_source,sample.
+
+    A reflected-mass row formats one ``repr`` per distinct mass (see
+    ``_distinct_masses``), and the rows of a region that hold equal bits
+    share their cells; any other row formats every sample.  Each region's
+    rows are written in one call."""
+    distinct = _distinct_masses(result)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("region,mode,mass_source,sample\n")
         for rid in REGION_IDS:
+            shared: dict[bytes, list[str]] = {}
+            parts = []
             for (mode, source), (m, s) in _COMBO_WORDS.items():
-                prefix = f"{rid},{m},{s},"
-                values = result.samples[rid, mode, source].tolist()
-                if values:  # else the join would write one bare prefix
-                    fh.write(prefix + ("\n" + prefix).join(map(repr, values)) + "\n")
+                key = rid, mode, source
+                entry = distinct.get(key)
+                if entry is None:
+                    cells = list(map(repr, result.samples[key].tolist()))
+                elif entry[0] in shared:
+                    cells = shared[entry[0]]
+                else:
+                    row_bits, values, where = entry
+                    text = list(map(repr, values.tolist()))
+                    cells = shared[row_bits] = (
+                        text if where is None
+                        else list(map(text.__getitem__, where)))
+                if cells:  # else the join would write one bare prefix
+                    prefix = f"{rid},{m},{s},"
+                    parts.append(prefix + ("\n" + prefix).join(cells) + "\n")
+            fh.write("".join(parts))
 
 
 def write_scaling_csv(rows: tuple[ScalingRow, ...], path: str | Path) -> None:

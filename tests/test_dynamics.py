@@ -533,6 +533,44 @@ def test_ik_inside_the_reach_ball_still_spends_its_budget(panda):
     assert result.position_error == pytest.approx(0.25, abs=0.01)
 
 
+def test_ik_builds_a_jacobian_only_where_it_steps(panda, monkeypatch):
+    lanes_per_call = []
+    jacobians = dynamics._jacobians
+
+    def counting(model, frames, points, links):
+        lanes_per_call.append(len(frames))
+        return jacobians(model, frames, points, links)
+
+    monkeypatch.setattr(dynamics, "_jacobians", counting)
+    # a target outside the reach ball builds none, and reports the errors
+    # of the seed clipped to the joint limits
+    target = np.array([1.5, 0.0, 0.5])
+    seed = panda.upper_limits + 1.0
+    clipped = np.minimum(seed, panda.upper_limits)
+    pose = forward_kinematics(panda, clipped)
+    for orientation in (None, FLANGE_DOWN):
+        result = inverse_kinematics(panda, target, seed,
+                                    orientation=orientation)
+        assert lanes_per_call == []
+        assert (result.success, result.iterations) == (False, 0)
+        assert np.array_equal(result.q, clipped)
+        assert result.position_error == np.linalg.norm(target - pose[:3, 3])
+        assert result.orientation_error == (0.0 if orientation is None else
+                                            np.linalg.norm(
+            dynamics._rotation_errors(orientation, pose[None, :3, :3])[0]))
+    # a converging, a budget-spending and a rejected lane: one Jacobian of
+    # the running lanes per iteration, none for the evaluation that ends
+    # a lane
+    targets = np.array([[0.4, 0.2, 0.5], [0.0, 0.0, 0.15], target])
+    seeds = np.tile(0.5 * (panda.lower_limits + panda.upper_limits), (3, 1))
+    result = inverse_kinematics(panda, targets, seeds,
+                                orientation=FLANGE_DOWN)
+    assert result.success.tolist() == [True, False, False]
+    assert result.iterations[1:].tolist() == [200, 0]
+    assert len(lanes_per_call) == 200
+    assert sum(lanes_per_call) == sum(result.iterations.tolist())
+
+
 def test_the_wrist_circle_rejects_a_target_inside_the_ball(panda,
                                                           monkeypatch):
     # flange down above the shoulder: the last link's origin lies 0.731 m

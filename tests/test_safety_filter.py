@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pflsafe import safety_filter
 from pflsafe.body import ContactMode
 from pflsafe.errors import InputError
 from pflsafe.limits import compute_limit, v0_max
@@ -381,6 +382,56 @@ def test_loop_keeps_the_tank_step_formula(face_limit, recycling, power_cap,
                 power_cap * PERIOD)
         # the reversal refills the tank only with recycling
         assert np.any(np.diff(log.tank_energy) > 0.0) == recycling
+
+
+_LOG_COLUMNS = ("t", "v_nominal", "v_commanded", "velocity", "ke",
+                "tank_energy", "injected_cum")
+
+
+@pytest.mark.parametrize("recycling", [False, True],
+                         ids=["no-recycling", "recycling"])
+def test_loop_stops_stepping_once_its_state_stalls(face_limit, recycling,
+                                                   monkeypatch):
+    steps = []
+    tank_grant = safety_filter._tank_grant
+
+    def counting(*args):
+        steps.append(args)
+        return tank_grant(*args)
+
+    def run(profile, budget, check_steps):
+        monkeypatch.setattr(safety_filter, "STALL_CHECK_STEPS", check_steps)
+        steps.clear()
+        log = simulate_loop(face_limit, MASS, profile, budget, 3.0, PERIOD,
+                            recycling=recycling)
+        return log, len(steps)
+
+    monkeypatch.setattr(safety_filter, "_tank_grant", counting)
+    check_steps = safety_filter.STALL_CHECK_STEPS
+    # a small tank runs dry on the way up, and an empty or signed-zero one
+    # grants nothing: the state stalls before the profile turns round at
+    # 0.6 s, where the loop must go on, and again after it.  A budget of
+    # -0.0 turns the first step's tank energy and speed into signed zeros
+    # that compare equal to, but are not, the state before.
+    turns = lambda t: 10.0 if t < 0.6 else -0.3
+    for budget in (0.02, 0.0, -0.0):
+        for profile in (turns, lambda t: -0.3):
+            log, stepped = run(profile, budget, check_steps)
+            # the plain loop: its one check comes after the last step
+            plain, every = run(profile, budget, 10 ** 9)
+            assert every == len(log.t)
+            assert stepped < len(log.t) - check_steps
+            assert stepped > 600 or profile is not turns
+            for name in _LOG_COLUMNS:
+                assert (_bits(getattr(log, name))
+                        == _bits(getattr(plain, name))), name
+    # and the loop written on tank_step
+    log, _ = run(turns, 0.02, check_steps)
+    reference = _tank_step_loop(face_limit, MASS, turns, 0.02, 3.0, PERIOD,
+                                recycling=recycling, power_cap=None,
+                                velocity_filter=True)
+    for name, column in zip(_LOG_COLUMNS, zip(*reference)):
+        assert _bits(getattr(log, name)) == _bits(column), name
 
 
 def test_loop_log_csv(face_limit, tmp_path):

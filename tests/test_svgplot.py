@@ -263,6 +263,29 @@ def test_grouped_boxplot_rejects_empty():
         grouped_boxplot([], {"x": []}, {"x": []})
 
 
+def test_grouped_boxplot_rejects_stars_without_a_box_series():
+    with pytest.raises(ValueError, match="^grouped_boxplot: star series need "
+                                         "a box series"):
+        grouped_boxplot(["A"], {}, {"x": [1.0]})
+
+
+@pytest.mark.parametrize("top", [0.0, -1.0, math.inf, math.nan, 1.7e308])
+def test_grouped_boxplot_rejects_a_largest_value_with_no_axis(top):
+    # the y axis runs from 0 to 1.06 times the largest value
+    with pytest.raises(ValueError, match=r"^grouped_boxplot: the largest "
+                                         r"value .* leaves no y axis from 0"):
+        grouped_boxplot(["A"], {"x": [_stats(0.0)]}, {"x": [top]})
+
+
+def test_grouped_boxplot_rejects_a_series_without_one_entry_per_group():
+    with pytest.raises(ValueError, match=r"^grouped_boxplot: box series 'x' "
+                                         r"has 0 entries for 1 groups"):
+        grouped_boxplot(["A"], {"x": []}, {"x": [0.0]})
+    with pytest.raises(ValueError, match=r"^grouped_boxplot: star series 'x' "
+                                         r"has 2 entries for 1 groups"):
+        grouped_boxplot(["A"], {"x": [_stats(1.0)]}, {"x": [1.0, 2.0]})
+
+
 class _PerNumberCanvas:
     """The reference canvas: each number through its own ``_fmt`` call and
     each star's corners computed per star."""

@@ -11,7 +11,7 @@ import pytest
 
 from pflsafe import dynamics, sweep
 from pflsafe.body import ContactMode, REGION_IDS, load_body_table
-from pflsafe.dynamics import IKResult, load_robot_model
+from pflsafe.dynamics import IKResult, ReflectedMassQuery, load_robot_model
 from pflsafe.errors import InputError, NumericalError
 from pflsafe.sweep import (ALL_COMBOS, MassSource, SweepConfig,
                            SweepResult, boxstats_payload, direction_set,
@@ -223,6 +223,99 @@ def test_sweep_counts_singular_points_and_constrained_directions(
             (rid, ContactMode.QUASI_STATIC_CLAMPED, MassSource.REFLECTED)]
         assert np.all(clamped[np.isinf(masses)] == 0.0)
         assert np.all(clamped[np.isfinite(masses)] > 0.0)
+
+
+# a waist about z, then a shoulder and an elbow about y, links along x:
+# straight at the elbow, the arm is singular, and away from there its
+# manipulability grows with |sin q3|
+THREE_R_YAML = """
+name: three-r
+end_effector: {xyz: [0.4, 0.0, 0.0], rpy: [0.0, 0.0, 0.0]}
+links:
+""" + "".join(f"""
+  - name: link{i}
+    joint: {{xyz: {xyz}, rpy: [0.0, 0.0, 0.0], axis: {axis}}}
+    mass: 2.0
+    com: [0.2, 0.0, 0.0]
+    inertia: {{ixx: 0.01, iyy: 0.01, izz: 0.01}}
+""" for i, (xyz, axis) in enumerate([
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+    ([0.0, 0.0, 0.3], [0.0, 1.0, 0.0]),
+    ([0.5, 0.0, 0.0], [0.0, 1.0, 0.0])]))
+
+
+def test_near_singular_points_are_those_below_the_threshold(body_table,
+                                                          monkeypatch):
+    model = load_robot_model(io.StringIO(THREE_R_YAML))
+    # the elbow angles whose manipulability lies just below and just above
+    # the threshold, by bisection
+    lo, hi = 0.0, 0.1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if dynamics.manipulability(model, [0.0, 0.0, mid]) < (
+                sweep.SINGULAR_FLAG_THRESHOLD):
+            lo = mid
+        else:
+            hi = mid
+    below, above = np.array([0.0, 0.0, lo]), np.array([0.0, 0.0, hi])
+    w = dynamics.manipulability(model, np.array([below, above]))
+    assert w[0] < sweep.SINGULAR_FLAG_THRESHOLD <= w[1] < 1.001e-6
+    # two scanlines of two points, one of each kind on each
+    monkeypatch.setattr(
+        sweep, "inverse_kinematics",
+        lambda model, target, seed, orientation: IKResult(
+            below if target[0] == 0.0 else above, True, 0, 0.0, 0.0))
+    result = run_sweep(model, body_table, SweepConfig(
+        box_min=(0.0, 0.0, 0.0), box_max=(0.05, 0.05, 0.0),
+        grid_spacing=0.05, n_directions=4))
+    assert (result.n_reachable, result.n_singular) == (4, 2)
+
+
+def test_a_sweep_evaluates_its_masses_in_one_call_per_kernel(
+        panda, body_table, monkeypatch):
+    real_ik = sweep.inverse_kinematics
+    solved, calls = [], []
+
+    def recording_ik(model, target, seed, orientation):
+        result = real_ik(model, target, seed, orientation=orientation)
+        solved.append(result)
+        return result
+
+    def recording(name):
+        kernel = getattr(sweep, name)
+
+        def record(model, arg):
+            q = arg if name == "manipulability" else arg.q
+            calls.append((name, len(q)))
+            return kernel(model, arg)
+        return record
+
+    monkeypatch.setattr(sweep, "inverse_kinematics", recording_ik)
+    for name in ("manipulability", "reflected_mass"):
+        monkeypatch.setattr(sweep, name, recording(name))
+    # 8 scanlines of 2 points, 10 of them reachable
+    result = run_sweep(panda, body_table, SweepConfig(**REACH_BOX))
+    lines = [solved[i:i + 2] for i in range(0, 16, 2)]
+    assert any(not any(ik.success for ik in line) for line in lines)
+    assert calls == [("manipulability", 10), ("reflected_mass", 10)]
+    # the masses of each configuration alone, in scanline order
+    qs = [ik.q for ik in solved if ik.success]
+    directions = direction_set(20, "horizontal")
+    alone = [dynamics.reflected_mass(panda,
+                                     ReflectedMassQuery(q=q, u=directions))
+             for q in qs]
+    assert np.array_equal(result.reflected_masses, np.array(alone))
+    assert result.n_singular == sum(
+        dynamics.manipulability(panda, q) < sweep.SINGULAR_FLAG_THRESHOLD
+        for q in qs)
+
+    # blocks of at most 4 points: one call per block, the same masses
+    calls.clear()
+    monkeypatch.setattr(sweep, "MASS_BLOCK_POINTS", 4)
+    blocks = run_sweep(panda, body_table, SweepConfig(**REACH_BOX))
+    assert [n for name, n in calls if name == "reflected_mass"] == [4, 4, 2]
+    assert [n for name, n in calls if name == "manipulability"] == [4, 4, 2]
+    assert np.array_equal(blocks.reflected_masses, result.reflected_masses)
 
 
 def test_reflected_overflow_names_its_region_and_mode(monkeypatch):
@@ -460,6 +553,57 @@ def test_sweep_csv_matches_the_row_by_row_writer(tiny_result, tmp_path):
     data = path.read_bytes()
     assert data == _row_by_row_sweep_csv(result)
     assert b",-0.0\n" in data and b",5e-324\n" in data
+
+
+def test_sweep_csv_formats_one_text_per_distinct_mass(tiny_result, tmp_path,
+                                                      monkeypatch):
+    # horizontal directions: u and -u give bit-equal masses
+    masses = tiny_result.reflected_masses.reshape(-1)
+    distinct = len(np.unique(masses))
+    assert sweep.CSV_PARTITION_MIN_SAMPLES <= len(masses) and (
+        distinct < len(masses))
+    formatted = []
+    monkeypatch.setattr(sweep, "repr",
+                        lambda x: formatted.append(x) or repr(x),
+                        raising=False)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(tiny_result, path)
+    assert path.read_bytes() == _row_by_row_sweep_csv(tiny_result)
+    # one text per distinct mass and per distinct row of a region (the head
+    # regions' transient and quasi-static free rows are equal), one per
+    # constant-mass sample
+    rows = {rid: {tiny_result.samples[rid, mode,
+                                      MassSource.REFLECTED].tobytes()
+                  for mode in ContactMode} for rid in REGION_IDS}
+    assert len(rows["face"]) == 2
+    assert len(formatted) == (sum(map(len, rows.values())) * distinct
+                              + len(REGION_IDS) * len(ContactMode))
+
+
+def test_sweep_csv_checks_the_mass_partition(tiny_result, tmp_path):
+    # a hand-built row whose samples of two bit-equal masses differ, by a
+    # float step or only in the sign of a zero, is written sample by sample
+    flat = tiny_result.reflected_masses.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    pair = next((int(a), int(b)) for a, b in zip(order, order[1:])
+                if flat[a] == flat[b])
+    key = ("chest", ContactMode.TRANSIENT, MassSource.REFLECTED)
+    for first, second in ((1.0, np.nextafter(1.0, 2.0)), (0.0, -0.0)):
+        row = tiny_result.samples[key].copy()
+        row[list(pair)] = first, second
+        samples = dict(tiny_result.samples)
+        samples[key] = row
+        result = dataclasses.replace(tiny_result, samples=samples)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(result, path)
+        assert path.read_bytes() == _row_by_row_sweep_csv(result)
+    # and so is a sweep with rows too short for the partition to pay
+    short = dataclasses.replace(
+        tiny_result, reflected_masses=tiny_result.reflected_masses[:1, :4],
+        samples={key: value[:4] for key, value in tiny_result.samples.items()})
+    assert short.reflected_masses.size < sweep.CSV_PARTITION_MIN_SAMPLES
+    write_sweep_csv(short, path)
+    assert path.read_bytes() == _row_by_row_sweep_csv(short)
 
 
 def test_boxstats_json(tiny_result, tmp_path):
