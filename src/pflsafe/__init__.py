@@ -6,6 +6,17 @@ analysis over a robot workspace, and a runtime velocity/energy filter.
 """
 from __future__ import annotations
 
+import os as _os
+import sys as _sys
+
+# numpy's OpenBLAS starts a worker per extra CPU, which spins at start-up;
+# pflsafe's largest matrix is 7 x 7, which OpenBLAS runs on one thread.  A
+# host that loaded numpy first or names a thread count keeps its threads.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ for name in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .assets import body_table_path, robot_model_path
 from .body import (BodyRegionParams, BodyRegionTable, ContactMode,
                    REGION_IDS, REGION_LABELS, effective_force_limit,

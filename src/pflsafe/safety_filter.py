@@ -85,7 +85,8 @@ def tank_step(state: TankState, requested_power: float, dt: float,
         dt, power_cap)
     after = replace(state, energy=energy, cumulative_injected=injected,
                     cumulative_recycled=recycled)
-    return granted, state if after == state else after  # untouched: same state
+    # untouched bit for bit (repr, unlike ==, tells -0.0 from 0.0): same state
+    return granted, state if repr(after) == repr(state) else after
 
 
 def _tank_grant(energy: float, budget: float, injected: float,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # the process pool loads on first use
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -311,7 +311,7 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
     workers = min(config.n_workers, len(payloads),
                   n_grid // POOL_POINTS_PER_WORKER)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             # a share of every sweep for each worker, a few tasks each
             chunksize = max(1, len(payloads) // (4 * workers))
             scanlines = list(pool.map(_sweep_scanline, payloads,

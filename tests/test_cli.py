@@ -732,26 +732,67 @@ def test_a_warm_loader_cache_writes_the_same_bytes(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv", [
     ("sweep", "--config", SWEEP_BOX),
     ("limits", "--format", "json"),
-], ids=["sweep", "limits"])
+    ("simulate", "--mr", 3, "--mh", 1, "--k", 5, "--v0", 1),
+    ("filter", "--scenario", FILTER_SCENARIO),
+], ids=["sweep", "limits", "simulate", "filter"])
 def test_no_artefact_depends_on_hash_order(tmp_path, argv):
-    # each run in its own interpreter, under a different string hash seed
+    # each run in its own interpreter, under a different string hash seed,
+    # and under a different count of BLAS threads
     argv = list(argv)
     if isinstance(argv[-1], dict):
         path = tmp_path / "input.yaml"
         path.write_text(yaml.safe_dump(argv[-1]))
         argv[-1] = path
     src = Path(cli.__file__).parents[1]
-    runs = []
-    for seed in ("0", "1"):
-        out = tmp_path / f"seed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-m", "pflsafe.cli", *map(str, argv),
-             "--out", str(out)], env=env, capture_output=True, text=True,
-            timeout=120)
-        assert done.returncode == 0, done.stderr
-        runs.append((done.stdout, _artefacts(out)))
-    assert runs[0] == runs[1] and len(runs[0][1]) >= 2
+    for name, values in (("PYTHONHASHSEED", ("0", "1")),
+                         ("OPENBLAS_NUM_THREADS", ("1", "2"))):
+        runs = []
+        for value in values:
+            out = tmp_path / f"{name}{value}"
+            env = dict(os.environ, PYTHONPATH=str(src), **{name: value})
+            done = subprocess.run(
+                [sys.executable, "-m", "pflsafe.cli", *map(str, argv),
+                 "--out", str(out)], env=env, capture_output=True, text=True,
+                timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, _artefacts(out)))
+        assert runs[0] == runs[1] and len(runs[0][1]) >= 2, name
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                   "OMP_NUM_THREADS")
+
+#: a fresh interpreter's BLAS thread count and threads after an import
+_THREADS_AFTER = """
+import os
+{imports}
+tasks = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"),
+      len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
+"""
+
+
+@pytest.mark.parametrize("preset, imports, expected", [
+    ({}, "import pflsafe", "1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "import pflsafe", "3"),
+    ({"GOTO_NUM_THREADS": "3"}, "import pflsafe", None),
+    ({"OMP_NUM_THREADS": "3"}, "import pflsafe", None),
+    ({}, "import numpy, pflsafe", None),
+], ids=["unset", "openblas-preset", "goto-preset", "omp-preset",
+        "numpy-first"])
+def test_a_fresh_process_asks_for_one_blas_thread_unless_told(preset, imports,
+                                                              expected):
+    # pflsafe sets OPENBLAS_NUM_THREADS=1 only before numpy loads, and only
+    # where none of the BLAS thread variables is set
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    env.update(preset, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER.format(imports=imports)],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    value, threads = done.stdout.split()
+    assert value == str(expected)
+    if expected == "1" and threads != "None":
+        assert threads == "1"  # no BLAS worker was started
 
 
 def _not_utf8(tmp_path):

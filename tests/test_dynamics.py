@@ -644,10 +644,11 @@ TILTED_2R_YAML = TWO_R_YAML.replace(
     "xyz: [0.7, 0.0, 0.2]\n      rpy: [0.4, 0.3, 0.0]")
 
 
-@pytest.mark.parametrize("arm", ["panda", "2r", "2r-tilted", "arm-slide"])
-def test_the_wrist_circle_holds_every_fk_pose(arm, rng, tmp_path):
-    # the wrist, link n-1's origin, from the raw YAML of the chain without
-    # its last link
+def _wrist_distances(arm, rng, tmp_path, n):
+    """(path, model, q, distance): n random in-limit q of the named arm and
+    the distance of each q's wrist, link n-1's origin, from the reach
+    centre, the wrist from the raw YAML of the chain without its last
+    link."""
     path = {"panda": robot_model_path()}.get(arm, tmp_path / "arm.yaml")
     if arm != "panda":
         path.write_text({"2r": TWO_R_YAML, "2r-tilted": TILTED_2R_YAML,
@@ -656,10 +657,16 @@ def test_the_wrist_circle_holds_every_fk_pose(arm, rng, tmp_path):
     raw = yaml.safe_load(path.read_text())
     raw["links"].pop()
     (tmp_path / "wrist.yaml").write_text(yaml.safe_dump(raw))
-    q = random_joint_configs(model, rng, 100_000)
+    q = random_joint_configs(model, rng, n)
     wrist = fk_from_yaml(tmp_path / "wrist.yaml", q[:, :-1])[0][:, :3, 3]
+    distance = np.linalg.norm(wrist - model.reach[0], axis=1)
+    return path, model, q, distance
+
+
+@pytest.mark.parametrize("arm", ["panda", "2r", "2r-tilted", "arm-slide"])
+def test_the_wrist_circle_holds_every_fk_pose(arm, rng, tmp_path):
+    path, model, q, distance = _wrist_distances(arm, rng, tmp_path, 100_000)
     centre, _, wrist_radius = model.reach
-    distance = np.linalg.norm(wrist - centre, axis=1)
     assert distance.max() <= wrist_radius
     if arm == "panda":
         # s -> p4 -> p5, and the bound is reached inside q4's limits
@@ -674,6 +681,35 @@ def test_the_wrist_circle_holds_every_fk_pose(arm, rng, tmp_path):
         assert not dynamics._outside_reach(model, pose[:3, 3], None, 0.0, 0.0)
         assert not dynamics._outside_reach(model, pose[:3, 3], pose[:3, :3],
                                            0.0, 0.0)
+
+
+@pytest.mark.parametrize("arm", ["panda", "2r", "2r-tilted"])
+def test_the_wrist_circle_holds_fk_poses_turned_within_ik_tolerance(
+        arm, rng, tmp_path):
+    # IK accepts an orientation off its target by less than IK_ORI_TOL, so
+    # the proof, at IK's own tolerances, must keep the poses nearest the
+    # wrist bound turned by that much about any axis.  A turn moves the
+    # wrist circle by up to (||ee_xyz|| + ||v||) times its angle: the 2R
+    # arms' wrists lie on the bound at every q, and their ||v|| of 0.7 m
+    # moves it 0.6 mm past a margin without ||v||'s share (on the Panda,
+    # ||v|| * IK_ORI_TOL is 88 um, inside IK_POS_TOL)
+    path, model, q, distance = _wrist_distances(arm, rng, tmp_path, 20_000)
+    tool = fk_from_yaml(path, q[np.argsort(distance)[-200:]])[1]
+    tool = np.repeat(tool, 5, axis=0)
+    axes = rng.normal(size=(len(tool), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    cross = np.cross(axes[:, None, :], np.eye(3)).mT  # cross @ x = axis × x
+    angle = 0.999 * dynamics.IK_ORI_TOL
+    turns = (np.eye(3) + math.sin(angle) * cross
+             + (1.0 - math.cos(angle)) * cross @ cross)
+    turned = turns @ tool[:, :3, :3]
+    # each q reaches its turned pose within IK's tolerances
+    errors = dynamics._rotation_errors(turned, tool[:, :3, :3])
+    assert np.linalg.norm(errors, axis=1).max() < dynamics.IK_ORI_TOL
+    for point, orientation in zip(tool[:, :3, 3], turned):
+        assert not dynamics._outside_reach(model, point, orientation,
+                                           dynamics.IK_POS_TOL,
+                                           dynamics.IK_ORI_TOL)
 
 
 def test_prismatic_travel_widens_the_reach_ball():

@@ -56,6 +56,16 @@ def test_tank_grant_respects_power_cap():
     assert tank.energy == pytest.approx(10.0 - 0.4)
 
 
+def test_a_capped_grant_reports_the_cap_bit_for_bit():
+    # 7.0 * 0.01 / 0.01 is 7.000000000000001: a capped grant reported as
+    # its energy over dt would miss the cap by an ulp
+    cap, dt = 7.0, 0.01
+    assert cap * dt / dt != cap
+    granted, tank = tank_step(tank_init(10.0), 500.0, dt, power_cap=cap)
+    assert granted == cap
+    assert tank.cumulative_injected == cap * dt
+
+
 def test_tank_zero_request_is_identity():
     tank = tank_init(1.0, recycling_enabled=True)
     granted, after = tank_step(tank, 0.0, 0.01)
@@ -432,6 +442,22 @@ def test_loop_stops_stepping_once_its_state_stalls(face_limit, recycling,
                                 velocity_filter=True)
     for name, column in zip(_LOG_COLUMNS, zip(*reference)):
         assert _bits(getattr(log, name)) == _bits(column), name
+
+
+@pytest.mark.parametrize("recycling", [False, True],
+                         ids=["no-recycling", "recycling"])
+def test_loop_and_tank_step_agree_on_an_empty_tank(face_limit, recycling):
+    # a grant from a tank of -0.0 leaves 0.0 (-0.0 - -0.0), which compares
+    # equal to the state before but is not it: both ledgers must write it
+    profile = lambda t: 10.0 if t < 0.08 else -0.3
+    for budget in (0.0, -0.0):
+        log = simulate_loop(face_limit, MASS, profile, budget, 0.2, PERIOD,
+                            recycling=recycling)
+        reference = _tank_step_loop(face_limit, MASS, profile, budget, 0.2,
+                                    PERIOD, recycling=recycling,
+                                    power_cap=None, velocity_filter=True)
+        for name, column in zip(_LOG_COLUMNS, zip(*reference)):
+            assert _bits(getattr(log, name)) == _bits(column), (budget, name)
 
 
 def test_loop_log_csv(face_limit, tmp_path):

@@ -1,10 +1,10 @@
 """Workspace sweep: direction sets, determinism, statistics, reports."""
+import concurrent.futures
 import dataclasses
 import io
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -122,7 +122,7 @@ def test_sweep_worker_count_does_not_change_results(panda, body_table,
                                                     tiny_result, monkeypatch):
     forked = []
 
-    class RecordingPool(ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         """A real pool that records the workers it was asked for."""
 
         def __init__(self, max_workers):
@@ -131,7 +131,9 @@ def test_sweep_worker_count_does_not_change_results(panda, body_table,
 
     # TINY's 27 points are too few to fork for; one point per worker forks
     monkeypatch.setattr(sweep, "POOL_POINTS_PER_WORKER", 1)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # the sweep reaches the pool through the package, where it loads lazily
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     parallel = run_sweep(panda, body_table,
                          SweepConfig(n_workers=2, **TINY))
     assert forked == [2]
@@ -161,7 +163,8 @@ def test_sweep_pool_is_capped_at_the_scanline_count(panda, body_table,
             calls.append(("chunksize", chunksize))
             return map(fn, payloads)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     # a grid below two workers' worth of points runs in-process, however
     # many workers and scanlines (27 points, 9 scanlines)
     assert 27 < 2 * sweep.POOL_POINTS_PER_WORKER
