@@ -394,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", default=None,
                          help="sweep configuration YAML (defaults apply)")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="at most this many worker processes "
+                         help="ignored: recorded in the manifest, but "
+                              "the sweep runs in one process "
                               "(overrides config)")
     p_sweep.add_argument("--body-table", default=str(assets.body_table_path()))
     p_sweep.add_argument("--robot", default=str(assets.robot_model_path()))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -83,11 +83,6 @@ class ManipulatorModel:
         for value in (*vars(self).values(), self.reach[0]):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def __reduce__(self):
-        # numpy does not pickle the writeable flag: rebuild through __init__
-        return ManipulatorModel, tuple(getattr(self, f.name)
-                                       for f in fields(self) if f.init)
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:

@@ -16,18 +16,15 @@ computed twice per contact mode: once with the directional reflected mass
 and once with the constant half-moving-mass convention.
 
 Everything here is deterministic: the grid order, the direction set and the
-warm-start chain are fixed, so reruns reproduce results bit for bit.  Grid
-scanlines are independent IK work units, and the converged points of all of
-them are evaluated together; the optional worker pool changes wall time
-only, not output.  ``n_workers`` is an upper bound: the pool gets at
-most one worker per scanline and per ``POOL_POINTS_PER_WORKER`` grid points,
-and a sweep it would give one worker runs in-process.
+warm-start chain are fixed, so reruns reproduce results bit for bit.  One
+process solves every scanline in (z, y) order, and the converged points of
+all of them are evaluated together.  ``n_workers`` is checked and recorded
+but changes nothing.
 """
 from __future__ import annotations
 
 import enum
 import math
-from concurrent import futures  # the process pool loads on first use
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -50,10 +47,6 @@ SINGULAR_FLAG_THRESHOLD = 1e-6
 
 #: most grid points x directions one sweep may evaluate (a07: 57,800)
 MAX_SWEEP_EVALUATIONS = 5_000_000
-
-#: fewest grid points per pool worker: below this, forking and joining a
-#: worker costs more wall time than it saves (measured break-even, README)
-POOL_POINTS_PER_WORKER = 32
 
 #: most converged points one mass-kernel call evaluates: each takes about
 #: 11 kB of temporaries for a 7-joint arm, so a block stays near 45 MB
@@ -98,7 +91,7 @@ class SweepConfig:
     direction_style: str = "horizontal"
     contact_area: float = 1.0   # cm^2
     payload: float = 0.0        # kg
-    n_workers: int = 1
+    n_workers: int = 1          # checked and recorded; changes nothing
 
     def __post_init__(self) -> None:
         # every check runs here, before any inverse kinematics is spent
@@ -203,15 +196,15 @@ class SweepResult:
             np.stack([self.samples[key] for key in keys])))}
 
 
-# ---------------------------------------------------------------- workers
+# ---------------------------------------------------------------- scanlines
 
-def _sweep_scanline(payload: tuple) -> tuple[tuple[int, ...],
-                                              list[np.ndarray]]:
+def _sweep_scanline(model: ManipulatorModel, targets: np.ndarray,
+                    seed: np.ndarray) -> tuple[tuple[int, ...],
+                                               list[np.ndarray]]:
     """Solve one scanline (fixed y, z; x ascending) of grid points, each
     warm-started from the line's last converged point.  Returns the counts
     (rejected, budget spent, IK iterations) and the q of each converged
     point, in x order."""
-    model, targets, seed = payload
     solved = []
     q_seed = seed
     rejected = budget_spent = iterations = 0
@@ -299,25 +292,9 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
                                                     config.contact_area)
 
     # one scanline per (z, y): deterministic order, warm start along x
-    payloads = []
-    for z in zs:
-        for y in ys:
-            targets = np.column_stack([xs, np.full_like(xs, y), np.full_like(xs, z)])
-            payloads.append((model, targets, seed))
-
-    # the pool forks every worker up front: no more than there are scanlines,
-    # and only where each worker gets enough grid points to pay for its fork
-    n_grid = len(xs) * len(ys) * len(zs)
-    workers = min(config.n_workers, len(payloads),
-                  n_grid // POOL_POINTS_PER_WORKER)
-    if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            # a share of every sweep for each worker, a few tasks each
-            chunksize = max(1, len(payloads) // (4 * workers))
-            scanlines = list(pool.map(_sweep_scanline, payloads,
-                                      chunksize=chunksize))
-    else:
-        scanlines = [_sweep_scanline(p) for p in payloads]
+    scanlines = [_sweep_scanline(model, np.column_stack(
+        [xs, np.full_like(xs, y), np.full_like(xs, z)]), seed)
+        for z in zs for y in ys]
 
     rejected, budget_spent, iterations = map(
         sum, zip(*(counts for counts, _ in scanlines)))
@@ -355,7 +332,7 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
         iso_mass=iso_mass,
         samples=samples,
         reflected_masses=reflected,
-        n_grid=n_grid,
+        n_grid=len(xs) * len(ys) * len(zs),
         n_reachable=len(reflected),
         n_rejected=rejected,
         n_budget_spent=budget_spent,

@@ -36,15 +36,12 @@ def test_every_traced_boundary_resolves(tracing):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_traced_sweep_records_every_grid_point(tracing, tmp_path, panda,
-                                                 body_table, workers,
-                                                 monkeypatch):
-    # bench/run.py --trace 1 needs one IK span per grid point, pool workers
-    # included, and checks each converged (target, q) against the arm
+                                                 body_table, workers):
+    # bench/run.py --trace 1 needs one IK span per grid point, and checks
+    # each converged (target, q) against the arm
     from pflsafe import sweep
     from pflsafe.dynamics import forward_kinematics
 
-    # 16 points are too few to fork for; one point per worker forks the pool
-    monkeypatch.setattr(sweep, "POOL_POINTS_PER_WORKER", 1)
     original = sweep.inverse_kinematics
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
@@ -54,8 +51,8 @@ def test_a_traced_sweep_records_every_grid_point(tracing, tmp_path, panda,
             grid_spacing=0.10, n_directions=20, n_workers=workers))
     finally:
         tracer.uninstall()
-    # the pool's workers spooled their spans: the spool was exercised
-    assert bool(list(tmp_path.glob("worker-*.jsonl"))) == (workers > 1)
+    # every span was taken in this process: no worker spooled any
+    assert not list(tmp_path.glob("worker-*.jsonl"))
     tracer.collect()
     assert sweep.inverse_kinematics is original
     ik = [span for span in tracer.spans

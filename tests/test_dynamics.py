@@ -10,7 +10,6 @@ Oracles used here are deliberately independent routes:
 import dataclasses
 import itertools
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -223,6 +222,21 @@ def test_slider_reflected_mass_is_carried_mass():
         q=np.zeros(1), u=np.array([0.0, 1.0, 0.0]))) == math.inf
 
 
+def test_the_singular_guard_sits_at_its_threshold():
+    # the slider moves along x only: u = (sin e, 0, cos e) gives
+    # u^T Lambda^-1 u = sin^2 e / 3.2, on either side of SINGULAR_GUARD
+    model = load_robot_model(yaml_stream(SLIDER_YAML))
+    for ratio, finite in ((1.01, True), (0.99, False)):
+        s = ratio * dynamics.SINGULAR_GUARD
+        e = math.asin(math.sqrt(3.2 * s))
+        m = reflected_mass(model, ReflectedMassQuery(
+            q=np.zeros(1), u=np.array([math.sin(e), 0.0, math.cos(e)])))
+        if finite:
+            assert m == pytest.approx(1.0 / s, rel=1e-9)
+        else:
+            assert m == math.inf
+
+
 def test_panda_fk_matches_chain_oracle(panda, rng):
     qs = random_joint_configs(panda, rng, 20)
     for q, tool in zip(qs, fk_from_yaml(robot_model_path(), qs)[1]):
@@ -358,23 +372,29 @@ def link_frame_jacobian_oracle(model, frames, index, point=None):
     return jac
 
 
+def links_kinetic_energy(model, frames, qd):
+    """Sum of the per-link rigid-body energies at joint speeds qd, computed
+    link by link in world coordinates from the link frames."""
+    ke_links = 0.0
+    for i in range(model.n):
+        twist = link_frame_jacobian_oracle(model, frames, i) @ qd
+        v_origin, omega = twist[:3], twist[3:]
+        rot = frames[i][:3, :3]
+        v_com = v_origin + np.cross(omega, rot @ model.coms[i])
+        inertia_world = rot @ model.inertias[i] @ rot.T
+        ke_links += 0.5 * model.masses[i] * (v_com @ v_com)
+        ke_links += 0.5 * omega @ inertia_world @ omega
+    return ke_links
+
+
 def test_mass_matrix_kinetic_energy_oracle(panda, rng):
     # KE from the joint-space inertia equals the sum of per-link rigid-body
-    # energies computed link by link in world coordinates
+    # energies
     for q in random_joint_configs(panda, rng, 10):
         qd = rng.uniform(-1.0, 1.0, panda.n)
         ke_matrix = 0.5 * qd @ mass_matrix(panda, q) @ qd
-        frames = link_frames(panda, q)
-        ke_links = 0.0
-        for i in range(panda.n):
-            twist = link_frame_jacobian_oracle(panda, frames, i) @ qd
-            v_origin, omega = twist[:3], twist[3:]
-            rot = frames[i][:3, :3]
-            v_com = v_origin + np.cross(omega, rot @ panda.coms[i])
-            inertia_world = rot @ panda.inertias[i] @ rot.T
-            ke_links += 0.5 * panda.masses[i] * (v_com @ v_com)
-            ke_links += 0.5 * omega @ inertia_world @ omega
-        assert ke_matrix == pytest.approx(ke_links, rel=1e-10)
+        assert ke_matrix == pytest.approx(
+            links_kinetic_energy(panda, link_frames(panda, q), qd), rel=1e-10)
 
 
 def test_reflected_mass_kinetic_energy_oracle(panda, rng):
@@ -835,6 +855,57 @@ def test_lockstep_ik_matches_the_scalar_loop_on_a_prismatic_model(rng):
     assert lanes.success.any() and not lanes.success.all()
 
 
+# a turntable, a boom whose slide axis its rotated origin tilts, and a
+# wrist: the boom moves along R_origin @ axis, not along the parent's axis
+TILTED_SLIDE_YAML = """
+name: tilted-slide
+end_effector: {xyz: [0.1, 0.0, 0.05], rpy: [0.0, 0.0, 0.0]}
+links:
+  - name: turntable
+    joint: {xyz: [0.0, 0.0, 0.2], axis: [0.0, 0.0, 1.0],
+            lower: -3.14, upper: 3.14}
+    mass: 1.0
+    com: [0.05, 0.0, 0.0]
+    inertia: {ixx: 0.01, iyy: 0.02, izz: 0.03}
+  - name: boom
+    joint: {type: prismatic, xyz: [0.5, 0.0, 0.0], rpy: [0.4, 0.3, 0.2],
+            axis: [1.0, 0.0, 0.0], lower: 0.0, upper: 0.3}
+    mass: 1.5
+    com: [0.1, 0.02, 0.0]
+    inertia: {ixx: 0.02, iyy: 0.01, izz: 0.02}
+  - name: wrist
+    joint: {xyz: [0.2, 0.0, 0.0], axis: [0.0, 1.0, 0.0],
+            lower: -3.14, upper: 3.14}
+    mass: 0.5
+    com: [0.05, 0.0, 0.0]
+    inertia: {ixx: 0.001, iyy: 0.002, izz: 0.001}
+"""
+
+
+def test_a_prismatic_joint_slides_along_its_rotated_origin(rng):
+    model = load_robot_model(yaml_stream(TILTED_SLIDE_YAML))
+    assert not np.allclose(model.origins[1, :3, :3] @ model.axes[1],
+                           model.axes[1])  # the origin does tilt the axis
+    h = 1e-6
+    for q in random_joint_configs(model, rng, 10):
+        # the frames, against the per-joint chain of the reference
+        reference = np.array(ik_reference.link_frames(model, q))
+        assert link_frames(model, q) == pytest.approx(reference, abs=1e-12)
+        # the Jacobian, against finite differences of FK
+        jac = point_jacobian(model, q)
+        fd = np.empty_like(jac)
+        for j in range(model.n):
+            dq = np.zeros(model.n)
+            dq[j] = h
+            fd[:, j] = (forward_kinematics(model, q + dq)[:3, 3]
+                        - forward_kinematics(model, q - dq)[:3, 3]) / (2 * h)
+        assert np.max(np.abs(jac - fd)) < 1e-6
+        # M, against the links' kinetic energy on the reference frames
+        qd = rng.uniform(-1.0, 1.0, model.n)
+        assert 0.5 * qd @ mass_matrix(model, q) @ qd == pytest.approx(
+            links_kinetic_energy(model, reference, qd), rel=1e-10)
+
+
 def test_lockstep_ik_matches_the_scalar_loop_through_a_half_turn(panda):
     # the target orientation is the seed's turned by pi about the tool x
     # axis: the first rotation error takes the angle ~ pi branch
@@ -923,25 +994,6 @@ def test_model_arrays_are_read_only(panda):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
         assert not array.flags.writeable, name
-
-
-def test_an_unpickled_model_is_read_only_and_equal(panda):
-    # a sweep worker receives the model pickled, and numpy does not pickle
-    # the writeable flag: the model is rebuilt through its constructor
-    def arrays(model):
-        found = {name: value for name, value in vars(model).items()
-                 if isinstance(value, np.ndarray)}
-        found["reach centre"] = model.reach[0]
-        return found
-
-    unpickled = pickle.loads(pickle.dumps(panda))
-    original, copy = arrays(panda), arrays(unpickled)
-    assert len(copy) == 14 and copy.keys() == original.keys()
-    for name, array in copy.items():
-        assert not array.flags.writeable, name
-        assert np.array_equal(array, original[name]), name
-    assert (unpickled.n, unpickled.revolute, unpickled.reach[1]) == (
-        panda.n, panda.revolute, panda.reach[1])
 
 
 def test_joint_transform_zero_angle_is_fixed_origin(panda):

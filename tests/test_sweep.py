@@ -118,78 +118,37 @@ def test_sweep_deterministic_rerun(panda, body_table, tiny_result):
                           again.reflected_masses)
 
 
-def test_sweep_worker_count_does_not_change_results(panda, body_table,
-                                                    tiny_result, monkeypatch):
-    forked = []
+def test_the_worker_count_changes_nothing_and_forks_nothing(
+        panda, body_table, monkeypatch):
+    built = []
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        """A real pool that records the workers it was asked for."""
+    class NoPool:
+        """Stands in for ProcessPoolExecutor: a sweep must never build one."""
 
-        def __init__(self, max_workers):
-            forked.append(max_workers)
-            super().__init__(max_workers=max_workers)
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            raise AssertionError("the sweep built a process pool")
 
-    # TINY's 27 points are too few to fork for; one point per worker forks
-    monkeypatch.setattr(sweep, "POOL_POINTS_PER_WORKER", 1)
-    # the sweep reaches the pool through the package, where it loads lazily
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    parallel = run_sweep(panda, body_table,
-                         SweepConfig(n_workers=2, **TINY))
-    assert forked == [2]
-    assert np.array_equal(tiny_result.reflected_masses,
-                          parallel.reflected_masses)
-    for key, samples in tiny_result.samples.items():
-        assert np.array_equal(samples, parallel.samples[key])
-
-
-def test_sweep_pool_is_capped_at_the_scanline_count(panda, body_table,
-                                                    monkeypatch):
-    calls = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records, maps in-process."""
-
-        def __init__(self, max_workers):
-            calls.append(("max_workers", max_workers))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads, chunksize):
-            calls.append(("chunksize", chunksize))
-            return map(fn, payloads)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    # a grid below two workers' worth of points runs in-process, however
-    # many workers and scanlines (27 points, 9 scanlines)
-    assert 27 < 2 * sweep.POOL_POINTS_PER_WORKER
-    run_sweep(panda, body_table, SweepConfig(n_workers=8, **TINY))
-    assert calls == []
-    # above it, the grid caps the pool: min(8, 16 scanlines, 64 // 32)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    # 64 points on 16 scanlines: enough grid for any worker count to fork
     big = dict(TINY, box_min=(0.30, -0.10, 0.35), n_directions=2)
-    result = run_sweep(panda, body_table, SweepConfig(n_workers=8, **big))
-    workers = min(8, 16, result.n_grid // sweep.POOL_POINTS_PER_WORKER)
-    assert (result.n_grid, workers) == (64, 2)
-    assert calls == [("max_workers", workers), ("chunksize", 2)]
+    one, *others = (run_sweep(panda, body_table,
+                              SweepConfig(n_workers=workers, **big))
+                    for workers in (1, 2, 8))
+    assert built == []
 
-    # with a point per worker, the scanlines cap the pool, and a
-    # one-scanline box still runs in-process
-    calls.clear()
-    monkeypatch.setattr(sweep, "POOL_POINTS_PER_WORKER", 1)
-    one_line = dict(TINY, box_max=(0.45, -0.05, 0.40))
-    serial = run_sweep(panda, body_table, SweepConfig(**one_line))
-    pooled = run_sweep(panda, body_table,
-                       SweepConfig(n_workers=500, **one_line))
-    assert calls == []
-    assert np.array_equal(serial.reflected_masses, pooled.reflected_masses)
-    two_lines = dict(TINY, box_max=(0.45, 0.0, 0.40))
-    run_sweep(panda, body_table, SweepConfig(n_workers=8, **two_lines))
-    assert calls == [("max_workers", 2), ("chunksize", 1)]
+    def counts(result):
+        return (result.n_grid, result.n_reachable, result.n_rejected,
+                result.n_budget_spent, result.ik_iterations,
+                result.n_singular, result.n_constrained_directions)
+
+    assert one.n_grid == 64
+    for other in others:
+        assert np.array_equal(one.reflected_masses, other.reflected_masses)
+        assert one.samples.keys() == other.samples.keys()
+        for key, samples in one.samples.items():
+            assert np.array_equal(samples, other.samples[key])
+        assert counts(one) == counts(other)
 
 
 def test_an_overflowing_grid_count_meets_the_cap_without_a_warning(
