@@ -193,8 +193,9 @@ def _parse_link(idx: int, spec) -> tuple:
 # Every kernel takes one configuration, q of shape (n,), or a stack of B,
 # q of shape (B, n), and puts the B axis in front of its result.  Stacked
 # matmul and solve run the same BLAS and LAPACK call per configuration as
-# an unstacked one, and the elementwise steps are the same IEEE operations,
-# so each configuration of a stack rounds exactly as it does alone.
+# an unstacked one, and the elementwise steps are the same IEEE operations:
+# each configuration rounds as it does alone under OpenBLAS's SkylakeX and
+# Haswell kernels, but not under Prescott's, whose dot rounds by address.
 
 def _check_q(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
     """q as finite floats, one configuration (n,) or a stack (B, n)."""
@@ -420,8 +421,8 @@ class IKResult:
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a (B, k) stack, each rounded as
-    ``np.linalg.norm`` rounds one vector (the square root of a BLAS dot)."""
+    """Euclidean norm of every row of a (B, k) stack: the square root of a
+    BLAS dot, as ``np.linalg.norm`` takes it of one vector."""
     return np.sqrt(np.vecdot(v, v))
 
 
@@ -547,9 +548,10 @@ def inverse_kinematics(model: ManipulatorModel, target: np.ndarray,
     A (3,) target with an (n,) seed gives an ``IKResult`` of Python scalars.
     (B, 3) targets with (B, n) seeds run B lanes in lockstep, lane b solving
     for ``target[b]`` from ``seed[b]``, and give (B,) arrays; one target is
-    a batch of one, and an empty stack a batch of zero.  Each lane stops when it converges or spends its budget,
-    and every iteration works on the lanes still running only, so a lane's
-    iterates are bit for bit those of a call with that lane alone.
+    a batch of one, and an empty stack a batch of zero.  Each lane stops
+    when it converges or spends its budget, and every iteration works on
+    the lanes still running only, so a lane's iterates are those of a call
+    with that lane alone: bit for bit under SkylakeX and Haswell kernels.
 
     A target no in-limit q can reach is rejected before the first
     iteration.  ``_chain_reach`` bounds the distance of the last link's

@@ -8,7 +8,6 @@ checks an array entry by entry), raises ``InputError`` reading
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -171,47 +170,9 @@ def write_csv(path: str | Path, header: Iterable[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-@functools.lru_cache(maxsize=None)
-def _json_encoder(pad: str):
-    """One-line sorted JSON whose items each start a new line at ``pad``:
-    the C encoder, which ``json`` uses only when nothing is indented."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
-
-
-_JSON_CONTAINERS = (dict, list, tuple)
-
-
-def _json_key(key) -> str:
-    """A dict key's JSON text: a str quoted, and a number, bool or None
-    made a str as the encoder makes it one."""
-    encode = _json_encoder("")
-    return encode(key) if isinstance(key, str) else encode({key: 0})[1:-4]
-
-
-def _json_text(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` at the indent
-    ``pad``.  A container that holds no container is one C encoder call;
-    the indenting encoder would make Python calls per item."""
-    if not isinstance(obj, _JSON_CONTAINERS) or not obj:
-        return _json_encoder(pad)(obj)
-    inner = pad + "  "
-    is_dict = isinstance(obj, dict)
-    if not any(isinstance(v, _JSON_CONTAINERS)
-               for v in (obj.values() if is_dict else obj)):
-        text = _json_encoder(inner)(obj)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    if is_dict:
-        items = [f"{_json_key(key)}: {_json_text(value, inner)}"
-                 for key, value in sorted(obj.items())]
-    else:
-        items = [_json_text(value, inner) for value in obj]
-    start, end = "{}" if is_dict else "[]"
-    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{end}"
-
-
 def write_json(obj, path: str | Path) -> None:
-    """Write ``obj`` as sorted, 2-space-indented JSON and a final newline:
-    the text of ``json.dumps(obj, indent=2, sort_keys=True)``."""
-    text = _json_text(obj) + "\n"
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline; an
+    object ``json`` rejects raises before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -44,6 +44,56 @@ REFERENCE_MEAN_TRANSIENT = {
     "lower_legs": 0.828,
 }
 
+#: a07's reflected-mass means and constant-mass limits [m/s] per region, in
+#: ContactMode order (transient, quasi-static free, quasi-static clamped), as
+#: the sweep gave them when pinned.  OpenBLAS kernel sets move them by about
+#: 1e-8, so a 1e-6 pin holds on any host; a formula change of 1 % breaks it,
+#: where the 15 % reference check above does not.  A change that moves a
+#: mean on purpose changes these numbers and names the change.
+A07_REFLECTED_MEANS = {
+    "skull_forehead": (0.29662544872878166, 0.29662544872878166,
+                       0.249609377619157),
+    "face": (0.20974586626862413, 0.20974586626862413, 0.17650048356225956),
+    "neck": (1.580463455606972, 0.790231727803486, 0.49884937394079887),
+    "back_shoulders": (1.7069382809638385, 0.8534691404819192,
+                       0.8347346608756315),
+    "chest": (1.346451074001197, 0.6732255370005985, 0.6584475801945116),
+    "abdomen": (1.672727631073599, 0.8363638155367995, 0.8180048144875481),
+    "pelvis": (1.7311513808586816, 0.8655756904293408, 0.8465754602500865),
+    "upper_arms_elbows": (1.6314404474907716, 0.8157202237453858,
+                          0.6440117725129034),
+    "lower_arms_wrists": (1.6427005172431293, 0.8213502586215646,
+                          0.5949125923545805),
+    "hands_fingers": (2.176905143216441, 1.0884525716082205,
+                      0.5430784109607986),
+    "thighs_knees": (1.4808991900399742, 0.7404495950199871,
+                     0.731645748446505),
+    "lower_legs": (0.7988321661430537, 0.3994160830715269,
+                   0.39466707930679656),
+}
+
+A07_CONSTANT_LIMITS = {
+    "skull_forehead": (0.2142942214370166, 0.2142942214370166,
+                       0.14253404061920258),
+    "face": (0.15152889714720605, 0.15152889714720605, 0.10078678667175696),
+    "neck": (1.3507680751377975, 0.6753840375688988, 0.28485715403139805),
+    "back_shoulders": (1.0172552776329635, 0.5086276388164818,
+                       0.4766571881006615),
+    "chest": (0.8024217843007684, 0.4012108921503842, 0.37599226053219126),
+    "abdomen": (0.9968673324212309, 0.49843366621061547, 0.46710397088031186),
+    "pelvis": (1.031685151243845, 0.5158425756219225, 0.48341862068424596),
+    "upper_arms_elbows": (1.2413530204387673, 0.6206765102193836,
+                          0.3677490045372152),
+    "lower_arms_wrists": (1.3197033432634617, 0.6598516716317309,
+                          0.339711978822045),
+    "hands_fingers": (1.9850028507299902, 0.9925014253649951,
+                      0.3101131897592522),
+    "thighs_knees": (0.8659227733612065, 0.43296138668060324,
+                     0.41779049257938383),
+    "lower_legs": (0.4670992930572548, 0.2335496465286274,
+                   0.22536610623181835),
+}
+
 
 def test_a01_reference_collision_peak_state():
     start = time.perf_counter()
@@ -194,6 +244,15 @@ def test_a07_workspace_sweep_reproduction(panda, body_table):
             worst = (rid, rel)
         assert mean == pytest.approx(expected, rel=0.15), rid
 
+    assert len(result.stats) == 3 * len(A07_REFLECTED_MEANS) == 36
+    for rid, means in A07_REFLECTED_MEANS.items():
+        for mode, mean, limit in zip(ContactMode, means,
+                                     A07_CONSTANT_LIMITS[rid]):
+            assert result.stats[rid, mode].mean == pytest.approx(
+                mean, rel=1e-6), (rid, mode)
+            assert result.samples[rid, mode, MassSource.CONSTANT][0] == \
+                pytest.approx(limit, rel=1e-6), (rid, mode)
+
     for rid in REFERENCE_MEAN_TRANSIENT:
         for source in MassSource:
             tr = result.samples[(rid, ContactMode.TRANSIENT, source)]
@@ -209,7 +268,8 @@ def test_a07_workspace_sweep_reproduction(panda, body_table):
     assert np.array_equal(result.reflected_masses, rerun.reflected_masses)
     print(f"[acceptance a07] PASS workspace sweep: {result.n_reachable} "
           f"reachable points, every region mean within 15% of reference "
-          f"(worst {worst[0]} {worst[1]:+.1%}), ordering monotone, rerun "
+          f"(worst {worst[0]} {worst[1]:+.1%}) and within 1e-6 of the pin, "
+          f"ordering monotone, rerun "
           f"bit-identical, first run {elapsed:.0f} s (< 10 s)")
 
 

@@ -21,6 +21,7 @@ from pflsafe.dynamics import MODEL_KEYS
 from pflsafe.limits import compute_limit
 from pflsafe.schema import CSV_BLOCK_ROWS
 from test_body import table_text
+from test_sweep import REACH_BOX
 
 
 def run(*argv):
@@ -757,6 +758,84 @@ def test_no_artefact_depends_on_hash_order(tmp_path, argv):
             assert done.returncode == 0, done.stderr
             runs.append((done.stdout, _artefacts(out)))
         assert runs[0] == runs[1] and len(runs[0][1]) >= 2, name
+
+
+def _sweep_in_fresh_interpreter(out: Path, coretype: str | None) -> tuple:
+    """Exit code, stdout and output directory of ``sweep`` on REACH_BOX in a
+    new interpreter, under the OpenBLAS kernel set ``coretype``."""
+    config = out.with_suffix(".yaml")
+    config.write_text(yaml.safe_dump(
+        {key: list(value) if isinstance(value, tuple) else value
+         for key, value in REACH_BOX.items()}))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update({"OPENBLAS_CORETYPE": coretype} if coretype else {},
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pflsafe.cli", "sweep", "--config", str(config),
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=120)
+    return done.returncode, done.stdout, out
+
+
+def _leaves(obj):
+    """The keys and scalars of a JSON value, in order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _leaves(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+def _csv_cells(text: str):
+    """The cells of a CSV text, each number as a float."""
+    for cell in text.replace("\n", ",").split(","):
+        try:
+            yield float(cell)
+        except ValueError:
+            yield cell
+
+
+@pytest.fixture(scope="module")
+def default_kernel_sweep(tmp_path_factory):
+    return _sweep_in_fresh_interpreter(
+        tmp_path_factory.mktemp("kernels") / "default", None)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_a_sweep_agrees_across_openblas_kernel_sets(tmp_path,
+                                                    default_kernel_sweep,
+                                                    coretype):
+    # the bytes hold per kernel set only: the counts and stdout are equal
+    # across kernel sets, and every number agrees within 1e-7 relative;
+    # the SVG's .6g text may round the other way, so it is not compared
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = set(cpuinfo.read_text().split()) if cpuinfo.is_file() else set()
+    if coretype == "Haswell" and not {"avx2", "fma"} <= flags:
+        pytest.skip("Haswell kernels need AVX2 and FMA")
+    code, stdout, out = default_kernel_sweep
+    other_code, other_stdout, other = _sweep_in_fresh_interpreter(
+        tmp_path / coretype, coretype)
+    assert code == other_code == 0
+    assert stdout == other_stdout
+    manifest, other_manifest = (json.loads((d / "run_manifest.json")
+                                           .read_text()) for d in (out, other))
+    assert manifest["counts"] == other_manifest["counts"]
+    for name, cells in (("sweep_result.csv", _csv_cells),
+                        ("scaling_report.csv", _csv_cells),
+                        ("fig_boxstats.json",
+                         lambda text: _leaves(json.loads(text)))):
+        ours, theirs = (list(cells((d / name).read_text()))
+                        for d in (out, other))
+        assert len(ours) == len(theirs) > 1, name
+        for a, b in zip(ours, theirs):
+            if isinstance(a, float) and isinstance(b, float):
+                assert a == pytest.approx(b, rel=1e-7), name
+            else:
+                assert a == b, name
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",

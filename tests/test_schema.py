@@ -353,14 +353,24 @@ def test_write_json_writes_the_indenting_encoders_text(tmp_path, seed):
                                      + "\n").encode("utf-8"), obj
 
 
+def _self_containing() -> dict:
+    obj = {}
+    obj["a"] = [obj]
+    return obj
+
+
 @pytest.mark.parametrize("obj", [
     {"a": [1, {2, 3}]},                   # a set is not JSON
     {"a": {1: [1], "1": [2]}},            # keys that do not sort together
     {"a": {(1, 2): [1]}},                 # a key that is not a scalar
-], ids=["set", "mixed-keys", "tuple-key"])
+    _self_containing(),                   # a circular reference
+], ids=["set", "mixed-keys", "tuple-key", "self-containing"])
 def test_write_json_rejects_what_json_rejects(tmp_path, obj):
-    with pytest.raises(TypeError) as expected:
+    with pytest.raises(Exception) as expected:
         json.dumps(obj, indent=2, sort_keys=True)
-    with pytest.raises(TypeError) as raised:
-        write_json(obj, tmp_path / "out.json")
+    path = tmp_path / "out.json"
+    with pytest.raises(Exception) as raised:
+        write_json(obj, path)
+    assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
+    assert not path.exists()  # the text is built before the file is opened
