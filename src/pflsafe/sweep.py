@@ -24,6 +24,7 @@ but changes nothing.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +40,7 @@ from .dynamics import (FLANGE_DOWN, ManipulatorModel, ReflectedMassQuery,
                        reflected_mass)
 from .errors import InputError, NumericalError
 from .limits import body_part_mass, compute_limit, v0_max
-from .schema import number, vector3, write_json
+from .schema import distinct_cells, number, vector3, write_json
 from .svgplot import BoxStats
 
 #: manipulability below which a configuration is flagged near-singular
@@ -51,11 +52,6 @@ MAX_SWEEP_EVALUATIONS = 5_000_000
 #: most converged points one mass-kernel call evaluates: each takes about
 #: 11 kB of temporaries for a 7-joint arm, so a block stays near 45 MB
 MASS_BLOCK_POINTS = 4096
-
-#: fewest samples per reflected-mass row for which the sample CSV formats
-#: one text per distinct mass: below it, the partition's check costs more
-#: than the repeated texts it saves (measured break-even 25-40 samples)
-CSV_PARTITION_MIN_SAMPLES = 32
 
 
 class MassSource(enum.Enum):
@@ -394,66 +390,24 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
 
 # ---------------------------------------------------------------- writers
 
-def _distinct_masses(result: SweepResult) -> dict:
-    """Each reflected-mass row of ``result`` at the first sample of each
-    distinct mass, as (its bits, its floats, the class of every sample or
-    None if every mass is distinct); {} where a row breaks the partition of
-    ``reflected_masses`` into bit-equal masses.
-
-    A sweep's reflected-mass row is ``v0_max`` of those masses, so it holds
-    bit-equal samples wherever they are bit-equal; this is checked on every
-    row in one stacked comparison.  Rows shorter than
-    ``CSV_PARTITION_MIN_SAMPLES`` give {} unchecked."""
-    masses = result.reflected_masses.reshape(-1)
-    if len(masses) < CSV_PARTITION_MIN_SAMPLES:
-        return {}
-    keys = [key for key in result.samples if key[2] is MassSource.REFLECTED]
-    rows = [result.samples[key] for key in keys]
-    if any(row.shape != masses.shape for row in rows):
-        return {}
-    bits = np.array(rows, dtype=np.float64).view(np.int64)
-    _, first, where = np.unique(masses.view(np.int64), return_index=True,
-                                return_inverse=True)
-    if len(first) < len(masses):
-        distinct = bits[:, first]
-        if not np.array_equal(distinct[:, where], bits):
-            return {}
-        bits, where = distinct, where.tolist()
-    else:  # each mass is its own class
-        where = None
-    return {key: (row.tobytes(), row.view(np.float64), where)
-            for key, row in zip(keys, bits)}
-
-
 def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     """Long-format sample dump: region,mode,mass_source,sample.
 
-    A reflected-mass row formats one ``repr`` per distinct mass (see
-    ``_distinct_masses``), and the rows of a region that hold equal bits
-    share their cells; any other row formats every sample.  Each region's
-    rows are written in one call."""
-    distinct = _distinct_masses(result)
+    Each region's rows are formatted by one ``distinct_cells`` call over
+    their concatenation, one ``repr`` per distinct sample, and written in
+    one call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("region,mode,mass_source,sample\n")
         for rid in REGION_IDS:
-            shared: dict[bytes, list[str]] = {}
+            rows = [result.samples[rid, mode, source]
+                    for mode, source in _COMBO_WORDS]
+            cells = iter(distinct_cells(np.concatenate(rows, dtype=float)))
             parts = []
-            for (mode, source), (m, s) in _COMBO_WORDS.items():
-                key = rid, mode, source
-                entry = distinct.get(key)
-                if entry is None:
-                    cells = list(map(repr, result.samples[key].tolist()))
-                elif entry[0] in shared:
-                    cells = shared[entry[0]]
-                else:
-                    row_bits, values, where = entry
-                    text = list(map(repr, values.tolist()))
-                    cells = shared[row_bits] = (
-                        text if where is None
-                        else list(map(text.__getitem__, where)))
-                if cells:  # else the join would write one bare prefix
+            for (m, s), row in zip(_COMBO_WORDS.values(), rows):
+                if len(row):  # else the join would write one bare prefix
                     prefix = f"{rid},{m},{s},"
-                    parts.append(prefix + ("\n" + prefix).join(cells) + "\n")
+                    parts.append(prefix + ("\n" + prefix).join(
+                        itertools.islice(cells, len(row))) + "\n")
             fh.write("".join(parts))
 
 

@@ -502,70 +502,92 @@ def _row_by_row_sweep_csv(result: SweepResult) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-def test_sweep_csv_matches_the_row_by_row_writer(tiny_result, tmp_path):
+def _edge_values(result: SweepResult) -> SweepResult:
+    # float extremes and signed zeros, an empty row and a longer one
     edge = np.array([-0.0, 0.0, 5e-324, 1e308, 3.0, 2.0 ** 53, 1e16, 0.1])
-    samples = dict(tiny_result.samples)
+    samples = dict(result.samples)
     keys = list(samples)
     samples[keys[0]] = edge
     samples[keys[1]] = np.empty(0)
     samples[keys[-1]] = np.concatenate([samples[keys[-1]], -edge])
-    result = dataclasses.replace(tiny_result, samples=samples)
+    return dataclasses.replace(result, samples=samples)
+
+
+def _at_bit_equal_masses(first: float, second: float):
+    """A row whose samples at two bit-equal masses are ``first`` and
+    ``second``: a sweep's samples follow its masses, a hand-built row need
+    not."""
+    def build(result: SweepResult) -> SweepResult:
+        flat = result.reflected_masses.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        pair = next([int(a), int(b)] for a, b in zip(order, order[1:])
+                    if flat[a] == flat[b])
+        key = ("chest", ContactMode.TRANSIENT, MassSource.REFLECTED)
+        row = result.samples[key].copy()
+        row[pair] = first, second
+        return dataclasses.replace(result, samples={**result.samples,
+                                                    key: row})
+    return build
+
+
+def _short_rows(result: SweepResult) -> SweepResult:
+    # rows of four samples
+    return dataclasses.replace(
+        result, reflected_masses=result.reflected_masses[:1, :4],
+        samples={key: value[:4] for key, value in result.samples.items()})
+
+
+def _signed_zeros_in_two_rows(result: SweepResult) -> SweepResult:
+    # -0.0 == 0.0: a dedup keyed on values would give both rows one text
+    samples = dict(result.samples)
+    for mode, zero in ((ContactMode.TRANSIENT, -0.0),
+                       (ContactMode.QUASI_STATIC_FREE, 0.0)):
+        key = ("chest", mode, MassSource.REFLECTED)
+        samples[key] = np.concatenate([[zero], samples[key][1:]])
+    return dataclasses.replace(result, samples=samples)
+
+
+@pytest.mark.parametrize("build, texts", [
+    (_edge_values, [b",-0.0\n", b",5e-324\n"]),
+    (_at_bit_equal_masses(1.0, np.nextafter(1.0, 2.0)),
+     [b"chest,transient,reflected,1.0\n",
+      b"chest,transient,reflected,1.0000000000000002\n"]),
+    (_at_bit_equal_masses(0.0, -0.0),
+     [b"chest,transient,reflected,0.0\n",
+      b"chest,transient,reflected,-0.0\n"]),
+    (_short_rows, []),
+    (_signed_zeros_in_two_rows,
+     [b"chest,transient,reflected,-0.0\n",
+      b"chest,quasi_static_free,reflected,0.0\n"]),
+], ids=["edge", "float-step-at-equal-masses", "signed-zero-at-equal-masses",
+        "short-rows", "signed-zeros-in-two-rows"])
+def test_sweep_csv_matches_the_row_by_row_writer(tiny_result, tmp_path,
+                                                 build, texts):
+    result = build(tiny_result)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
     data = path.read_bytes()
     assert data == _row_by_row_sweep_csv(result)
-    assert b",-0.0\n" in data and b",5e-324\n" in data
+    assert all(text in data for text in texts)
 
 
-def test_sweep_csv_formats_one_text_per_distinct_mass(tiny_result, tmp_path,
-                                                      monkeypatch):
-    # horizontal directions: u and -u give bit-equal masses
-    masses = tiny_result.reflected_masses.reshape(-1)
-    distinct = len(np.unique(masses))
-    assert sweep.CSV_PARTITION_MIN_SAMPLES <= len(masses) and (
-        distinct < len(masses))
-    formatted = []
-    monkeypatch.setattr(sweep, "repr",
-                        lambda x: formatted.append(x) or repr(x),
-                        raising=False)
+def test_sweep_csv_formats_each_region_in_one_distinct_cells_call(
+        tiny_result, tmp_path, monkeypatch):
+    columns = []
+    real = sweep.distinct_cells
+    monkeypatch.setattr(sweep, "distinct_cells",
+                        lambda column: columns.append(column.copy())
+                        or real(column))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(tiny_result, path)
     assert path.read_bytes() == _row_by_row_sweep_csv(tiny_result)
-    # one text per distinct mass and per distinct row of a region (the head
-    # regions' transient and quasi-static free rows are equal), one per
-    # constant-mass sample
-    rows = {rid: {tiny_result.samples[rid, mode,
-                                      MassSource.REFLECTED].tobytes()
-                  for mode in ContactMode} for rid in REGION_IDS}
-    assert len(rows["face"]) == 2
-    assert len(formatted) == (sum(map(len, rows.values())) * distinct
-                              + len(REGION_IDS) * len(ContactMode))
-
-
-def test_sweep_csv_checks_the_mass_partition(tiny_result, tmp_path):
-    # a hand-built row whose samples of two bit-equal masses differ, by a
-    # float step or only in the sign of a zero, is written sample by sample
-    flat = tiny_result.reflected_masses.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    pair = next((int(a), int(b)) for a, b in zip(order, order[1:])
-                if flat[a] == flat[b])
-    key = ("chest", ContactMode.TRANSIENT, MassSource.REFLECTED)
-    for first, second in ((1.0, np.nextafter(1.0, 2.0)), (0.0, -0.0)):
-        row = tiny_result.samples[key].copy()
-        row[list(pair)] = first, second
-        samples = dict(tiny_result.samples)
-        samples[key] = row
-        result = dataclasses.replace(tiny_result, samples=samples)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(result, path)
-        assert path.read_bytes() == _row_by_row_sweep_csv(result)
-    # and so is a sweep with rows too short for the partition to pay
-    short = dataclasses.replace(
-        tiny_result, reflected_masses=tiny_result.reflected_masses[:1, :4],
-        samples={key: value[:4] for key, value in tiny_result.samples.items()})
-    assert short.reflected_masses.size < sweep.CSV_PARTITION_MIN_SAMPLES
-    write_sweep_csv(short, path)
-    assert path.read_bytes() == _row_by_row_sweep_csv(short)
+    # one call per region, over its six rows in ALL_COMBOS order
+    assert len(columns) == len(REGION_IDS) == 12
+    for rid, column in zip(REGION_IDS, columns):
+        rows = [tiny_result.samples[rid, mode, source]
+                for mode, source in ALL_COMBOS]
+        assert column.dtype == np.float64
+        assert column.tobytes() == np.concatenate(rows).tobytes()
 
 
 def test_boxstats_json(tiny_result, tmp_path):
