@@ -152,6 +152,8 @@ def distinct_cells(column: np.ndarray, fmt=repr) -> list[str]:
     distinct bit pattern: by value ``-0.0 == 0.0``, and the two would share
     a cell."""
     bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    if len(bits) == len(column):  # nothing repeats: no gather
+        return list(map(fmt, column.tolist()))
     text = list(map(fmt, bits.view(np.float64).tolist()))
     return list(map(text.__getitem__, where.tolist()))
 

@@ -27,8 +27,8 @@ _STAR = tuple(
          -math.pi / 2 + i * math.pi / 5) for i in range(10)))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
+#: ``format(float(x), ".6g")`` of a number ``x``, with no Python frame
+_fmt = "{:.6g}".format
 
 
 def _esc(text: str) -> str:

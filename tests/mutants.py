@@ -193,6 +193,17 @@ MUTANTS = (
     Mutant("distinct-cells-by-value", SCHEMA,
            "np.unique(column.view(np.int64), return_inverse=True)",
            "np.unique(column, return_inverse=True)"),
+    Mutant("distinct-cells-always-gather", SCHEMA,
+           "if len(bits) == len(column):",
+           "if False:",
+           equivalent="with no repeated bits, the gather through the index "
+                      "gives each entry's own text, as the map does"),
+    Mutant("csv-block-short", SCHEMA,
+           "c[start:start + CSV_BLOCK_ROWS]",
+           "c[start:start + CSV_BLOCK_ROWS - 1]"),
+    Mutant("svg-format-7g", SVGPLOT,
+           '_fmt = "{:.6g}".format',
+           '_fmt = "{:.7g}".format'),
     Mutant("chart-x-scale", SVGPLOT,
            "(x - x_lo) / (x_hi - x_lo) * plot_w",
            "(x - x_lo) / (x_hi - x_lo) * plot_h"),

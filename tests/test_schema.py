@@ -26,7 +26,10 @@ from pflsafe import (BodyRegionParams, CollisionScenario, ContactMode,
 from pflsafe.body import binding_criterion
 from pflsafe.dynamics import FLANGE_DOWN
 from pflsafe.cli import FilterScenario, _build_parser
-from pflsafe.schema import MAX_YAML_OPENERS, _Loader, read_mapping, write_json
+from pflsafe.schema import (CSV_BLOCK_ROWS, MAX_YAML_OPENERS, _Loader,
+                            distinct_cells, read_mapping, write_csv,
+                            write_json)
+from pflsafe.svgplot import _fmt
 from pflsafe.sweep import SweepConfig, horizontal_directions, sphere_directions
 from test_cli import EXPONENT_CONFIG, EXPONENT_SCENARIO
 from test_dynamics import TWO_R_YAML
@@ -374,3 +377,61 @@ def test_write_json_rejects_what_json_rejects(tmp_path, obj):
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
     assert not path.exists()  # the text is built before the file is opened
+
+
+#: columns for the dedup kernel: its no-repeat path and its gather path
+DISTINCT_COLUMNS = {
+    "no-repeats": np.linspace(-1.0, 1.0, 37) ** 3,
+    "repeats": np.resize([0.1, 0.2, 0.1, 3.0, 1e308, 0.2], 50),
+    "signed-zeros": np.array([-0.0, 0.0, -0.0, 1.0, 0.0]),
+    "signed-zeros-no-repeat": np.array([0.0, -0.0]),
+    "subnormals": np.array([5e-324, -5e-324, 2.5e-320, 5e-324, 1e-310,
+                            2.2250738585072009e-308]),
+    "one": np.array([0.1]),
+    "empty": np.array([], dtype=float),
+}
+
+
+@pytest.mark.parametrize("fmt", [repr, _fmt], ids=["repr", "svg"])
+@pytest.mark.parametrize("column", DISTINCT_COLUMNS.values(),
+                         ids=DISTINCT_COLUMNS.keys())
+def test_distinct_cells_formats_each_entry(column, fmt):
+    assert distinct_cells(column, fmt) == list(map(fmt, column.tolist()))
+
+
+def _row_by_row_csv(header, columns) -> bytes:
+    """The reference writer: one line per row, each value's ``repr``."""
+    n = min(map(len, columns), default=0)
+    lines = [",".join(header)] + [
+        ",".join(repr(float(column[i])) for column in columns)
+        for i in range(n)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _csv_columns(rows: int, repeats: bool) -> list:
+    rng = np.random.default_rng(rows)
+    scales = 10.0 ** rng.integers(-300, 300, rows + 3)
+    if not repeats:  # a time axis and random values over 600 decades
+        return [0.01 * np.arange(rows) + 0.005,
+                rng.normal(size=rows + 3) * scales]
+    # a time axis, two columns equal to each other and to the time axis's
+    # first value, values drawn from a pool with both zeros and a subnormal,
+    # values over 600 decades, a strided view and a list of ints, all of
+    # unequal length: the shortest decides the rows
+    pool = np.array([-0.0, 0.0, 5e-324, 0.1, 0.25, -1e308, 1.0])
+    return [0.01 * np.arange(rows), np.zeros(rows + 1), np.zeros(rows + 7),
+            rng.choice(pool, rows + 2), rng.normal(size=rows + 3) * scales,
+            rng.normal(size=2 * rows + 4)[::2], list(range(rows + 600))]
+
+
+@pytest.mark.parametrize("repeats", [True, False],
+                         ids=["repeats", "no-repeats"])
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                  CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_the_row_by_row_writer(tmp_path, rows, repeats):
+    columns = _csv_columns(rows, repeats)
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "out.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _row_by_row_csv(header, columns)
+    assert len(path.read_bytes().splitlines()) == 1 + rows

@@ -444,3 +444,19 @@ def test_grouped_boxplot_matches_the_per_number_chart(panda, body_table, case):
     options = {"title": "speeds <m/s>", "ylabel": "v [m/s]"}
     assert (grouped_boxplot(groups, boxes, stars, **options)
             == _per_number_boxplot(groups, boxes, stars, **options))
+
+
+@pytest.mark.parametrize("value", [
+    0.1, -2.5e-320, 1e308, 123456789.0, -0.0, math.inf, 7, -7, 10 ** 20, 0,
+    True, False, np.float64(0.3), np.float32(1.1), np.float32(3e38),
+    np.float16(0.1), np.int64(123456789), np.int32(-5), np.uint8(255),
+    np.bool_(True), np.bool_(False)])
+def test_the_svg_number_format_is_6g_of_the_float(value):
+    assert _fmt(value) == format(float(value), ".6g")
+
+
+def test_the_svg_number_format_matches_6g_over_the_float_range():
+    rng = np.random.default_rng(7)
+    values = (rng.uniform(-1.0, 1.0, 20_000)
+              * 10.0 ** rng.integers(-320, 309, 20_000)).tolist()
+    assert list(map(_fmt, values)) == [format(v, ".6g") for v in values]
