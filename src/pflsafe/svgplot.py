@@ -216,42 +216,36 @@ def line_chart(series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
 
 
 def grouped_boxplot(groups: Sequence[str],
-                    boxes: Mapping[str, Sequence[BoxStats]],
-                    stars: Mapping[str, Sequence[float]],
+                    series: Mapping[str, tuple[Sequence[BoxStats],
+                                               Sequence[float]]],
                     title: str = "", ylabel: str = "") -> str:
-    """Grouped box-and-whisker plot, 1000 x 520, with a star marker per
-    group and series.
+    """Grouped box-and-whisker plot, 1000 x 520, with a star marker beside
+    each box.
 
-    ``boxes`` maps a series label to one BoxStats per group; ``stars`` maps
-    a series label to one scalar per group (drawn as a star beside a box
-    series).  The y axis runs from 0 to 1.06 times the largest value.
-    A series without one entry per group, star series without a box
-    series, and a largest value that is not positive and finite raise
-    ``ValueError``.
+    ``series`` maps a series label to its (boxes, stars) pair: one BoxStats
+    and one scalar (drawn as a star on the box's centre line) per group.
+    The y axis runs from 0 to 1.06 times the largest value.  A series
+    without one box and one star per group, and a largest value that is
+    not positive and finite raise ``ValueError``.
     """
     width, height = 1000, 520
     margin_l, margin_r, margin_t, margin_b = 70, 20, 46, 110
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    for kind, series in (("box", boxes), ("star", stars)):
-        for label, row in series.items():
+    values: list[float] = []
+    for label, (boxes, stars) in series.items():
+        for kind, row in (("box", boxes), ("star", stars)):
             if len(row) != len(groups):
                 raise ValueError(
                     f"grouped_boxplot: {kind} series {label!r} has "
                     f"{len(row)} entries for {len(groups)} groups")
-    values: list[float] = []
-    for stats_row in boxes.values():
-        for st in stats_row:
+        for st in boxes:
             values.extend([st.whisker_lo, st.whisker_hi, st.minimum,
                            st.maximum])
-    for row in stars.values():
-        values.extend(float(v) for v in row)
+        values.extend(float(v) for v in stars)
     if not values:
         raise ValueError("grouped_boxplot: no data")
-    if stars and not boxes:
-        raise ValueError("grouped_boxplot: star series need a box series "
-                         "to stand beside")
     y_lo = 0.0
     y_hi = max(values) * 1.06
     if not 0.0 < y_hi < math.inf:
@@ -262,7 +256,7 @@ def grouped_boxplot(groups: Sequence[str],
     def sy(y): return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     n_groups = len(groups)
-    n_series = len(boxes)
+    n_series = len(series)
     group_w = plot_w / n_groups
     box_w = min(16.0, group_w / (n_series + 2))
 
@@ -281,8 +275,8 @@ def grouped_boxplot(groups: Sequence[str],
                rotate=-40)
         offsets = [(s_idx - (n_series - 1) / 2) * (box_w + 4)
                    for s_idx in range(n_series)]
-        for s_idx, stats_row in enumerate(boxes.values()):
-            st = stats_row[g_idx]
+        for s_idx, (boxes, _) in enumerate(series.values()):
+            st = boxes[g_idx]
             x = center + offsets[s_idx]
             color = _PALETTE[s_idx % len(_PALETTE)]
             lo, q1, median, q3, hi = map(sy, (st.whisker_lo, st.q1, st.median,
@@ -294,11 +288,11 @@ def grouped_boxplot(groups: Sequence[str],
             c.rect(x - half, q3, box_w, q1 - q3, fill="#fff", stroke=color,
                    width=1.4)
             c.line(x - half, median, x + half, median, color, 1.6)
-        for s_idx, row in enumerate(stars.values()):
-            x = center + offsets[s_idx % n_series]
-            c.star(x, sy(float(row[g_idx])), _PALETTE[s_idx % len(_PALETTE)])
+        for s_idx, (_, stars) in enumerate(series.values()):
+            c.star(center + offsets[s_idx], sy(float(stars[g_idx])),
+                   _PALETTE[s_idx % len(_PALETTE)])
 
-    for s_idx, label in enumerate(boxes):
+    for s_idx, label in enumerate(series):
         color = _PALETTE[s_idx % len(_PALETTE)]
         x = margin_l + 10 + 150 * s_idx
         c.rect(x, 14, 12, 10, fill="#fff", stroke=color, width=1.4)

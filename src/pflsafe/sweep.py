@@ -226,33 +226,6 @@ def _default_seed(model: ManipulatorModel) -> np.ndarray:
                   where=bounded)
 
 
-def _constant_limits(table: BodyRegionTable, iso_mass: float,
-                     contact_area: float) -> tuple[list, np.ndarray, np.ndarray,
-                                                np.ndarray]:
-    """The (region, mode) rows in table x mode order, and their budgets
-    u_s_max, body-part masses m_h and constant-mass speed limits, each a
-    (rows, 1) column from one broadcast ``v0_max`` call.  Where a row may
-    fail, ``compute_limit`` runs row by row: the first failing row raises
-    its own error."""
-    rows = [(params, mode) for params in table for mode in ContactMode]
-    try:
-        u_s_max = np.array([[max_elastic_energy(params, mode, contact_area)]
-                            for params, mode in rows])
-        m_h = np.array([[body_part_mass(params, mode)] for params, mode in rows])
-        limits = v0_max(u_s_max, iso_mass, m_h)
-        # then compute_limit's k0_max = m v^2 / 2 is finite, however it
-        # rounds v^2
-        with np.errstate(over="ignore", invalid="ignore"):
-            v2 = limits ** 2
-            checked = bool(np.all((v2 < 1e300) & (iso_mass * v2 < 1e300)))
-    except InputError:
-        checked = False
-    if not checked:
-        for params, mode in rows:
-            compute_limit(table, params.region_id, mode, iso_mass, contact_area)
-    return rows, u_s_max, m_h, limits
-
-
 def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
               config: SweepConfig = SweepConfig()) -> SweepResult:
     """Sweep the box and build speed-limit distributions per region/mode."""
@@ -284,8 +257,23 @@ def run_sweep(model: ManipulatorModel, table: BodyRegionTable,
             f"constant effective mass (half the moving link mass + payload) "
             f"is {iso_mass!r} kg with payload {config.payload!r} kg; it must "
             f"be > 0: mark a link as moving or set a payload")
-    rows, u_s_max, m_h, constant = _constant_limits(table, iso_mass,
-                                                    config.contact_area)
+    # the (region, mode) rows in table x mode order, and their budgets,
+    # body-part masses and constant-mass limits, each a (rows, 1) column
+    rows = [(params, mode) for params in table for mode in ContactMode]
+    try:
+        u_s_max = np.array([[max_elastic_energy(params, mode,
+                                                config.contact_area)]
+                            for params, mode in rows])
+        m_h = np.array([[body_part_mass(params, mode)] for params, mode in rows])
+        constant = v0_max(u_s_max, iso_mass, m_h)
+        with np.errstate(over="ignore"):  # compute_limit's k0_max test
+            checked = np.isfinite(0.5 * iso_mass * constant ** 2).all()
+    except InputError:
+        checked = False
+    if not checked:  # the first failing row raises its own error
+        for params, mode in rows:
+            compute_limit(table, params.region_id, mode, iso_mass,
+                          config.contact_area)
 
     # one scanline per (z, y): deterministic order, warm start along x
     scanlines = [_sweep_scanline(model, np.column_stack(
@@ -353,14 +341,16 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
 
     One row per region: 100 * mean(variant) / mean(baseline), where the
     baseline is ``BASELINE_COMBO`` and the variants are the other five pairs
-    of ``ALL_COMBOS``.  The worst-case columns substitute the face region's
-    limit (the most restrictive body region) for every region before
-    dividing, answering "what fraction of the nominal speed survives if any
-    body part might be hit".
+    of ``ALL_COMBOS``.  The worst-case columns substitute each pair's
+    smallest regional mean (the table's most restrictive body region at the
+    sweep's contact area) for every region before dividing, answering "what
+    fraction of the nominal speed survives if any body part might be hit".
     """
     rows = []
     means = {key: result.stats[key[:2]].mean if key[2] is MassSource.REFLECTED
              else float(v[0]) for key, v in result.samples.items()}
+    lowest = {combo: min(means[(rid, *combo)] for rid in REGION_IDS)
+              for combo in ALL_COMBOS}
     for rid in REGION_IDS:
         base_mean = means[(rid, *BASELINE_COMBO)]
         scaling: dict[tuple[ContactMode, MassSource], float] = {}
@@ -381,8 +371,7 @@ def scaling_report(result: SweepResult) -> tuple[ScalingRow, ...]:
                     f"scaling {pct:.2f}% outside (0, 100]; variant is not "
                     f"conservative w.r.t. the baseline{cause}")
             scaling[(mode, source)] = pct
-            worst[(mode, source)] = (100.0 * means[("face", mode, source)]
-                                     / base_mean)
+            worst[(mode, source)] = 100.0 * lowest[mode, source] / base_mean
         rows.append(ScalingRow(region_id=rid, baseline_mean=base_mean,
                                scaling_pct=scaling, worst_case_pct=worst))
     return tuple(rows)
@@ -472,15 +461,12 @@ def render_sweep_svg(result: SweepResult) -> str:
         ContactMode.QUASI_STATIC_FREE: "quasi-static (free)",
         ContactMode.QUASI_STATIC_CLAMPED: "quasi-static (clamped)",
     }
-    groups = [REGION_LABELS[rid] for rid in REGION_IDS]
-    boxes: dict[str, list] = {}
-    stars: dict[str, list] = {}
-    for mode, label in mode_labels.items():
-        boxes[label] = [result.stats[rid, mode] for rid in REGION_IDS]
-        stars[label] = [float(result.samples[rid, mode, MassSource.CONSTANT][0])
-                        for rid in REGION_IDS]
+    series = {label: (
+        [result.stats[rid, mode] for rid in REGION_IDS],
+        [float(result.samples[rid, mode, MassSource.CONSTANT][0])
+         for rid in REGION_IDS]) for mode, label in mode_labels.items()}
     return grouped_boxplot(
-        groups, boxes, stars,
+        [REGION_LABELS[rid] for rid in REGION_IDS], series,
         title="Admissible speed per body region "
               "(boxes: directional reflected mass, stars: constant mass)",
         ylabel="admissible speed [m/s]")

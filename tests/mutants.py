@@ -184,8 +184,14 @@ MUTANTS = (
            "theta = 2.0 * math.pi * np.arange(n, dtype=float) / n",
            "theta = math.pi * np.arange(n, dtype=float) / n"),
     Mutant("worst-case-baseline", SWEEP,
-           "(100.0 * means[(\"face\", mode, source)]",
-           "(100.0 * means[(\"face\", *BASELINE_COMBO)]"),
+           "100.0 * lowest[mode, source] / base_mean",
+           "100.0 * lowest[BASELINE_COMBO] / base_mean"),
+    Mutant("constant-guard-without-k0", SWEEP,
+           "np.isfinite(0.5 * iso_mass * constant ** 2).all()",
+           "np.isfinite(constant).all()"),
+    Mutant("constant-rows-reversed", SWEEP,
+           "for params, mode in rows:\n            compute_limit(",
+           "for params, mode in reversed(rows):\n            compute_limit("),
     Mutant("sweep-csv-empty-row", SWEEP,
            "if len(row):",
            "if True:"),

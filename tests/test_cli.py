@@ -21,7 +21,7 @@ from pflsafe.dynamics import MODEL_KEYS
 from pflsafe.limits import compute_limit
 from pflsafe.schema import CSV_BLOCK_ROWS
 from test_body import table_text
-from test_sweep import REACH_BOX
+from test_sweep import K0_ROWS, REACH_BOX
 
 
 def run(*argv):
@@ -365,9 +365,15 @@ TINY_MASS = 1.0e-3
 #: a Face stiffness [N/mm] at which the budget F^2 / 2k is finite but twice
 #: it is not, so that every speed limit on the Face overflows
 OVERFLOW_K = 2.1e-308
+#: a Neck row whose transient speed limit overflows, as the Face's does at
+#: ``OVERFLOW_K``: with both, the Face is named, first in table order
+OVERFLOW_NECK = "Neck,150,210,4.5e-307,1.2,2\n"
+#: a payload [kg] at which the Chest of ``K0_ROWS`` overflows k0_max
+HUGE_PAYLOAD = 1.0e+8
 
-#: the whole error line of each sweep config contact area, and of the Face
-#: stiffness ``OVERFLOW_K``, in ``test_malformed_input_exits_3``
+#: the whole error line of each sweep config contact area, of the Face
+#: stiffness ``OVERFLOW_K`` and of the payload ``HUGE_PAYLOAD``, in
+#: ``test_malformed_input_exits_3``
 SWEEP_ERRORS = {
     0: "sweep config: contact_area must be > 0, got 0.0",
     1.0e-300:
@@ -380,6 +386,10 @@ SWEEP_ERRORS = {
         "Face transient, robot_mass = 5.545724 kg: v0_max: u_s_max = "
         "1.005952380952381e+308 J, m_r = 5.545724 kg and m_h = 4.4 kg give "
         "an infinite speed limit; it must be finite",
+    HUGE_PAYLOAD:
+        "Chest transient, robot_mass = 100000005.545724 kg: k0_max = m_r "
+        "v0_max^2 / 2 overflows at u_s_max = 2.8800000000000003e+303 J; it "
+        "must be finite",
 }
 
 
@@ -407,6 +417,7 @@ SWEEP_ERRORS = {
     ("sweep", "contact_area", HUGE_AREA),
     ("limits", "robot_mass", TINY_MASS),
     ("sweep", "u_s_max", OVERFLOW_K),
+    ("sweep", "k0_max", HUGE_PAYLOAD),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
                                  key, value):
@@ -415,13 +426,15 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
 
     monkeypatch.setattr("pflsafe.sweep.inverse_kinematics", no_ik)
     face_k = key == "u_s_max"  # the value is Face's stiffness, not an input
+    chest_k0 = key == "k0_max"  # the value is the payload
     if command == "limits":
         argv = ["--mass" if key == "robot_mass" else "--area", value]
     else:
         base = SWEEP_BOX if command == "sweep" else FILTER_SCENARIO
         path = tmp_path / "input.yaml"
-        path.write_text(yaml.safe_dump(
-            base if face_k else dict(base, **{key: value})))
+        inputs = ({} if face_k else {"payload": value} if chest_k0
+                  else {key: value})
+        path.write_text(yaml.safe_dump(dict(base, **inputs)))
         argv = ["--config" if command == "sweep" else "--scenario", path]
     overflow = (key, value) == ("contact_area", HUGE_AREA)
     table = tmp_path / "table.csv"
@@ -434,7 +447,11 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
         table.write_text(table_text(face="Face,65,110,2.1e-307,4.4,1\n"))
         argv += ["--body-table", table, "--format", "json"]
     if face_k:
-        table.write_text(table_text(face=f"Face,65,110,{value},4.4,1\n"))
+        table.write_text(table_text(face=f"Face,65,110,{value},4.4,1\n",
+                                    neck=OVERFLOW_NECK))
+        argv += ["--body-table", table]
+    if chest_k0:
+        table.write_text(table_text(**K0_ROWS))
         argv += ["--body-table", table]
     assert run(command, *argv, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
@@ -449,7 +466,7 @@ def test_malformed_input_exits_3(tmp_path, capsys, monkeypatch, command,
         # the constant-mass limit, checked before any IK, names the region
         assert err.startswith("error: Face transient, robot_mass = ")
         assert "v0_max: u_s_max = " in err and not (tmp_path / "o").exists()
-    if command == "sweep" and key in ("contact_area", "u_s_max"):
+    if command == "sweep" and key in ("contact_area", "u_s_max", "k0_max"):
         # a budget or limit names the first failing (region, mode) row, in
         # table x mode order
         assert err == f"error: {SWEEP_ERRORS[value]}\n"

@@ -237,9 +237,8 @@ def _stats(scale: float) -> BoxStats:
 def test_grouped_boxplot_basic():
     svg = grouped_boxplot(
         ["Head", "Chest"],
-        {"transient": [_stats(1.0), _stats(2.0)],
-         "clamped": [_stats(1.2), _stats(0.9)]},
-        {"transient": [1.1, 1.9], "clamped": [0.4, 0.3]},
+        {"transient": ([_stats(1.0), _stats(2.0)], [1.1, 1.9]),
+         "clamped": ([_stats(1.2), _stats(0.9)], [0.4, 0.3])},
         title="limits", ylabel="v [m/s]")
     assert svg.startswith("<?xml")
     assert "Head" in svg and "Chest" in svg
@@ -252,21 +251,13 @@ def test_grouped_boxplot_basic():
 
 def test_grouped_boxplot_deterministic():
     groups = ["A", "B", "C"]
-    boxes = {"x": [_stats(1.0), _stats(1.5), _stats(0.7)]}
-    stars = {"x": [0.4, 0.6, 0.3]}
-    assert (grouped_boxplot(groups, boxes, stars)
-            == grouped_boxplot(groups, boxes, stars))
+    series = {"x": ([_stats(1.0), _stats(1.5), _stats(0.7)], [0.4, 0.6, 0.3])}
+    assert grouped_boxplot(groups, series) == grouped_boxplot(groups, series)
 
 
 def test_grouped_boxplot_rejects_empty():
     with pytest.raises(ValueError, match="no data"):
-        grouped_boxplot([], {"x": []}, {"x": []})
-
-
-def test_grouped_boxplot_rejects_stars_without_a_box_series():
-    with pytest.raises(ValueError, match="^grouped_boxplot: star series need "
-                                         "a box series"):
-        grouped_boxplot(["A"], {}, {"x": [1.0]})
+        grouped_boxplot([], {"x": ([], [])})
 
 
 @pytest.mark.parametrize("top", [0.0, -1.0, math.inf, math.nan, 1.7e308])
@@ -274,16 +265,23 @@ def test_grouped_boxplot_rejects_a_largest_value_with_no_axis(top):
     # the y axis runs from 0 to 1.06 times the largest value
     with pytest.raises(ValueError, match=r"^grouped_boxplot: the largest "
                                          r"value .* leaves no y axis from 0"):
-        grouped_boxplot(["A"], {"x": [_stats(0.0)]}, {"x": [top]})
+        grouped_boxplot(["A"], {"x": ([_stats(0.0)], [top])})
+
+
+def test_grouped_boxplot_rejects_stars_without_a_box_series():
+    # a star with no box to stand beside is a box series of no entries
+    with pytest.raises(ValueError, match=r"^grouped_boxplot: box series 'x' "
+                                         r"has 0 entries for 1 groups"):
+        grouped_boxplot(["A"], {"x": ([], [1.0])})
 
 
 def test_grouped_boxplot_rejects_a_series_without_one_entry_per_group():
     with pytest.raises(ValueError, match=r"^grouped_boxplot: box series 'x' "
                                          r"has 0 entries for 1 groups"):
-        grouped_boxplot(["A"], {"x": []}, {"x": [0.0]})
+        grouped_boxplot(["A"], {"x": ([], [0.0])})
     with pytest.raises(ValueError, match=r"^grouped_boxplot: star series 'x' "
                                          r"has 2 entries for 1 groups"):
-        grouped_boxplot(["A"], {"x": [_stats(1.0)]}, {"x": [1.0, 2.0]})
+        grouped_boxplot(["A"], {"x": ([_stats(1.0)], [1.0, 2.0])})
 
 
 class _PerNumberCanvas:
@@ -334,7 +332,7 @@ class _PerNumberCanvas:
             f"{body}\n</svg>\n")
 
 
-def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
+def _per_number_boxplot(groups, series, title="", ylabel=""):
     """The reference box plot: every pixel computed where it is drawn and
     every number formatted there."""
     width, height = 1000, 520
@@ -342,11 +340,10 @@ def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     values = []
-    for stats_row in boxes.values():
+    for stats_row, row in series.values():
         for st in stats_row:
             values.extend([st.whisker_lo, st.whisker_hi, st.minimum,
                            st.maximum])
-    for row in stars.values():
         values.extend(float(v) for v in row)
     y_lo = 0.0
     y_hi = max(values) * 1.06
@@ -354,7 +351,7 @@ def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
     def sy(y): return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     n_groups = len(groups)
-    n_series = len(boxes)
+    n_series = len(series)
     group_w = plot_w / n_groups
     box_w = min(16.0, group_w / (n_series + 2))
     c = _PerNumberCanvas(width, height)
@@ -369,7 +366,7 @@ def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
                rotate=-40)
         offsets = [(s_idx - (n_series - 1) / 2) * (box_w + 4)
                    for s_idx in range(n_series)]
-        for s_idx, stats_row in enumerate(boxes.values()):
+        for s_idx, (stats_row, _) in enumerate(series.values()):
             st = stats_row[g_idx]
             x = center + offsets[s_idx]
             color = _PALETTE[s_idx % len(_PALETTE)]
@@ -383,11 +380,10 @@ def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
                    fill="#fff", stroke=color, width=1.4)
             c.line(x - box_w / 2, sy(st.median), x + box_w / 2, sy(st.median),
                    color, 1.6)
-        for s_idx, row in enumerate(stars.values()):
-            x = center + offsets[s_idx % max(n_series, 1)]
-            c.star(x, sy(float(row[g_idx])), 5.0,
+        for s_idx, (_, row) in enumerate(series.values()):
+            c.star(center + offsets[s_idx], sy(float(row[g_idx])), 5.0,
                    _PALETTE[s_idx % len(_PALETTE)])
-    for s_idx, label in enumerate(boxes):
+    for s_idx, label in enumerate(series):
         color = _PALETTE[s_idx % len(_PALETTE)]
         x = margin_l + 10 + 150 * s_idx
         c.rect(x, 14, 12, 10, fill="#fff", stroke=color, width=1.4)
@@ -400,16 +396,16 @@ def _per_number_boxplot(groups, boxes, stars, title="", ylabel=""):
 
 
 def _sweep_boxplot_input(panda, body_table):
-    """The groups, boxes and stars ``render_sweep_svg`` draws for a sweep of
-    18 points."""
+    """The groups and the (boxes, stars) series ``render_sweep_svg`` draws
+    for a sweep of 18 points."""
     result = run_sweep(panda, body_table, SweepConfig(
         box_min=(0.3, -0.2, 0.2), box_max=(0.5, 0.2, 0.6), grid_spacing=0.2,
         n_directions=20))
-    boxes = {mode.value: [result.stats[rid, mode] for rid in REGION_IDS]
-             for mode in ContactMode}
-    stars = {mode.value: [result.samples[rid, mode, MassSource.CONSTANT][0]
-                          for rid in REGION_IDS] for mode in ContactMode}
-    return [REGION_LABELS[rid] for rid in REGION_IDS], boxes, stars
+    series = {mode.value: (
+        [result.stats[rid, mode] for rid in REGION_IDS],
+        [result.samples[rid, mode, MassSource.CONSTANT][0]
+         for rid in REGION_IDS]) for mode in ContactMode}
+    return [REGION_LABELS[rid] for rid in REGION_IDS], series
 
 
 def _box(*five, mean=None):
@@ -425,25 +421,27 @@ def _box(*five, mean=None):
                                   "extremes"])
 def test_grouped_boxplot_matches_the_per_number_chart(panda, body_table, case):
     if case == "sweep":
-        groups, boxes, stars = _sweep_boxplot_input(panda, body_table)
+        groups, series = _sweep_boxplot_input(panda, body_table)
     elif case == "equal quartiles":
         groups = ["A", "B <&>"]
-        boxes = {"x": [_box(0.5, 0.5, 0.5, 0.5, 0.5), _box(0.2, 0.7, 0.7, 0.7, 0.9)],
-                 "y": [_box(0.0, 0.0, 0.0, 0.0, 0.0), _box(1.0, 1.0, 1.0, 1.0, 1.0)]}
-        stars = {"x": [0.5, 0.7], "y": [0, 1]}
+        series = {
+            "x": ([_box(0.5, 0.5, 0.5, 0.5, 0.5), _box(0.2, 0.7, 0.7, 0.7, 0.9)],
+                  [0.5, 0.7]),
+            "y": ([_box(0.0, 0.0, 0.0, 0.0, 0.0), _box(1.0, 1.0, 1.0, 1.0, 1.0)],
+                  [0, 1])}
     else:  # log-uniform values over 10 decades, or over 600
         exponents = (-8, 2) if case == "decades" else (-300, 300)
         rng = np.random.default_rng(26)
         groups = [f"g{i}" for i in range(7)]
-        boxes, stars = {}, {}
+        series = {}
         for label in ("a", "b", "c"):
             five = np.sort(10.0 ** rng.uniform(*exponents, (7, 5)), axis=1)
-            boxes[label] = [_box(*row) for row in five.tolist()]
-            stars[label] = (10.0 ** rng.uniform(*exponents, 7)).tolist()
-        stars["c"][0] = 5e-324
+            series[label] = ([_box(*row) for row in five.tolist()],
+                             (10.0 ** rng.uniform(*exponents, 7)).tolist())
+        series["c"][1][0] = 5e-324
     options = {"title": "speeds <m/s>", "ylabel": "v [m/s]"}
-    assert (grouped_boxplot(groups, boxes, stars, **options)
-            == _per_number_boxplot(groups, boxes, stars, **options))
+    assert (grouped_boxplot(groups, series, **options)
+            == _per_number_boxplot(groups, series, **options))
 
 
 @pytest.mark.parametrize("value", [

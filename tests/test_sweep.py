@@ -282,21 +282,54 @@ def test_a_sweep_evaluates_its_masses_in_one_call_per_kernel(
 
 def test_reflected_overflow_names_its_region_and_mode(monkeypatch):
     # a 0.2 kg pendulum with a 2 kg payload: on a Face whose budget is
-    # 4.2e307 J the constant mass's limits are finite, the reflected mass's
-    # are not
+    # 4.2e307 J, and on a Neck whose transient budget is 4.5e307 J, the
+    # constant mass's limits are finite, the reflected mass's are not; with
+    # both, the first in table x mode order is named
     model = load_robot_model(io.StringIO(
         PENDULUM_YAML.replace("mass: 2.5", "mass: 0.2")))
-    table = load_body_table(table_text(face="Face,65,110,5e-308,4.4,1\n")
-                            .encode())
+    face, neck = "Face,65,110,5e-308,4.4,1\n", "Neck,150,210,1e-306,1.2,2\n"
     monkeypatch.setattr(
         sweep, "inverse_kinematics",
         lambda model, target, seed, orientation: IKResult(
             np.zeros(1), True, 0, 0.0, 0.0))
-    with pytest.raises(InputError, match=r"^Face transient: v0_max: u_s_max "
-                                         r"= .* infinite speed limit"):
-        run_sweep(model, table, SweepConfig(
-            box_min=(0.8, 0.0, 0.0), box_max=(0.8, 0.0, 0.0),
-            n_directions=4, payload=2.0))
+    for rows, named in (({"face": face, "neck": neck}, "Face"),
+                        ({"neck": neck}, "Neck")):
+        table = load_body_table(table_text(**rows).encode())
+        with pytest.raises(InputError, match=rf"^{named} transient: v0_max: "
+                                             rf"u_s_max = .* infinite speed"):
+            run_sweep(model, table, SweepConfig(
+                box_min=(0.8, 0.0, 0.0), box_max=(0.8, 0.0, 0.0),
+                n_directions=4, payload=2.0))
+
+
+#: table rows whose constant-mass limits fail two ways: the Chest's energy
+#: k0_max = m_r v0_max^2 / 2 overflows at a payload of 1e8 kg, the Lower
+#: legs' speed limit at any payload.  Together, the Chest's is named: it is
+#: first in table order (``test_cli.SWEEP_ERRORS``).
+K0_ROWS = {"chest": "Chest,6e153,1e154,25,40,2\n",
+           "lower_legs": "Lower legs,1e10,1e10,60,1e-300,2\n"}
+
+
+@pytest.mark.parametrize("region, payload, error", [
+    ("chest", 1.0e+8, r"Chest transient, robot_mass = 100000005.545724 kg: "
+                      r"k0_max = m_r v0_max\^2 / 2 overflows"),
+    ("chest", 0.0, None),
+    ("lower_legs", 1.0e+8, r"Lower legs transient, robot_mass = "
+                           r"100000005.545724 kg: v0_max: "),
+], ids=["chest", "chest-without-payload", "lower-legs"])
+def test_each_constant_row_of_the_k0_case_fails_alone(panda, monkeypatch,
+                                                      region, payload, error):
+    class Solved(Exception):
+        """IK was reached: every constant-mass limit passed."""
+
+    def ik(*args, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(sweep, "inverse_kinematics", ik)
+    table = load_body_table(table_text(**{region: K0_ROWS[region]}).encode())
+    with pytest.raises(InputError if error else Solved,
+                       match=error and "^" + error):
+        run_sweep(panda, table, SweepConfig(**TINY, payload=payload))
 
 
 def test_sweep_of_an_unbounded_joint_raises_no_warning(body_table):
@@ -476,6 +509,21 @@ def test_scaling_report_percentages(tiny_result):
     chest_row = next(r for r in rows if r.region_id == "chest")
     assert chest_row.worst_case_pct[combo] == pytest.approx(
         100.0 * face_mean / chest_row.baseline_mean, rel=1e-12)
+
+
+def test_the_worst_case_is_each_pairs_lowest_regional_mean(panda, body_table):
+    # at 0.25 cm^2 the pressure limits bind, and the Skull/Forehead's stiffer
+    # contact leaves it a smaller budget and lower means than the Face's
+    result = run_sweep(panda, body_table, SweepConfig(**TINY,
+                                                      contact_area=0.25))
+    rows = scaling_report(result)
+    for combo in ALL_COMBOS[1:]:
+        means = {rid: float(np.mean(result.samples[(rid, *combo)]))
+                 for rid in REGION_IDS}
+        assert min(means, key=means.get) == "skull_forehead"
+        for row in rows:
+            assert row.worst_case_pct[combo] == pytest.approx(
+                100.0 * means["skull_forehead"] / row.baseline_mean, rel=1e-12)
 
 
 def test_sweep_csv_round_trip(tiny_result, tmp_path):
